@@ -68,6 +68,8 @@ class SystemConfig:
                 f"paths must be in [1, {limit:g}] for a {self.n_rx}x{self.n_tx} "
                 f"array pair (sparsity ratio {self.max_path_ratio})"
             )
+        if self.n_rf < self.paths:
+            raise ValueError("single-use recovery needs n_rf >= paths")
         if not self.paths <= self.m <= self.n_tx:
             raise ValueError(
                 f"sampled column count m={self.m} must satisfy "

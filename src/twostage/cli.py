@@ -9,6 +9,7 @@ import time
 from .channel import SystemConfig, generate_channel
 from .harness import (
     SweepSpec,
+    noise_var_from_snr_db,
     read_config,
     run_checks,
     run_sweep,
@@ -18,7 +19,6 @@ from .harness import (
 from .numkit import RngState
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
 
-# settings a sweep understands, with parsers for config-file values
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
@@ -34,37 +34,32 @@ def _parse_list(text, item):
     return tuple(item(tok) for tok in text.replace(",", " ").split())
 
 
+# scenario settings shared by ``estimate`` and ``sweep``, with their SystemConfig
+# fields; sweep-only settings with their SweepSpec fields. A setting left unset
+# falls through to the dataclass default.
+_SCENARIO_FIELDS = {"nr": "n_rx", "nt": "n_tx", "paths": "paths", "nrf": "n_rf",
+                    "seed": "seed", "grid_size": "grid_size"}
+_SPEC_FIELDS = {"m": "m_list", "snr_db": "snr_db_list", "trials": "trials",
+                "mode": "modes", "baseline": "baseline", "workers": "workers"}
+
+# every sweep setting, with the parser for its config-file value; ``out`` is the
+# CSV path, which only the CLI uses
 _SWEEP_KEYS = {
-    "nr": int,
-    "nt": int,
-    "paths": int,
-    "nrf": int,
+    **dict.fromkeys(_SCENARIO_FIELDS, int),
     "m": lambda s: _parse_list(s, int),
     "snr_db": lambda s: _parse_list(s, float),
     "trials": int,
-    "seed": int,
-    "grid_size": int,
     "mode": lambda s: _parse_list(s, str),
     "baseline": _parse_bool,
     "workers": int,
     "out": str,
 }
 
-_SWEEP_DEFAULTS = {
-    "nr": 32,
-    "nt": 128,
-    "paths": 4,
-    "nrf": 6,
-    "m": (4, 8, 16, 32),
-    "snr_db": (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0),
-    "trials": 200,
-    "seed": 0,
-    "grid_size": None,
-    "mode": ("pseudo-inverse",),
-    "baseline": True,
-    "workers": 1,
-    "out": None,
-}
+
+def _given(settings, fields):
+    """Keyword arguments for the settings that were given, keyed by field name."""
+    return {field: settings[key] for key, field in fields.items()
+            if settings.get(key) is not None}
 
 
 def build_parser():
@@ -75,38 +70,35 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    est = sub.add_parser("estimate", help="run one estimate and print the report")
-    est.add_argument("--nr", type=int, default=32, help="receive antennas")
-    est.add_argument("--nt", type=int, default=128, help="transmit antennas")
-    est.add_argument("--paths", type=int, default=4, help="propagation paths")
-    est.add_argument("--nrf", type=int, default=6, help="RF chains")
-    est.add_argument("--m", type=int, default=8, help="columns sounded in stage 1")
-    est.add_argument("--snr-db", type=float, default=10.0, help="SNR in dB")
-    est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--grid-size", type=int, default=None,
-                     help="sounder dictionary size (default 2 * nr)")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--nr", type=int, help="receive antennas")
+    scenario.add_argument("--nt", type=int, help="transmit antennas")
+    scenario.add_argument("--paths", type=int, help="propagation paths")
+    scenario.add_argument("--nrf", type=int, help="RF chains")
+    scenario.add_argument("--seed", type=int)
+    scenario.add_argument("--grid-size", type=int,
+                          help="sounder dictionary size (default 2 * nr)")
+
+    est = sub.add_parser("estimate", parents=[scenario],
+                         help="run one estimate and print the report")
+    est.add_argument("--m", type=int, help="columns sounded in stage 1")
+    est.add_argument("--snr-db", type=float, help="SNR in dB")
     est.add_argument("--mode", choices=RECOVERY_MODES, default="pseudo-inverse")
     est.add_argument("--baseline", action=argparse.BooleanOptionalAction,
                      default=False, help="also print the full-observation floor")
 
-    swp = sub.add_parser("sweep", help="Monte Carlo sweep over SNR and m grids")
-    swp.add_argument("--config", type=str, default=None,
+    swp = sub.add_parser("sweep", parents=[scenario],
+                         help="Monte Carlo sweep over SNR and m grids")
+    swp.add_argument("--config", type=str,
                      help="key = value file mirroring the flags below")
-    swp.add_argument("--nr", type=int, default=None)
-    swp.add_argument("--nt", type=int, default=None)
-    swp.add_argument("--paths", type=int, default=None)
-    swp.add_argument("--nrf", type=int, default=None)
-    swp.add_argument("--m", type=int, nargs="+", default=None,
-                     help="sampled-column counts")
-    swp.add_argument("--snr-db", type=float, nargs="+", default=None)
-    swp.add_argument("--trials", type=int, default=None)
-    swp.add_argument("--seed", type=int, default=None)
-    swp.add_argument("--grid-size", type=int, default=None)
-    swp.add_argument("--mode", choices=RECOVERY_MODES, nargs="+", default=None)
+    swp.add_argument("--m", type=int, nargs="+", help="sampled-column counts")
+    swp.add_argument("--snr-db", type=float, nargs="+")
+    swp.add_argument("--trials", type=int)
+    swp.add_argument("--mode", choices=RECOVERY_MODES, nargs="+")
     swp.add_argument("--baseline", action=argparse.BooleanOptionalAction,
-                     default=None, help="include the full-observation floor")
-    swp.add_argument("--workers", type=int, default=None)
-    swp.add_argument("--out", type=str, default=None, help="CSV output path")
+                     help="include the full-observation floor")
+    swp.add_argument("--workers", type=int)
+    swp.add_argument("--out", type=str, help="CSV output path")
 
     chk = sub.add_parser("check", help="run the built-in oracle checks")
     chk.add_argument("--seed", type=int, default=0)
@@ -115,26 +107,18 @@ def build_parser():
 
 
 def _resolve_sweep_settings(args):
-    """Defaults, overridden by the config file, overridden by explicit flags."""
-    settings = dict(_SWEEP_DEFAULTS)
+    """Config-file values, overridden by explicit flags; unset settings are absent."""
+    settings = {}
     if args.config is not None:
         for key, raw in read_config(args.config).items():
             if key not in _SWEEP_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
             settings[key] = _SWEEP_KEYS[key](raw)
     for key in _SWEEP_KEYS:
-        flag = getattr(args, key if key != "out" else "out")
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = tuple(flag) if isinstance(flag, list) else flag
     return settings
-
-
-def _spec_from_settings(s):
-    base = SystemConfig(n_rx=s["nr"], n_tx=s["nt"], paths=s["paths"], n_rf=s["nrf"],
-                        m=min(s["m"]), grid_size=s["grid_size"], seed=s["seed"])
-    return SweepSpec(base=base, snr_db_list=s["snr_db"], m_list=s["m"],
-                     trials=s["trials"], modes=s["mode"], baseline=s["baseline"],
-                     workers=s["workers"], output_path=s["out"])
 
 
 def _print_report(rep, out):
@@ -148,9 +132,10 @@ def _print_report(rep, out):
 
 
 def _cmd_estimate(args, out):
-    cfg = SystemConfig(n_rx=args.nr, n_tx=args.nt, paths=args.paths, n_rf=args.nrf,
-                       noise_var=10.0 ** (-args.snr_db / 10.0), m=args.m,
-                       grid_size=args.grid_size, seed=args.seed)
+    given = _given(vars(args), {**_SCENARIO_FIELDS, "m": "m"})
+    if args.snr_db is not None:
+        given["noise_var"] = noise_var_from_snr_db(args.snr_db)
+    cfg = SystemConfig(**given)
     rng = RngState(cfg.seed)
     real = generate_channel(cfg, rng.split(0))
     rep = two_stage_estimate(real, cfg, rng.split(1), mode=args.mode)
@@ -164,13 +149,19 @@ def _cmd_estimate(args, out):
 
 
 def _cmd_sweep(args, out):
-    spec = _spec_from_settings(_resolve_sweep_settings(args))
+    settings = _resolve_sweep_settings(args)
+    fields = _given(settings, _SPEC_FIELDS)
+    # the sweep sets m per cell; the base config takes the smallest, so it validates
+    base = SystemConfig(m=min(fields.get("m_list", SweepSpec.m_list)),
+                        **_given(settings, _SCENARIO_FIELDS))
+    spec = SweepSpec(base=base, **fields)
     start = time.monotonic()
     rows = run_sweep(spec)
     elapsed = time.monotonic() - start
-    if spec.output_path is not None:
-        write_rows(rows, spec.output_path)
-        out.write(f"wrote {len(rows)} rows to {spec.output_path}\n")
+    out_path = settings.get("out")
+    if out_path is not None:
+        write_rows(rows, out_path)
+        out.write(f"wrote {len(rows)} rows to {out_path}\n")
     header = (f"{'snr_db':>8} {'m':>4} {'mode':<18} {'n':>5} "
               f"{'nmse_mean':>12} {'nmse_se':>10} {'dist_mean':>12} {'dist_se':>10}")
     out.write(header + "\n")

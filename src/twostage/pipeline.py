@@ -68,8 +68,6 @@ def two_stage_estimate(real, cfg, rng, mode="pseudo-inverse"):
     """
     if mode not in RECOVERY_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    if cfg.n_rf < cfg.paths:
-        raise ValueError("single-use recovery needs n_rf >= paths")
     block = sound_columns_stage1(real.h, cfg.m, cfg.noise_var, cfg.n_rf, rng)
     y_tilde = invert_combiner(block)
     est = estimate_stage1(y_tilde, cfg.paths)

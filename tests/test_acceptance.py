@@ -2,22 +2,30 @@
 
 Each test checks one headline property and prints a single
 ``[acceptance] name: PASS (...)`` line with the measured numbers (visible
-under ``pytest -s``). The Monte Carlo criteria share one 200-trial sweep.
+under ``pytest -s``). The oracle properties run the package's check
+functions, the same ones behind ``twostage check``, from fixed root seeds.
+The Monte Carlo criteria share one 200-trial sweep.
 """
 
 import math
 import time
 
-import numpy as np
 import pytest
 
-from twostage.channel import SystemConfig, generate_channel
-from twostage.harness import SweepSpec, rows_to_csv, run_sweep, summarize
-from twostage.numkit import RngState, random_unitary, sample_complex_gaussian
-from twostage.pipeline import degrees_of_freedom, two_stage_estimate
-from twostage.sounding import dft_combiner, invert_combiner, observe_columns
-from twostage.stage2 import build_dictionary, design_sounder_omp
-from twostage.subspace import column_basis, interlacing_check, subspace_distance
+from twostage.channel import SystemConfig
+from twostage.harness import (
+    SweepSpec,
+    check_appended_column_interlacing,
+    check_channel_uses,
+    check_combiner_independence,
+    check_noiseless_exactness,
+    check_sampled_column_subspace,
+    check_sounder_constraints,
+    rows_to_csv,
+    run_sweep,
+    summarize,
+)
+from twostage.numkit import RngState
 
 
 def _ok(name, detail):
@@ -36,87 +44,36 @@ def reference_sweep():
     return rows, elapsed
 
 
+def _check(name, check, rng):
+    passed, detail = check(rng)
+    assert passed, detail
+    _ok(name, detail)
+
+
 def test_noiseless_recovery_is_exact_at_scale():
     start = time.monotonic()
-    worst = 0.0
-    for seed in range(20):
-        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8,
-                           noise_var=0.0, seed=seed)
-        real = generate_channel(cfg, RngState(seed))
-        rep = two_stage_estimate(real, cfg, RngState(seed, (1,)), mode="ideal")
-        worst = max(worst, rep.nmse)
-        assert rep.nmse <= 1e-18
+    passed, detail = check_noiseless_exactness(RngState(600))
     elapsed = time.monotonic() - start
+    assert passed, detail
     assert elapsed < 30.0
-    _ok("noiseless-recovery",
-        f"max NMSE {worst:.3e} over 20 seeds, {elapsed:.1f}s")
+    _ok("noiseless-recovery", f"{detail}, {elapsed:.1f}s")
 
 
 def test_any_full_rank_combiner_bank_recovers_the_same_block():
-    rng = RngState(100)
-    worst = 0.0
-    for i in range(50):
-        cfg = SystemConfig(n_rx=16, n_tx=24, paths=3, n_rf=4, m=6, seed=100)
-        real = generate_channel(cfg, rng.split(i, 0))
-        h_s = real.h[:, :6]
-        noise = sample_complex_gaussian(rng.split(i, 1), 16, 6, 0.05)
-        for bank in (dft_combiner(16), random_unitary(rng.split(i, 2), 16)):
-            block = observe_columns(h_s, bank, noise, cfg.n_rf)
-            err = np.max(np.abs(invert_combiner(block) - h_s - noise))
-            worst = max(worst, float(err))
-    assert worst <= 1e-9
-    _ok("combiner-independence",
-        f"max entrywise deviation {worst:.3e} over 50 instances, 2 banks")
+    _check("combiner-independence", check_combiner_independence, RngState(100))
 
 
 def test_appended_in_span_columns_interlace():
-    rng = RngState(200)
-    lo, margin = 0.0, math.inf
-    for i in range(100):
-        cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4, m=6, seed=200)
-        real = generate_channel(cfg, rng.split(i, 0))
-        h_s = real.h[:, :6]
-        coeffs = sample_complex_gaussian(rng.split(i, 1), 6, 1, 1.0)[:, 0]
-        delta, upper = interlacing_check(h_s, h_s @ coeffs, rank=3)
-        assert delta >= -1e-9
-        assert delta <= upper + 1e-9
-        lo = min(lo, delta)
-        margin = min(margin, upper - delta)
-    _ok("appended-column-interlacing",
-        f"100 draws, min delta {lo:.3e}, tightest cap margin {margin:.3e}")
+    _check("appended-column-interlacing", check_appended_column_interlacing,
+           RngState(200))
 
 
 def test_sampled_columns_expose_the_receive_subspace():
-    rng = RngState(300)
-    worst = 0.0
-    for i in range(100):
-        m = (3, 4, 6)[i % 3]
-        cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4, m=m,
-                           noise_var=0.0, seed=300)
-        real = generate_channel(cfg, rng.split(i))
-        d = subspace_distance(column_basis(real.h, 3),
-                              column_basis(real.h[:, :m], 3))
-        worst = max(worst, d)
-    assert worst <= 1e-10
-    _ok("sampled-column-subspace",
-        f"max distance {worst:.3e} over 100 noiseless draws, m in (3, 4, 6)")
+    _check("sampled-column-subspace", check_sampled_column_subspace, RngState(300))
 
 
 def test_sounding_budget_stays_below_the_parameter_count():
-    totals = {}
-    for n_rf in (8, 6):
-        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=n_rf, m=8,
-                           noise_var=0.01)
-        real = generate_channel(cfg, RngState(400))
-        rep = two_stage_estimate(real, cfg, RngState(400, (1,)))
-        totals[n_rf] = rep.channel_uses_total
-        assert rep.dof == 624
-        assert rep.channel_uses_total < rep.dof
-    assert totals[8] == 152
-    assert totals[6] == 168
-    _ok("sounding-budget",
-        f"{totals[8]} uses divisible, {totals[6]} with a partial use, "
-        f"both below 624 parameters")
+    _check("sounding-budget", check_channel_uses, RngState(400))
 
 
 def _grid(summary, mode):
@@ -165,24 +122,7 @@ def test_subspace_error_shrinks_with_more_sampled_columns(reference_sweep):
 
 
 def test_designed_sounders_respect_hardware_constraints():
-    rng = RngState(500)
-    worst_mod = 0.0
-    for i in range(20):
-        cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=5, m=6, seed=500)
-        real = generate_channel(cfg, rng.split(i))
-        sounder = design_sounder_omp(column_basis(real.h, 3),
-                                     build_dictionary(16, 32), 5)
-        dev = np.max(np.abs(np.abs(sounder.analog) - 1.0 / 4.0))
-        worst_mod = max(worst_mod, float(dev))
-        path = sounder.residual_path
-        assert all(b <= a + 1e-12 for a, b in zip(path, path[1:]))
-    assert worst_mod <= 1e-12
-    d = build_dictionary(16, 32)
-    exact = design_sounder_omp(np.linalg.qr(d.atoms[:, [5, 20]])[0], d, 2)
-    assert exact.residual <= 1e-8
-    _ok("sounder-constraints",
-        f"max modulus deviation {worst_mod:.3e} over 20 designs, exact target "
-        f"residual {exact.residual:.3e}")
+    _check("sounder-constraints", check_sounder_constraints, RngState(500))
 
 
 def test_repeated_sweeps_are_byte_identical(tmp_path):

@@ -43,7 +43,7 @@ def test_config_snr_is_reciprocal_noise_variance():
 def test_config_rejects_dense_path_counts():
     with pytest.raises(ValueError, match="paths"):
         _small_cfg(paths=5, m=8)  # 5 > 8 / 2
-    _small_cfg(paths=5, m=8, max_path_ratio=1.0)  # relaxed guard admits it
+    _small_cfg(paths=5, n_rf=5, m=8, max_path_ratio=1.0)  # relaxed guard admits it
 
 
 def test_config_rejects_bad_sampled_column_counts():
@@ -115,7 +115,7 @@ def test_channel_matches_path_sum_oracle():
 
 
 def test_channel_has_numerical_rank_at_most_paths():
-    cfg = _small_cfg(paths=3, m=6)
+    cfg = _small_cfg(paths=3, n_rf=3, m=6)
     for i in range(20):
         real = generate_channel(cfg, RngState(0).split(i))
         s = svd(real.h).singular_values
@@ -129,7 +129,7 @@ def test_single_path_channel_has_rank_one():
 
 
 def test_angle_sines_respect_the_separation_floor():
-    cfg = _small_cfg(paths=4, m=8, n_rx=16)
+    cfg = _small_cfg(paths=4, n_rf=4, m=8, n_rx=16)
     for i in range(100):
         real = generate_channel(cfg, RngState(1).split(i))
         for angles in (real.aoa_angles, real.aod_angles):
@@ -191,7 +191,7 @@ def test_select_columns_rejects_bad_counts():
 
 
 def test_realization_round_trips_through_fixture_file(tmp_path):
-    real = generate_channel(_small_cfg(paths=3, m=6), RngState(8))
+    real = generate_channel(_small_cfg(paths=3, n_rf=3, m=6), RngState(8))
     path = tmp_path / "realization.json"
     save_realization(real, path)
     loaded = load_realization(path)

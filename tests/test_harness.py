@@ -1,10 +1,15 @@
+import io
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twostage.channel import SystemConfig
-from twostage.cli import main
+from twostage import cli, harness
+from twostage.channel import SystemConfig, generate_channel
+from twostage.cli import build_parser, main
 from twostage.harness import (
     CSV_HEADER,
     SweepRow,
@@ -17,6 +22,10 @@ from twostage.harness import (
     summarize,
     write_rows,
 )
+from twostage.numkit import RngState
+from twostage.pipeline import two_stage_estimate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _small_base(**kw):
@@ -87,17 +96,30 @@ def test_rows_of_one_trial_share_their_stream_seed():
     assert len({next(iter(s)) for s in by_trial.values()}) == len(by_trial)
 
 
-def test_failed_trials_become_tagged_rows_not_drops():
-    # n_rf below the path count passes config validation but fails inside
-    # the estimator, so every trial must surface as a tagged row
-    base = SystemConfig(n_rx=8, n_tx=16, paths=3, n_rf=2, m=4, seed=0)
-    spec = SweepSpec(base=base, snr_db_list=(10.0,), m_list=(4,), trials=2,
-                     modes=("pseudo-inverse",), baseline=False)
+def _raise(exc_type):
+    def estimator(*args, **kwargs):
+        raise exc_type("injected")
+    return estimator
+
+
+def test_failed_trials_become_tagged_rows_not_drops(monkeypatch):
+    # a numerical failure inside the estimator must surface as a tagged row
+    monkeypatch.setattr(harness, "two_stage_estimate", _raise(ValueError))
+    spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=2,
+                       modes=("pseudo-inverse",), baseline=False)
     rows = run_sweep(spec)
     assert len(rows) == 2
     assert all(r.mode == "pseudo-inverse#error:ValueError" for r in rows)
     assert all(math.isnan(r.nmse) and math.isnan(r.subspace_dist) for r in rows)
     assert all(r.channel_uses == 0 for r in rows)
+
+
+@pytest.mark.parametrize("name", ["two_stage_estimate", "full_observation_baseline"])
+def test_programming_errors_stop_the_sweep(monkeypatch, name):
+    monkeypatch.setattr(harness, name, _raise(TypeError))
+    spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=1)
+    with pytest.raises(TypeError, match="injected"):
+        run_sweep(spec)
 
 
 def test_sweeps_are_reproducible_and_schedule_independent():
@@ -276,3 +298,66 @@ def test_cli_check_reports_all_passes(capsys):
     assert code == 0
     assert "6/6 checks passed" in out
     assert "FAIL" not in out
+
+
+class _Stop(Exception):
+    pass
+
+
+def _captured_spec(monkeypatch, argv):
+    """The spec that ``twostage`` would sweep for ``argv``, without running it."""
+    seen = []
+
+    def stop(spec):
+        seen.append(spec)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_sweep", stop)
+    with pytest.raises(_Stop):
+        main(argv)
+    return seen[0]
+
+
+def test_cli_estimate_defaults_are_the_library_defaults(capsys):
+    assert main(["estimate"]) == 0
+    cfg = SystemConfig()
+    rng = RngState(cfg.seed)
+    rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, rng.split(1))
+    expected = io.StringIO()
+    cli._print_report(rep, expected)
+    assert capsys.readouterr().out == expected.getvalue()
+
+
+# the default spec; its base config carries the smallest swept m
+_DEFAULT_SPEC = SweepSpec(base=SystemConfig(m=4))
+
+
+def test_cli_sweep_defaults_are_the_dataclass_defaults(monkeypatch):
+    assert _captured_spec(monkeypatch, ["sweep"]) == _DEFAULT_SPEC
+
+
+def test_reference_sweep_config_resolves_to_the_default_spec(monkeypatch):
+    # bench/ sweeps this file; it spells out every default
+    path = ROOT / "scripts" / "reference_sweep.cfg"
+    assert _captured_spec(monkeypatch, ["sweep", "--config", str(path)]) == _DEFAULT_SPEC
+
+
+def _readme_commands():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", text, re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.startswith("twostage ")]
+
+
+def test_readme_commands_parse_and_resolve(monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        try:
+            args = build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        if args.command == "sweep":
+            _captured_spec(monkeypatch, argv[1:])
