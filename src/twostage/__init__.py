@@ -12,7 +12,6 @@ from .channel import (
     generate_channel,
     load_realization,
     save_realization,
-    select_columns,
     steering_matrix,
     steering_vector,
 )
@@ -56,7 +55,7 @@ from .stage2 import (
     build_dictionary,
     design_sounder_omp,
     estimate_remaining,
-    sound_and_recover_column,
+    sound_and_recover_block,
 )
 from .subspace import (
     SubspaceEstimate,

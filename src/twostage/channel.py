@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, sample_complex_gaussian
+from .numkit import sample_complex_gaussian
 
 __all__ = [
     "SystemConfig",
@@ -26,7 +26,6 @@ __all__ = [
     "steering_vector",
     "steering_matrix",
     "generate_channel",
-    "select_columns",
     "save_realization",
     "load_realization",
 ]
@@ -116,6 +115,15 @@ class ChannelRealization:
     def paths(self):
         return len(self.gains)
 
+    @property
+    def basis(self):
+        """Orthonormal basis of the column space of h, from the receive steering.
+
+        H = a_rx diag(gains) a_tx^T spans exactly col(a_rx): the departure
+        angles are drawn distinct, so a_tx has full column rank.
+        """
+        return np.linalg.qr(self.a_rx)[0]
+
 
 def steering_vector(theta, n):
     """Array response of an n-element half-wavelength ULA toward angle ``theta``.
@@ -166,14 +174,6 @@ def generate_channel(cfg, rng):
     h = scale * (a_rx * gains) @ a_tx.T
     return ChannelRealization(h=h, aoa_angles=aoa, aod_angles=aod, gains=gains,
                               a_rx=a_rx, a_tx=a_tx)
-
-
-def select_columns(h, m):
-    """First m columns of the channel, the block sounded exhaustively."""
-    h = as_complex_matrix(h, "channel")
-    if not 1 <= m <= h.shape[1]:
-        raise ValueError(f"m must be in [1, {h.shape[1]}], got {m}")
-    return h[:, :m].copy()
 
 
 def _pairs(z):

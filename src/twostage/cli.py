@@ -141,8 +141,7 @@ def _cmd_estimate(args, out):
     rep = two_stage_estimate(real, cfg, rng.split(1), mode=args.mode)
     _print_report(rep, out)
     if args.baseline:
-        floor = full_observation_baseline(real.h, cfg.noise_var, cfg.paths,
-                                          rng.split(2))
+        floor = full_observation_baseline(real, cfg.noise_var, rng.split(2))
         out.write("\n")
         _print_report(floor, out)
     return 0

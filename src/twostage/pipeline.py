@@ -9,7 +9,7 @@ import numpy as np
 from .numkit import as_complex_matrix, sample_complex_gaussian, svd, truncate_rank
 from .sounding import invert_combiner, sound_columns_stage1
 from .stage2 import estimate_remaining
-from .subspace import column_basis, estimate_stage1, subspace_distance
+from .subspace import estimate_stage1, subspace_distance
 
 __all__ = [
     "RECOVERY_MODES",
@@ -73,11 +73,10 @@ def two_stage_estimate(real, cfg, rng, mode="pseudo-inverse"):
     est = estimate_stage1(y_tilde, cfg.paths)
     h_rest, uses_stage2 = estimate_remaining(real.h, est.basis, cfg, rng, mode=mode)
     h_hat = np.hstack([est.denoised, h_rest])
-    true_basis = column_basis(real.h, cfg.paths)
     return EstimateReport(
         h_hat=h_hat,
         nmse=nmse(real.h, h_hat),
-        subspace_dist=subspace_distance(true_basis, est.basis),
+        subspace_dist=subspace_distance(real.basis, est.basis),
         channel_uses_stage1=block.channel_uses,
         channel_uses_stage2=uses_stage2,
         channel_uses_total=block.channel_uses + uses_stage2,
@@ -87,29 +86,28 @@ def two_stage_estimate(real, cfg, rng, mode="pseudo-inverse"):
     )
 
 
-def full_observation_baseline(h, sigma2, paths, rng):
+def full_observation_baseline(real, sigma2, rng):
     """Genie floor: observe every entry once, keep the dominant rank-``paths`` part.
 
     The channel-use figure counts the n_rx * n_tx genie observations and is
     not comparable with the sounding budget of the two-stage estimator; rows
     carry the ``full-observation`` tag to keep that explicit.
     """
-    h = as_complex_matrix(h, "true channel")
+    h = real.h
     if sigma2 < 0:
         raise ValueError("noise variance must be non-negative")
     noise = sample_complex_gaussian(rng, h.shape[0], h.shape[1], sigma2)
     res = svd(h + noise)
-    h_hat = truncate_rank(res, paths)
-    true_basis = column_basis(h, paths)
+    h_hat = truncate_rank(res, real.paths)
     entries = h.shape[0] * h.shape[1]
     return EstimateReport(
         h_hat=h_hat,
         nmse=nmse(h, h_hat),
-        subspace_dist=subspace_distance(true_basis, res.left_vectors[:, :paths]),
+        subspace_dist=subspace_distance(real.basis, res.left_vectors[:, :real.paths]),
         channel_uses_stage1=entries,
         channel_uses_stage2=0,
         channel_uses_total=entries,
-        dof=degrees_of_freedom(h.shape[0], h.shape[1], paths),
+        dof=degrees_of_freedom(h.shape[0], h.shape[1], real.paths),
         mode="full-observation",
         seed=rng.seed,
     )

@@ -1,5 +1,5 @@
 """Second stage: hybrid sounder design on the learned subspace, then
-one-channel-use recovery of every remaining column.
+one-channel-use recovery of every remaining column, sounded as one block.
 
 The receive sounder is factored as analog @ digital where the analog part is
 built from constant-modulus steering atoms (phase shifters only) and the
@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, min_norm_solve, sample_complex_gaussian
+from .numkit import as_complex_matrix, min_norm_solve
 
 __all__ = [
     "SteeringDictionary",
     "HybridSounder",
     "build_dictionary",
     "design_sounder_omp",
-    "sound_and_recover_column",
+    "sound_and_recover_block",
     "estimate_remaining",
 ]
 
@@ -107,12 +107,13 @@ def design_sounder_omp(u_hat, dictionary, n_rf):
     )
 
 
-def sound_and_recover_column(h, index, sounder, sigma2, rng, mode="pseudo-inverse"):
-    """Observe one column through the designed combiner and invert the sketch.
+def sound_and_recover_block(h, sounder, sigma2, rng, mode="pseudo-inverse"):
+    """Observe every column of ``h`` through the same combiner, one use each.
 
-    One channel use gives y = W^H h_i + W^H n. ``pseudo-inverse`` returns the
-    minimum-norm least-squares estimate W (W^H W)^-1 y; ``paper-literal``
-    returns W y, which agrees only when W has orthonormal columns.
+    The uses stack into Y = W^H (H + N), with the noise drawn column by
+    column, real part before imaginary part. ``pseudo-inverse`` returns the
+    minimum-norm least-squares estimate W (W^H W)^-1 Y; ``paper-literal``
+    returns W Y, which agrees only when W has orthonormal columns.
     """
     if mode not in COLUMN_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
@@ -121,15 +122,15 @@ def sound_and_recover_column(h, index, sounder, sigma2, rng, mode="pseudo-invers
     h = as_complex_matrix(h, "channel")
     if w.shape[0] != h.shape[0]:
         raise ValueError("combiner rows must match the array size")
-    if not 0 <= index < h.shape[1]:
-        raise ValueError(f"column index must be in [0, {h.shape[1]}), got {index}")
     if sigma2 < 0:
         raise ValueError("noise variance must be non-negative")
-    noise = sample_complex_gaussian(rng, h.shape[0], 1, sigma2)[:, 0]
-    y = w.conj().T @ h[:, index] + w.conj().T @ noise
+    draws = rng.generator.standard_normal((h.shape[1], 2, h.shape[0]))
+    noise = math.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1]).T
+    wh = w.conj().T
+    y = wh @ (h + noise)
     if mode == "paper-literal":
         return w @ y
-    gram = w.conj().T @ w
+    gram = wh @ w
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(
@@ -142,10 +143,11 @@ def sound_and_recover_column(h, index, sounder, sigma2, rng, mode="pseudo-invers
 def estimate_remaining(h, u_hat, cfg, rng, mode="pseudo-inverse"):
     """Recover the columns after the sounded block, one channel use each.
 
-    The sounder is designed once from the estimated basis and reused for all
-    columns. ``ideal`` mode skips the hybrid factorization and sounds with the
-    basis itself; otherwise the greedy design runs over the configured grid.
-    Returns the recovered block and the channel uses spent (n_tx - m).
+    The sounder is designed once from the estimated basis and sounds all
+    remaining columns as one block. ``ideal`` mode skips the hybrid
+    factorization and sounds with the basis itself; otherwise the greedy
+    design runs over the configured grid. Returns the recovered block and the
+    channel uses spent (n_tx - m).
     """
     h = as_complex_matrix(h, "channel")
     basis = as_complex_matrix(u_hat, "estimated basis")
@@ -163,8 +165,6 @@ def estimate_remaining(h, u_hat, cfg, rng, mode="pseudo-inverse"):
         dictionary = build_dictionary(h.shape[0], cfg.grid_size)
         sounder = design_sounder_omp(basis, dictionary, cfg.n_rf)
         column_mode = mode
-    cols = [
-        sound_and_recover_column(h, j, sounder, cfg.noise_var, rng, column_mode)
-        for j in range(cfg.m, h.shape[1])
-    ]
-    return np.column_stack(cols), remaining
+    block = sound_and_recover_block(h[:, cfg.m:], sounder, cfg.noise_var, rng,
+                                    column_mode)
+    return block, remaining

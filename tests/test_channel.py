@@ -12,7 +12,6 @@ from twostage.channel import (
     generate_channel,
     load_realization,
     save_realization,
-    select_columns,
     steering_matrix,
     steering_vector,
 )
@@ -168,23 +167,19 @@ def test_sampled_columns_span_the_channel_column_space():
         assert d <= 1e-10
 
 
-# ----------------------------------------------------------- column selection
-
-
-def test_select_columns_returns_leading_block():
-    real = generate_channel(_small_cfg(), RngState(4))
-    block = select_columns(real.h, 3)
-    np.testing.assert_array_equal(block, real.h[:, :3])
-    np.testing.assert_array_equal(select_columns(real.h, 16), real.h)
-    np.testing.assert_array_equal(select_columns(real.h, 1), real.h[:, :1])
-
-
-def test_select_columns_rejects_bad_counts():
-    real = generate_channel(_small_cfg(), RngState(4))
-    with pytest.raises(ValueError):
-        select_columns(real.h, 0)
-    with pytest.raises(ValueError):
-        select_columns(real.h, 17)
+@pytest.mark.parametrize("n_rx, n_tx, paths, n_rf", [
+    (32, 128, 4, 6),
+    (32, 128, 6, 6),  # paths == n_rf
+    (64, 16, 4, 5),
+])
+def test_steering_basis_spans_the_channel_column_space(n_rx, n_tx, paths, n_rf):
+    cfg = SystemConfig(n_rx=n_rx, n_tx=n_tx, paths=paths, n_rf=n_rf, m=paths)
+    for i in range(50):
+        real = generate_channel(cfg, RngState(12).split(i))
+        u = real.basis
+        assert u.shape == (n_rx, paths)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(paths), atol=1e-12)
+        assert subspace_distance(u, column_basis(real.h, paths)) <= 1e-12
 
 
 # ------------------------------------------------------------- serialization

@@ -114,11 +114,15 @@ def test_failed_trials_become_tagged_rows_not_drops(monkeypatch):
     assert all(r.channel_uses == 0 for r in rows)
 
 
-@pytest.mark.parametrize("name", ["two_stage_estimate", "full_observation_baseline"])
-def test_programming_errors_stop_the_sweep(monkeypatch, name):
-    monkeypatch.setattr(harness, name, _raise(TypeError))
+@pytest.mark.parametrize("name, exc_type", [
+    pytest.param("two_stage_estimate", TypeError, id="two_stage_estimate"),
+    pytest.param("full_observation_baseline", TypeError, id="full_observation_baseline"),
+    pytest.param("generate_channel", RuntimeError, id="generate_channel"),
+])
+def test_programming_errors_stop_the_sweep(monkeypatch, name, exc_type):
+    monkeypatch.setattr(harness, name, _raise(exc_type))
     spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=1)
-    with pytest.raises(TypeError, match="injected"):
+    with pytest.raises(exc_type, match="injected"):
         run_sweep(spec)
 
 

@@ -77,6 +77,23 @@ def test_ideal_mode_is_no_upper_bound_at_low_snr():
     assert np.mean(gaps) > 0.1
 
 
+def test_noiseless_pseudo_inverse_floor_is_the_grid_mismatch():
+    # without noise the only error left is the off-grid mismatch of the OMP
+    # dictionary; over these 100 seeds the mean is 1.23e-2, 6.4e-3 and 2.3e-3
+    # at grid sizes 64 (the default), 128 and 256
+    floors = []
+    for grid_size in (64, 128, 256):
+        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8, noise_var=0.0,
+                           grid_size=grid_size)
+        runs = []
+        for s in range(100):
+            real = generate_channel(cfg, RngState(s).split(0))
+            runs.append(two_stage_estimate(real, cfg, RngState(s).split(1)).nmse)
+        floors.append(np.mean(runs))
+    assert 1.0e-2 <= floors[0] <= 1.5e-2
+    assert floors[0] > floors[1] > floors[2]
+
+
 # ------------------------------------------------------------------- budget
 
 
@@ -170,7 +187,7 @@ def test_unknown_mode_and_underprovisioned_chains_are_rejected():
 def test_noiseless_baseline_reproduces_the_channel():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.0)
     real = generate_channel(cfg, RngState(17))
-    report = full_observation_baseline(real.h, 0.0, cfg.paths, RngState(18))
+    report = full_observation_baseline(real, 0.0, RngState(18))
     assert report.nmse <= 1e-18
     assert report.channel_uses_total == 8 * 16
     assert report.channel_uses_stage2 == 0
@@ -181,7 +198,7 @@ def test_noiseless_baseline_reproduces_the_channel():
 def test_baseline_matches_an_independent_truncation_oracle():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.3)
     real = generate_channel(cfg, RngState(19))
-    report = full_observation_baseline(real.h, 0.3, cfg.paths, RngState(20))
+    report = full_observation_baseline(real, 0.3, RngState(20))
     noise = sample_complex_gaussian(RngState(20), 8, 16, 0.3)
     u, s, vh = np.linalg.svd(real.h + noise, full_matrices=False)
     oracle = (u[:, :2] * s[:2]) @ vh[:2]
@@ -189,5 +206,7 @@ def test_baseline_matches_an_independent_truncation_oracle():
 
 
 def test_baseline_rejects_negative_noise():
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4)
+    real = generate_channel(cfg, RngState(21))
     with pytest.raises(ValueError, match="non-negative"):
-        full_observation_baseline(np.eye(4, dtype=complex), -0.1, 1, RngState(0))
+        full_observation_baseline(real, -0.1, RngState(0))

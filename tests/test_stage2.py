@@ -10,7 +10,7 @@ from twostage.stage2 import (
     build_dictionary,
     design_sounder_omp,
     estimate_remaining,
-    sound_and_recover_column,
+    sound_and_recover_block,
 )
 from twostage.subspace import column_basis
 
@@ -135,7 +135,7 @@ def test_doubling_the_grid_usually_helps_a_two_path_subspace_target():
     assert not_worse >= 45
 
 
-# ------------------------------------------------------------ column recovery
+# ------------------------------------------------------------- block recovery
 
 
 def _column_setup(seed, n=8, cols=4):
@@ -145,40 +145,54 @@ def _column_setup(seed, n=8, cols=4):
     return h, w
 
 
+def _per_column_reference(h, w, sigma2, rng, mode):
+    # the recovery one channel use at a time: one noise draw and one solve each
+    cols = []
+    for j in range(h.shape[1]):
+        noise = sample_complex_gaussian(rng, h.shape[0], 1, sigma2)[:, 0]
+        y = w.conj().T @ (h[:, j] + noise)
+        if mode == "paper-literal":
+            cols.append(w @ y)
+        else:
+            cols.append(w @ np.linalg.solve(w.conj().T @ w, y))
+    return np.column_stack(cols)
+
+
 def test_recovery_matches_an_independent_projector_computation():
     h, _ = _column_setup(30)
     w = sample_complex_gaussian(RngState(30).split(2), 8, 2, 1.0)  # not orthonormal
-    est = sound_and_recover_column(h, 1, w, 0.3, RngState(31), "pseudo-inverse")
+    est = sound_and_recover_block(h[:, 1:2], w, 0.3, RngState(31), "pseudo-inverse")
     noise = sample_complex_gaussian(RngState(31), 8, 1, 0.3)[:, 0]
     oracle = (w @ np.linalg.pinv(w)) @ (h[:, 1] + noise)
-    np.testing.assert_allclose(est, oracle, atol=1e-9)
+    assert est.shape == (8, 1)
+    np.testing.assert_allclose(est[:, 0], oracle, atol=1e-9)
 
 
 def test_in_span_columns_are_exact_without_noise():
     _, w = _column_setup(32)
-    coeffs = sample_complex_gaussian(RngState(33), 2, 1, 1.0)[:, 0]
-    h = (w @ coeffs)[:, None]
+    coeffs = sample_complex_gaussian(RngState(33), 2, 3, 1.0)
+    h = w @ coeffs
     for mode in ("pseudo-inverse", "paper-literal"):
-        est = sound_and_recover_column(h, 0, w, 0.0, RngState(0), mode)
-        np.testing.assert_allclose(est, h[:, 0], atol=1e-10)
+        est = sound_and_recover_block(h, w, 0.0, RngState(0), mode)
+        np.testing.assert_allclose(est, h, atol=1e-10)
 
 
 def test_columns_orthogonal_to_the_combiner_recover_as_zero():
     _, w = _column_setup(38)
     full = np.linalg.svd(np.column_stack([w, w]))[0]
-    h = full[:, 7:8]  # orthogonal complement of col(w)
-    est = sound_and_recover_column(h, 0, w, 0.0, RngState(0))
-    np.testing.assert_allclose(est, np.zeros(8), atol=1e-10)
+    h = full[:, 2:]  # orthogonal complement of col(w)
+    est = sound_and_recover_block(h, w, 0.0, RngState(0))
+    np.testing.assert_allclose(est, np.zeros((8, 6)), atol=1e-10)
 
 
 def test_modes_agree_only_for_orthonormal_combiners():
     h, w = _column_setup(34)
-    a = sound_and_recover_column(h, 0, w, 0.1, RngState(35), "pseudo-inverse")
-    b = sound_and_recover_column(h, 0, w, 0.1, RngState(35), "paper-literal")
+    a = sound_and_recover_block(h, w, 0.1, RngState(35), "pseudo-inverse")
+    b = sound_and_recover_block(h, w, 0.1, RngState(35), "paper-literal")
     np.testing.assert_allclose(a, b, atol=1e-10)
     skewed = w @ np.diag([2.0, 1.0])
-    a = sound_and_recover_column(h, 0, skewed, 0.0, RngState(0), "pseudo-inverse")
-    b = sound_and_recover_column(h, 0, skewed, 0.0, RngState(0), "paper-literal")
+    a = sound_and_recover_block(h, skewed, 0.0, RngState(0), "pseudo-inverse")
+    b = sound_and_recover_block(h, skewed, 0.0, RngState(0), "paper-literal")
     assert np.linalg.norm(a - b) > 1e-3
 
 
@@ -186,19 +200,19 @@ def test_rank_deficient_combiner_is_reported():
     h, w = _column_setup(36)
     dup = np.column_stack([w[:, 0], w[:, 0]])
     with pytest.raises(ValueError, match="rank deficient"):
-        sound_and_recover_column(h, 0, dup, 0.0, RngState(0))
+        sound_and_recover_block(h, dup, 0.0, RngState(0))
 
 
 def test_column_recovery_argument_errors():
     h, w = _column_setup(37)
     with pytest.raises(ValueError, match="unknown recovery mode"):
-        sound_and_recover_column(h, 0, w, 0.1, RngState(0), "genie")
-    with pytest.raises(ValueError, match="column index"):
-        sound_and_recover_column(h, 4, w, 0.1, RngState(0))
+        sound_and_recover_block(h, w, 0.1, RngState(0), "genie")
     with pytest.raises(ValueError, match="non-negative"):
-        sound_and_recover_column(h, 0, w, -0.1, RngState(0))
+        sound_and_recover_block(h, w, -0.1, RngState(0))
     with pytest.raises(ValueError, match="rows"):
-        sound_and_recover_column(h, 0, w[:5], 0.1, RngState(0))
+        sound_and_recover_block(h, w[:5], 0.1, RngState(0))
+    with pytest.raises(ValueError, match="at least one"):
+        sound_and_recover_block(h[:, :0], w, 0.1, RngState(0))
 
 
 def test_hybrid_sounder_object_is_accepted_directly():
@@ -206,8 +220,8 @@ def test_hybrid_sounder_object_is_accepted_directly():
     s = design_sounder_omp(d.atoms[:, 3:4], d, 1)
     assert isinstance(s, HybridSounder)
     h = (d.atoms[:, 3] * 2.5)[:, None]
-    est = sound_and_recover_column(h, 0, s, 0.0, RngState(0))
-    np.testing.assert_allclose(est, h[:, 0], atol=1e-9)
+    est = sound_and_recover_block(h, s, 0.0, RngState(0))
+    np.testing.assert_allclose(est, h, atol=1e-9)
 
 
 # --------------------------------------------------------- remaining columns
@@ -248,3 +262,19 @@ def test_remaining_estimation_rejects_underprovisioned_chains():
         estimate_remaining(real.h, wide, cfg, RngState(0))
     with pytest.raises(ValueError, match="wider"):
         estimate_remaining(real.h[:, :3], basis, cfg, RngState(0))
+
+
+@pytest.mark.parametrize("mode", ["pseudo-inverse", "paper-literal", "ideal"])
+def test_remaining_columns_match_a_per_column_loop(mode):
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8, noise_var=0.1)
+    real = generate_channel(cfg, RngState(47))
+    basis = real.basis
+    block, uses = estimate_remaining(real.h, basis, cfg, RngState(48), mode=mode)
+    if mode == "ideal":
+        w, column_mode = basis, "pseudo-inverse"
+    else:
+        w = design_sounder_omp(basis, build_dictionary(32, cfg.grid_size), 6).product
+        column_mode = mode
+    ref = _per_column_reference(real.h[:, 8:], w, 0.1, RngState(48), column_mode)
+    assert uses == 120
+    np.testing.assert_allclose(block, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
