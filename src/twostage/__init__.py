@@ -25,15 +25,7 @@ from .harness import (
     summarize,
     write_rows,
 )
-from .numkit import (
-    RngState,
-    SvdResult,
-    min_norm_solve,
-    sample_complex_gaussian,
-    spectral_norm,
-    svd,
-    truncate_rank,
-)
+from .numkit import RngState, sample_complex_gaussian
 from .pipeline import (
     RECOVERY_MODES,
     EstimateReport,
@@ -59,7 +51,6 @@ from .stage2 import (
 )
 from .subspace import (
     SubspaceEstimate,
-    column_basis,
     estimate_stage1,
     interlacing_check,
     perturbation_bound,

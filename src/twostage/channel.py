@@ -23,6 +23,7 @@ from .numkit import sample_complex_gaussian
 __all__ = [
     "SystemConfig",
     "ChannelRealization",
+    "ula_response",
     "steering_vector",
     "steering_matrix",
     "generate_channel",
@@ -125,18 +126,23 @@ class ChannelRealization:
         return np.linalg.qr(self.a_rx)[0]
 
 
-def steering_vector(theta, n):
-    """Array response of an n-element half-wavelength ULA toward angle ``theta``.
+def ula_response(sines, n):
+    """Responses of an n-element half-wavelength ULA, one column per sine.
 
-    Entry k is exp(-1j * pi * k * sin(theta)) / sqrt(n), so the vector has
-    unit norm and every entry has modulus 1 / sqrt(n).
+    Entry (k, j) is exp(-1j * pi * k * sines[j]) / sqrt(n), so every column
+    has unit norm and every entry has modulus 1 / sqrt(n).
     """
+    k = np.arange(n)[:, None]
+    return np.exp(-1j * np.pi * k * np.atleast_1d(sines)) / math.sqrt(n)
+
+
+def steering_vector(theta, n):
+    """Array response of an n-element half-wavelength ULA toward angle ``theta``."""
     if n < 1:
         raise ValueError("antenna count must be positive")
     if not np.isfinite(theta):
         raise ValueError("angle must be finite")
-    k = np.arange(n)
-    return np.exp(-1j * np.pi * k * math.sin(theta)) / math.sqrt(n)
+    return ula_response(math.sin(theta), n)[:, 0]
 
 
 def steering_matrix(angles, n):

@@ -20,7 +20,7 @@ from .numkit import RngState, random_unitary, sample_complex_gaussian
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
 from .sounding import dft_combiner, invert_combiner, observe_columns
 from .stage2 import build_dictionary, design_sounder_omp
-from .subspace import column_basis, interlacing_check, subspace_distance
+from .subspace import estimate_stage1, interlacing_check, subspace_distance
 
 __all__ = [
     "CSV_HEADER",
@@ -266,7 +266,8 @@ def check_sampled_column_subspace(rng):
         m = (3, 4, 6)[i % 3]
         cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4, m=m, noise_var=0.0)
         real = generate_channel(cfg, rng.split(i))
-        d = subspace_distance(column_basis(real.h, 3), column_basis(real.h[:, :m], 3))
+        d = subspace_distance(estimate_stage1(real.h, 3).basis,
+                              estimate_stage1(real.h[:, :m], 3).basis)
         worst = max(worst, d)
     return worst <= 1e-10, (f"max distance {worst:.3e} over 100 noiseless draws, "
                             f"m in (3, 4, 6)")
@@ -294,7 +295,7 @@ def check_sounder_constraints(rng):
     for i in range(20):
         cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=5, m=6)
         real = generate_channel(cfg, rng.split(i))
-        sounder = design_sounder_omp(column_basis(real.h, 3), dictionary, 5)
+        sounder = design_sounder_omp(estimate_stage1(real.h, 3).basis, dictionary, 5)
         dev = np.max(np.abs(np.abs(sounder.analog) - 1.0 / math.sqrt(16)))
         worst_mod = max(worst_mod, float(dev))
         path = sounder.residual_path

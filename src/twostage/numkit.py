@@ -1,26 +1,21 @@
-"""Complex dense linear-algebra kernel shared by every estimator stage.
+"""Seeded random streams and the input check shared by every estimator stage.
 
-All matrices are plain numpy complex128 arrays, validated at operation
-boundaries. The only stateful object is RngState, a seeded counter-based
-stream (Philox) with keyed sub-streams, so Monte Carlo trials stay
-reproducible and independent of execution order.
+All matrices are plain numpy complex128 arrays. Public functions that take
+matrices from outside the package check them once with ``as_complex_matrix``;
+the linear algebra itself calls numpy directly. The only stateful object is
+RngState, a seeded counter-based stream (Philox) with keyed sub-streams, so
+Monte Carlo trials stay reproducible and independent of execution order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "RngState",
-    "SvdResult",
     "as_complex_matrix",
-    "svd",
-    "truncate_rank",
-    "min_norm_solve",
-    "spectral_norm",
     "sample_complex_gaussian",
     "random_unitary",
 ]
@@ -70,75 +65,6 @@ class RngState:
 
     def __repr__(self):
         return f"RngState(seed={self.seed}, key={self.key})"
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Economy SVD ``a = left_vectors @ diag(singular_values) @ right_vectors.conj().T``."""
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-
-
-def svd(a):
-    """Economy SVD with a fixed phase convention.
-
-    Singular values come back in non-increasing order. Each left singular
-    vector is rotated so that its first non-negligible component is real and
-    non-negative, and the matching right vector gets the same rotation, so the
-    product is unchanged. This makes repeated factorizations comparable vector
-    by vector; subspace comparisons should still go through projectors because
-    ties between equal singular values keep the backend ordering.
-    """
-    a = as_complex_matrix(a)
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    v = vh.conj().T.copy()
-    u = u.copy()
-    for j in range(u.shape[1]):
-        nz = np.flatnonzero(np.abs(u[:, j]) > 1e-12)
-        if nz.size:
-            phase = u[nz[0], j] / abs(u[nz[0], j])
-            u[:, j] *= np.conj(phase)
-            v[:, j] *= np.conj(phase)
-    return SvdResult(u, s, v)
-
-
-def truncate_rank(res, rank):
-    """Best Frobenius-norm rank-``rank`` reconstruction from an SVD."""
-    k = len(res.singular_values)
-    if not 1 <= rank <= k:
-        raise ValueError(f"rank must be in [1, {k}], got {rank}")
-    u = res.left_vectors[:, :rank]
-    s = res.singular_values[:rank]
-    v = res.right_vectors[:, :rank]
-    return (u * s) @ v.conj().T
-
-
-def min_norm_solve(a, b):
-    """Minimum-2-norm least-squares solution of ``a @ x ~ b``.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides; the
-    minimum-norm property holds column by column when ``a`` is rank deficient.
-    """
-    a = as_complex_matrix(a)
-    b = np.asarray(b, dtype=np.complex128)
-    if b.ndim not in (1, 2):
-        raise ValueError(f"right-hand side must be 1-D or 2-D, got shape {b.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: a has {a.shape[0]} rows, b has {b.shape[0]}"
-        )
-    if not np.all(np.isfinite(b.real) & np.isfinite(b.imag)):
-        raise ValueError("right-hand side contains non-finite entries")
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return x
-
-
-def spectral_norm(a):
-    """Largest singular value; 0 only for the zero matrix."""
-    a = as_complex_matrix(a)
-    return float(np.linalg.norm(a, 2))
 
 
 def sample_complex_gaussian(rng, rows, cols, variance):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, sample_complex_gaussian, svd, truncate_rank
+from .numkit import as_complex_matrix, sample_complex_gaussian
 from .sounding import invert_combiner, sound_columns_stage1
 from .stage2 import estimate_remaining
 from .subspace import estimate_stage1, subspace_distance
@@ -87,7 +87,7 @@ def two_stage_estimate(real, cfg, rng, mode="pseudo-inverse"):
 
 
 def full_observation_baseline(real, sigma2, rng):
-    """Genie floor: observe every entry once, keep the dominant rank-``paths`` part.
+    """Genie floor: observe every entry once, then the stage-1 rank-``paths`` PCA.
 
     The channel-use figure counts the n_rx * n_tx genie observations and is
     not comparable with the sounding budget of the two-stage estimator; rows
@@ -97,13 +97,12 @@ def full_observation_baseline(real, sigma2, rng):
     if sigma2 < 0:
         raise ValueError("noise variance must be non-negative")
     noise = sample_complex_gaussian(rng, h.shape[0], h.shape[1], sigma2)
-    res = svd(h + noise)
-    h_hat = truncate_rank(res, real.paths)
+    est = estimate_stage1(h + noise, real.paths)
     entries = h.shape[0] * h.shape[1]
     return EstimateReport(
-        h_hat=h_hat,
-        nmse=nmse(h, h_hat),
-        subspace_dist=subspace_distance(real.basis, res.left_vectors[:, :real.paths]),
+        h_hat=est.denoised,
+        nmse=nmse(h, est.denoised),
+        subspace_dist=subspace_distance(real.basis, est.basis),
         channel_uses_stage1=entries,
         channel_uses_stage2=0,
         channel_uses_total=entries,

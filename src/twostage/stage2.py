@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, min_norm_solve
+from .channel import ula_response
+from .numkit import as_complex_matrix
 
 __all__ = [
     "SteeringDictionary",
@@ -60,8 +61,7 @@ def build_dictionary(n_r, grid_size):
     if grid_size < 1:
         raise ValueError("grid size must be positive")
     grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-    atoms = np.exp(-1j * np.pi * np.outer(np.arange(n_r), grid)) / math.sqrt(n_r)
-    return SteeringDictionary(atoms=atoms, grid=grid)
+    return SteeringDictionary(atoms=ula_response(grid, n_r), grid=grid)
 
 
 def design_sounder_omp(u_hat, dictionary, n_rf):
@@ -73,7 +73,7 @@ def design_sounder_omp(u_hat, dictionary, n_rf):
     residual never increases. Atoms are never reused.
     """
     target = as_complex_matrix(u_hat, "target combiner")
-    atoms = dictionary.atoms
+    atoms = as_complex_matrix(dictionary.atoms)
     if atoms.shape[0] != target.shape[0]:
         raise ValueError("dictionary atoms must match the target row count")
     if n_rf < target.shape[1]:
@@ -93,7 +93,7 @@ def design_sounder_omp(u_hat, dictionary, n_rf):
         scores[selected] = -1.0
         selected.append(int(np.argmax(scores)))
         analog = atoms[:, selected]
-        digital = min_norm_solve(analog, target)
+        digital = np.linalg.lstsq(analog, target, rcond=None)[0]
         residual_mat = target - analog @ digital
         residual_path.append(float(np.linalg.norm(residual_mat)))
     analog = atoms[:, selected]

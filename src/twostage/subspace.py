@@ -6,12 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, spectral_norm, svd, truncate_rank
+from .numkit import as_complex_matrix
 
 __all__ = [
     "SubspaceEstimate",
     "estimate_stage1",
-    "column_basis",
     "subspace_distance",
     "perturbation_bound",
     "interlacing_check",
@@ -32,20 +31,9 @@ def estimate_stage1(y_tilde, rank):
     y = as_complex_matrix(y_tilde, "recovered block")
     if not 1 <= rank <= min(y.shape):
         raise ValueError(f"rank must be in [1, {min(y.shape)}], got {rank}")
-    res = svd(y)
-    return SubspaceEstimate(
-        basis=res.left_vectors[:, :rank].copy(),
-        singular_values=res.singular_values[:rank].copy(),
-        denoised=truncate_rank(res, rank),
-    )
-
-
-def column_basis(a, rank):
-    """Orthonormal basis for the dominant rank-dimensional column subspace."""
-    a = as_complex_matrix(a)
-    if not 1 <= rank <= min(a.shape):
-        raise ValueError(f"rank must be in [1, {min(a.shape)}], got {rank}")
-    return svd(a).left_vectors[:, :rank].copy()
+    u, s, vh = np.linalg.svd(y, full_matrices=False)
+    u, s = u[:, :rank], s[:rank]
+    return SubspaceEstimate(basis=u, singular_values=s, denoised=(u * s) @ vh[:rank])
 
 
 def _require_orthonormal(u, name):
@@ -68,7 +56,7 @@ def subspace_distance(u, u_hat):
         raise ValueError(f"basis shapes differ: {u.shape} vs {u_hat.shape}")
     _require_orthonormal(u, "reference basis")
     _require_orthonormal(u_hat, "estimated basis")
-    gap = spectral_norm(u @ u.conj().T - u_hat @ u_hat.conj().T)
+    gap = float(np.linalg.norm(u @ u.conj().T - u_hat @ u_hat.conj().T, 2))
     return min(1.0, gap * gap)
 
 
@@ -112,17 +100,15 @@ def interlacing_check(h_s, h_new, rank=None):
     h_new = np.asarray(h_new, dtype=np.complex128).reshape(-1)
     if h_new.shape[0] != h_s.shape[0]:
         raise ValueError("appended column length must match the block rows")
-    res = svd(h_s)
-    s = res.singular_values
+    grown = as_complex_matrix(np.column_stack([h_s, h_new]))
+    u, s, _ = np.linalg.svd(h_s, full_matrices=False)
     if rank is None:
         rank = _numerical_rank(s)
     if not 1 <= rank <= len(s):
         raise ValueError(f"rank must be in [1, {len(s)}], got {rank}")
     if s[rank - 1] <= 0:
         raise ValueError("retained singular values must be positive")
-    u = res.left_vectors[:, :rank]
-    coeffs = u.conj().T @ h_new
-    upper = float(abs(coeffs[rank - 1]) ** 2)
-    grown = svd(np.hstack([h_s, h_new[:, None]]))
-    delta = float(grown.singular_values[rank - 1] ** 2 - s[rank - 1] ** 2)
+    upper = float(abs(np.vdot(u[:, rank - 1], h_new)) ** 2)
+    s_grown = np.linalg.svd(grown, compute_uv=False)
+    delta = float(s_grown[rank - 1] ** 2 - s[rank - 1] ** 2)
     return delta, upper

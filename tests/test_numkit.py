@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from twostage.numkit import (
     RngState,
     as_complex_matrix,
-    min_norm_solve,
     random_unitary,
     sample_complex_gaussian,
-    spectral_norm,
-    svd,
-    truncate_rank,
 )
+from twostage.subspace import estimate_stage1
 
 
 def _random_matrix(seed, rows, cols):
@@ -39,104 +36,93 @@ def test_as_complex_matrix_rejects_empty():
         as_complex_matrix(np.ones((0, 3)))
 
 
-# ----------------------------------------------------------------------- svd
+# ------------------------------------------------------------- rank-L PCA
+# The package takes its one rank truncation in subspace.estimate_stage1; these
+# are the kernel properties of that PCA on small, known inputs.
+
+
+def _projector(u):
+    return u @ u.conj().T
 
 
 def test_svd_identity_has_unit_singular_values():
-    res = svd(np.eye(3))
-    np.testing.assert_allclose(res.singular_values, np.ones(3))
-    np.testing.assert_allclose(res.left_vectors, np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(res.right_vectors, np.eye(3), atol=1e-14)
+    est = estimate_stage1(np.eye(3), 3)
+    np.testing.assert_allclose(est.singular_values, np.ones(3))
+    np.testing.assert_allclose(_projector(est.basis), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(est.denoised, np.eye(3), atol=1e-14)
 
 
 def test_svd_diagonal_matrix():
-    res = svd(np.diag([3.0, 2.0, 1.0]).astype(complex))
-    np.testing.assert_allclose(res.singular_values, [3.0, 2.0, 1.0])
-    np.testing.assert_allclose(res.left_vectors, np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(res.right_vectors, np.eye(3), atol=1e-14)
+    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 3)
+    np.testing.assert_allclose(est.singular_values, [3.0, 2.0, 1.0])
+    np.testing.assert_allclose(np.abs(est.basis), np.eye(3), atol=1e-14)
 
 
 def test_svd_matches_gram_eigendecomposition_oracle():
-    # independent route: eigenvalues of A^H A give the squared singular values
+    # independent route: eigenpairs of A A^H give the squared singular values
+    # and the dominant left subspace
     a = _random_matrix(101, 5, 4)
-    res = svd(a)
-    evals = np.linalg.eigvalsh(a.conj().T @ a)[::-1]
-    np.testing.assert_allclose(res.singular_values,
-                               np.sqrt(np.clip(evals, 0.0, None)),
-                               rtol=1e-10, atol=1e-12)
-    rebuilt = (res.left_vectors * res.singular_values) @ res.right_vectors.conj().T
-    assert np.linalg.norm(a - rebuilt) <= 1e-10 * np.linalg.norm(a)
-
-
-def test_svd_phase_convention_makes_leading_components_real():
-    a = _random_matrix(55, 6, 4)
-    res = svd(a)
-    for j in range(4):
-        col = res.left_vectors[:, j]
-        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        assert abs(lead.imag) <= 1e-12
-        assert lead.real >= 0.0
+    evals, evecs = np.linalg.eigh(a @ a.conj().T)
+    for rank in (1, 2, 4):
+        est = estimate_stage1(a, rank)
+        np.testing.assert_allclose(est.singular_values,
+                                   np.sqrt(evals[::-1][:rank]), rtol=1e-10)
+        np.testing.assert_allclose(_projector(est.basis),
+                                   _projector(evecs[:, ::-1][:, :rank]), atol=1e-10)
 
 
 def test_svd_rejects_non_finite():
     bad = np.ones((2, 2), dtype=complex)
     bad[1, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
-        svd(bad)
+        estimate_stage1(bad, 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_svd_round_trip_and_orthonormal_factors(rows, cols, seed):
     a = sample_complex_gaussian(RngState(seed), rows, cols, 1.0)
-    res = svd(a)
     k = min(rows, cols)
-    rebuilt = (res.left_vectors * res.singular_values) @ res.right_vectors.conj().T
-    assert np.linalg.norm(a - rebuilt) <= 1e-8 * max(1.0, np.linalg.norm(a))
-    assert np.all(np.diff(res.singular_values) <= 1e-12)
-    np.testing.assert_allclose(res.left_vectors.conj().T @ res.left_vectors,
-                               np.eye(k), atol=1e-10)
-    np.testing.assert_allclose(res.right_vectors.conj().T @ res.right_vectors,
-                               np.eye(k), atol=1e-10)
-
-
-# ------------------------------------------------------------- rank truncation
+    est = estimate_stage1(a, k)
+    assert np.linalg.norm(a - est.denoised) <= 1e-8 * max(1.0, np.linalg.norm(a))
+    assert np.all(np.diff(est.singular_values) <= 1e-12)
+    np.testing.assert_allclose(est.basis.conj().T @ est.basis, np.eye(k), atol=1e-10)
 
 
 def test_truncation_error_is_the_singular_value_tail():
     a = _random_matrix(9, 6, 5)
-    res = svd(a)
+    s = estimate_stage1(a, 5).singular_values
     for rank in (1, 3, 5):
-        err = np.linalg.norm(a - truncate_rank(res, rank))
-        tail = np.sqrt(np.sum(res.singular_values[rank:] ** 2))
+        err = np.linalg.norm(a - estimate_stage1(a, rank).denoised)
+        tail = np.sqrt(np.sum(s[rank:] ** 2))
         np.testing.assert_allclose(err, tail, rtol=1e-10, atol=1e-12)
 
 
 def test_truncation_of_a_diagonal_matrix_zeroes_the_tail():
-    res = svd(np.diag([3.0, 2.0, 1.0]).astype(complex))
-    np.testing.assert_allclose(truncate_rank(res, 1), np.diag([3.0, 0.0, 0.0]),
-                               atol=1e-12)
+    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 1)
+    np.testing.assert_allclose(est.denoised, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_truncation_passes_an_already_low_rank_matrix_through():
     rng = RngState(15)
     a = (sample_complex_gaussian(rng.split(0), 6, 2, 1.0)
          @ sample_complex_gaussian(rng.split(1), 2, 5, 1.0))
-    np.testing.assert_allclose(truncate_rank(svd(a), 2), a, atol=1e-10)
+    np.testing.assert_allclose(estimate_stage1(a, 2).denoised, a, atol=1e-10)
 
 
 def test_full_rank_truncation_reproduces_the_matrix():
     a = _random_matrix(21, 4, 6)
-    rebuilt = truncate_rank(svd(a), 4)
+    rebuilt = estimate_stage1(a, 4).denoised
     assert np.linalg.norm(a - rebuilt) <= 1e-12 * np.linalg.norm(a)
 
 
 def test_truncation_beats_brute_force_rank_candidates():
-    # Frobenius optimality against alternating-least-squares refined candidates
+    # Eckart-Young: Frobenius optimality against alternating-least-squares
+    # refined candidates
     rng = RngState(7)
     for rank in (1, 2):
         a = sample_complex_gaussian(rng.split(rank), 3, 3, 1.0)
-        err = np.linalg.norm(a - truncate_rank(svd(a), rank))
+        err = np.linalg.norm(a - estimate_stage1(a, rank).denoised)
         for i in range(200):
             x = sample_complex_gaussian(rng.split(rank, i, 0), 3, rank, 1.0)
             y = sample_complex_gaussian(rng.split(rank, i, 1), 3, rank, 1.0)
@@ -144,75 +130,6 @@ def test_truncation_beats_brute_force_rank_candidates():
                 x = a @ np.linalg.pinv(y.conj().T)
                 y = (np.linalg.pinv(x) @ a).conj().T
             assert err <= np.linalg.norm(a - x @ y.conj().T) + 1e-9
-
-
-def test_truncate_rank_rejects_bad_rank():
-    res = svd(_random_matrix(3, 4, 3))
-    with pytest.raises(ValueError):
-        truncate_rank(res, 0)
-    with pytest.raises(ValueError):
-        truncate_rank(res, 4)
-
-
-# ------------------------------------------------------------ min-norm solve
-
-
-def test_min_norm_identity_system():
-    x = min_norm_solve(np.eye(2), np.array([1.0, 2.0]))
-    np.testing.assert_allclose(x, [1.0, 2.0], atol=1e-14)
-
-
-def test_min_norm_inconsistent_tall_system():
-    # b orthogonal to the column space: least-squares solution is zero
-    a = np.array([[1.0], [0.0]], dtype=complex)
-    x = min_norm_solve(a, np.array([0.0, 1.0]))
-    np.testing.assert_allclose(x, [0.0], atol=1e-14)
-
-
-def test_min_norm_matches_normal_equations_oracle():
-    a = _random_matrix(12, 8, 3)
-    b = sample_complex_gaussian(RngState(13), 8, 1, 1.0)[:, 0]
-    x = min_norm_solve(a, b)
-    oracle = np.linalg.solve(a.conj().T @ a, a.conj().T @ b)
-    np.testing.assert_allclose(x, oracle, atol=1e-9)
-
-
-def test_min_norm_solution_lies_in_the_row_space():
-    a = _random_matrix(33, 2, 5)  # wide, full row rank almost surely
-    b = sample_complex_gaussian(RngState(34), 2, 1, 1.0)[:, 0]
-    x = min_norm_solve(a, b)
-    proj = a.conj().T @ np.linalg.solve(a @ a.conj().T, a @ x)
-    np.testing.assert_allclose(x, proj, atol=1e-9)
-    np.testing.assert_allclose(a @ x, b, atol=1e-9)
-
-
-def test_min_norm_matrix_right_hand_side():
-    a = _random_matrix(40, 5, 3)
-    b = _random_matrix(41, 5, 2)
-    x = min_norm_solve(a, b)
-    assert x.shape == (3, 2)
-    for j in range(2):
-        np.testing.assert_allclose(x[:, j], min_norm_solve(a, b[:, j]), atol=1e-12)
-
-
-def test_min_norm_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        min_norm_solve(np.eye(3), np.ones(2))
-
-
-# ------------------------------------------------------------- spectral norm
-
-
-def test_spectral_norm_examples():
-    assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
-    assert spectral_norm(np.zeros((2, 3))) == 0.0
-
-
-def test_spectral_norm_hermitian_oracle():
-    a = _random_matrix(71, 5, 5)
-    herm = a + a.conj().T
-    oracle = np.max(np.abs(np.linalg.eigvalsh(herm)))
-    assert spectral_norm(herm) == pytest.approx(oracle, rel=1e-12)
 
 
 # ------------------------------------------------------------ random streams

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage.channel import SystemConfig, generate_channel
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import (
+    RECOVERY_MODES,
     degrees_of_freedom,
     full_observation_baseline,
     nmse,
@@ -210,3 +213,39 @@ def test_baseline_rejects_negative_noise():
     real = generate_channel(cfg, RngState(21))
     with pytest.raises(ValueError, match="non-negative"):
         full_observation_baseline(real, -0.1, RngState(0))
+
+
+# -------------------------------------------------------------- corner configs
+
+
+@st.composite
+def corner_configs(draw):
+    """Small scenarios biased toward the edges that SystemConfig still accepts.
+
+    Each corner is drawn on its own: more RF chains than receive antennas,
+    every column sounded in stage 1 (m = n_tx), a dictionary with exactly
+    n_rf atoms, no noise, and SNRs down to -20 dB.
+    """
+    n_rx = draw(st.integers(2, 12))
+    n_tx = draw(st.integers(2, 20))
+    paths = draw(st.integers(1, min(n_rx, n_tx) // 2))
+    n_rf = draw(st.integers(max(2, paths), n_rx + 4))
+    m = draw(st.one_of(st.just(n_tx), st.integers(paths, n_tx)))
+    grid_size = draw(st.sampled_from([n_rf, max(n_rf, 2 * n_rx)]))
+    snr_db = draw(st.one_of(st.just(math.inf), st.just(-20.0),
+                            st.floats(-20.0, 30.0)))
+    noise_var = 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 10.0)
+    return SystemConfig(n_rx=n_rx, n_tx=n_tx, paths=paths, n_rf=n_rf, m=m,
+                        grid_size=grid_size, noise_var=noise_var)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cfg=corner_configs(), seed=st.integers(0, 2**32 - 1))
+def test_corner_configs_give_finite_metrics_in_every_mode(cfg, seed):
+    real = generate_channel(cfg, RngState(seed))
+    reports = [two_stage_estimate(real, cfg, RngState(seed, (1,)), mode)
+               for mode in RECOVERY_MODES]
+    reports.append(full_observation_baseline(real, cfg.noise_var, RngState(seed, (2,))))
+    for report in reports:
+        assert np.isfinite(report.nmse), report.mode
+        assert 0.0 <= report.subspace_dist <= 1.0, report.mode

@@ -7,12 +7,13 @@ from twostage.channel import SystemConfig, generate_channel, steering_vector
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.stage2 import (
     HybridSounder,
+    SteeringDictionary,
     build_dictionary,
     design_sounder_omp,
     estimate_remaining,
     sound_and_recover_block,
 )
-from twostage.subspace import column_basis
+from twostage.subspace import estimate_stage1
 
 
 # ---------------------------------------------------------------- dictionary
@@ -77,7 +78,7 @@ def test_an_orthonormalized_atom_pair_is_recovered():
 
 def test_analog_part_is_phase_only():
     rng = RngState(20)
-    target = column_basis(sample_complex_gaussian(rng, 16, 3, 1.0), 3)
+    target = estimate_stage1(sample_complex_gaussian(rng, 16, 3, 1.0), 3).basis
     s = design_sounder_omp(target, build_dictionary(16, 32), 4)
     np.testing.assert_allclose(np.abs(s.analog), 1 / 4.0, atol=1e-12)
     np.testing.assert_allclose(s.product, s.analog @ s.digital, atol=1e-12)
@@ -86,8 +87,8 @@ def test_analog_part_is_phase_only():
 def test_residual_path_never_increases_and_atoms_are_not_reused():
     rng = RngState(21)
     for trial in range(10):
-        target = column_basis(
-            sample_complex_gaussian(rng.split(trial), 16, 2, 1.0), 2)
+        target = estimate_stage1(
+            sample_complex_gaussian(rng.split(trial), 16, 2, 1.0), 2).basis
         s = design_sounder_omp(target, build_dictionary(16, 32), 6)
         path = np.asarray(s.residual_path)
         assert len(path) == 6
@@ -105,6 +106,10 @@ def test_design_rejects_impossible_requests():
         design_sounder_omp(d.atoms[:, :1], build_dictionary(16, 4), 5)
     with pytest.raises(ValueError, match="row count"):
         design_sounder_omp(np.ones((8, 1)), d, 1)
+    atoms = d.atoms.copy()
+    atoms[3, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        design_sounder_omp(target, SteeringDictionary(atoms=atoms, grid=d.grid), 4)
 
 
 def test_doubling_the_grid_never_hurts_a_single_steering_target():
@@ -127,7 +132,7 @@ def test_doubling_the_grid_usually_helps_a_two_path_subspace_target():
         cfg = SystemConfig(n_rx=16, n_tx=32, paths=2, n_rf=2, m=4,
                            noise_var=0.0, seed=11)
         real = generate_channel(cfg, RngState(11, (trial,)))
-        target = column_basis(real.h, 2)
+        target = real.basis
         coarse = design_sounder_omp(target, build_dictionary(16, 32), 2).residual
         fine = design_sounder_omp(target, build_dictionary(16, 64), 2).residual
         if fine <= coarse + 1e-12:
@@ -141,7 +146,7 @@ def test_doubling_the_grid_usually_helps_a_two_path_subspace_target():
 def _column_setup(seed, n=8, cols=4):
     rng = RngState(seed)
     h = sample_complex_gaussian(rng.split(0), n, cols, 1.0)
-    w = column_basis(sample_complex_gaussian(rng.split(1), n, 3, 1.0), 2)
+    w = estimate_stage1(sample_complex_gaussian(rng.split(1), n, 3, 1.0), 2).basis
     return h, w
 
 
@@ -230,8 +235,7 @@ def test_hybrid_sounder_object_is_accepted_directly():
 def test_everything_sounded_in_stage_one_leaves_nothing_to_do():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=16, noise_var=0.0)
     real = generate_channel(cfg, RngState(40))
-    block, uses = estimate_remaining(real.h, column_basis(real.h, 2), cfg,
-                                     RngState(41))
+    block, uses = estimate_remaining(real.h, real.basis, cfg, RngState(41))
     assert block.shape == (8, 0)
     assert uses == 0
 
@@ -239,8 +243,7 @@ def test_everything_sounded_in_stage_one_leaves_nothing_to_do():
 def test_each_remaining_column_costs_one_use():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=5, noise_var=0.1)
     real = generate_channel(cfg, RngState(42))
-    block, uses = estimate_remaining(real.h, column_basis(real.h, 2), cfg,
-                                     RngState(43))
+    block, uses = estimate_remaining(real.h, real.basis, cfg, RngState(43))
     assert block.shape == (8, 11)
     assert uses == 11
 
@@ -248,15 +251,15 @@ def test_each_remaining_column_costs_one_use():
 def test_ideal_mode_with_the_true_basis_is_exact_without_noise():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.0)
     real = generate_channel(cfg, RngState(44))
-    block, _ = estimate_remaining(real.h, column_basis(real.h, 2), cfg,
-                                  RngState(45), mode="ideal")
+    block, _ = estimate_remaining(real.h, real.basis, cfg, RngState(45),
+                                  mode="ideal")
     np.testing.assert_allclose(block, real.h[:, 4:], atol=1e-9)
 
 
 def test_remaining_estimation_rejects_underprovisioned_chains():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.0)
     real = generate_channel(cfg, RngState(46))
-    basis = column_basis(real.h, 2)
+    basis = real.basis
     wide = np.column_stack([basis, basis, basis])  # 6 > n_rf
     with pytest.raises(ValueError, match="n_rf"):
         estimate_remaining(real.h, wide, cfg, RngState(0))

@@ -5,7 +5,6 @@ from twostage.channel import SystemConfig, generate_channel
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.sounding import invert_combiner, sound_columns_stage1
 from twostage.subspace import (
-    column_basis,
     estimate_stage1,
     interlacing_check,
     perturbation_bound,
@@ -28,6 +27,7 @@ def test_exactly_rank_limited_input_passes_through():
     np.testing.assert_allclose(est.denoised, y, atol=1e-10)
     np.testing.assert_allclose(est.basis.conj().T @ est.basis, np.eye(2),
                                atol=1e-10)
+    np.testing.assert_allclose(est.basis @ (est.basis.conj().T @ y), y, atol=1e-9)
     assert est.singular_values[0] >= est.singular_values[1] > 0
 
 
@@ -64,17 +64,11 @@ def test_rank_bounds_are_enforced():
         estimate_stage1(y, 6)
 
 
-def test_column_basis_projector_matches_numpy():
+def test_stage1_basis_projector_matches_numpy():
     a = sample_complex_gaussian(RngState(4), 8, 5, 1.0)
-    u = column_basis(a, 3)
+    u = estimate_stage1(a, 3).basis
     ref = np.linalg.svd(a)[0][:, :3]
     np.testing.assert_allclose(u @ u.conj().T, ref @ ref.conj().T, atol=1e-10)
-
-
-def test_column_basis_spans_a_rank_limited_matrix():
-    a = _rank_limited(RngState(5), 8, 6, 3)
-    u = column_basis(a, 3)
-    np.testing.assert_allclose(u @ (u.conj().T @ a), a, atol=1e-9)
 
 
 # ------------------------------------------------------------------ distance
@@ -91,12 +85,27 @@ def test_distance_examples():
 
 def test_distance_ignores_basis_rotation_and_is_symmetric():
     rng = RngState(6)
-    u = column_basis(sample_complex_gaussian(rng.split(0), 8, 3, 1.0), 3)
-    v = column_basis(sample_complex_gaussian(rng.split(1), 8, 3, 1.0), 3)
+    u = estimate_stage1(sample_complex_gaussian(rng.split(0), 8, 3, 1.0), 3).basis
+    v = estimate_stage1(sample_complex_gaussian(rng.split(1), 8, 3, 1.0), 3).basis
     q = np.linalg.qr(sample_complex_gaussian(rng.split(2), 3, 3, 1.0))[0]
     assert subspace_distance(u, u @ q) <= 1e-12
     np.testing.assert_allclose(subspace_distance(u, v), subspace_distance(v, u),
                                rtol=1e-12)
+
+
+def test_distance_matches_the_principal_angle_oracle():
+    # independent route: the smallest singular value of U^H V is the cosine
+    # of the largest principal angle, and the distance is its squared sine
+    rng = RngState(16)
+    for trial in range(20):
+        for n, k in ((8, 1), (8, 3), (6, 3)):
+            u = np.linalg.qr(sample_complex_gaussian(rng.split(trial, n, k, 0),
+                                                     n, k, 1.0))[0]
+            v = np.linalg.qr(sample_complex_gaussian(rng.split(trial, n, k, 1),
+                                                     n, k, 1.0))[0]
+            cos_min = np.linalg.svd(u.conj().T @ v, compute_uv=False)[-1]
+            np.testing.assert_allclose(subspace_distance(u, v), 1.0 - cos_min**2,
+                                       rtol=1e-10, atol=1e-12)
 
 
 def test_distance_rejects_bad_bases():
@@ -161,7 +170,7 @@ def test_in_span_columns_obey_the_two_sided_bound():
     rng = RngState(9)
     for trial in range(30):
         h_s = _rank_limited(rng.split(trial, 0), 8, 6, 3)
-        u = column_basis(h_s, 3)
+        u = estimate_stage1(h_s, 3).basis
         coeffs = sample_complex_gaussian(rng.split(trial, 1), 3, 1, 1.0)[:, 0]
         delta, upper = interlacing_check(h_s, u @ coeffs, rank=3)
         assert delta >= -1e-9
@@ -181,7 +190,7 @@ def test_delta_matches_a_direct_spectrum_computation():
 
 def test_default_rank_is_the_numerical_rank():
     h_s = _rank_limited(RngState(11), 8, 6, 2)
-    h_new = column_basis(h_s, 2) @ np.array([0.3, 0.4 + 0.1j])
+    h_new = estimate_stage1(h_s, 2).basis @ np.array([0.3, 0.4 + 0.1j])
     assert interlacing_check(h_s, h_new) == interlacing_check(h_s, h_new, rank=2)
 
 
@@ -193,6 +202,11 @@ def test_interlacing_rejects_bad_inputs():
         interlacing_check(h_s, np.zeros(8, dtype=complex), rank=7)
     with pytest.raises(ValueError, match="positive singular value"):
         interlacing_check(np.zeros((4, 3)), np.zeros(4, dtype=complex))
+    for bad in (np.nan, np.inf):
+        h_new = np.zeros(8, dtype=complex)
+        h_new[2] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            interlacing_check(h_s, h_new)
 
 
 # ------------------------------------------------------- estimation accuracy
@@ -213,8 +227,7 @@ def test_more_sounded_columns_do_not_hurt_the_subspace_estimate():
             block = sound_columns_stage1(real.h, m, sigma2, cfg.n_rf,
                                          rng.split(1))
             est = estimate_stage1(invert_combiner(block), cfg.paths)
-            dists.append(subspace_distance(column_basis(real.h, cfg.paths),
-                                           est.basis))
+            dists.append(subspace_distance(real.basis, est.basis))
         dists = np.asarray(dists)
         means.append(float(dists.mean()))
         errs.append(float(dists.std(ddof=1) / np.sqrt(trials)))
