@@ -132,6 +132,14 @@ def test_truncation_beats_brute_force_rank_candidates():
             assert err <= np.linalg.norm(a - x @ y.conj().T) + 1e-9
 
 
+def test_truncate_rank_rejects_bad_rank():
+    a = _random_matrix(3, 4, 3)  # tall: the rank may not exceed the 3 columns
+    with pytest.raises(ValueError, match="rank"):
+        estimate_stage1(a, 0)
+    with pytest.raises(ValueError, match="rank"):
+        estimate_stage1(a, 4)
+
+
 # ------------------------------------------------------------ random streams
 
 

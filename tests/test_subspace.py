@@ -27,7 +27,6 @@ def test_exactly_rank_limited_input_passes_through():
     np.testing.assert_allclose(est.denoised, y, atol=1e-10)
     np.testing.assert_allclose(est.basis.conj().T @ est.basis, np.eye(2),
                                atol=1e-10)
-    np.testing.assert_allclose(est.basis @ (est.basis.conj().T @ y), y, atol=1e-9)
     assert est.singular_values[0] >= est.singular_values[1] > 0
 
 
@@ -69,6 +68,12 @@ def test_stage1_basis_projector_matches_numpy():
     u = estimate_stage1(a, 3).basis
     ref = np.linalg.svd(a)[0][:, :3]
     np.testing.assert_allclose(u @ u.conj().T, ref @ ref.conj().T, atol=1e-10)
+
+
+def test_column_basis_spans_a_rank_limited_matrix():
+    a = _rank_limited(RngState(5), 8, 6, 3)
+    u = estimate_stage1(a, 3).basis
+    np.testing.assert_allclose(u @ (u.conj().T @ a), a, atol=1e-9)
 
 
 # ------------------------------------------------------------------ distance
