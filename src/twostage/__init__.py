@@ -4,7 +4,19 @@ Stage 1 sounds a few channel columns exhaustively and learns their dominant
 column subspace; stage 2 designs a hybrid (phase shifter plus mixing) sounder
 matched to that subspace and recovers every remaining column in a single
 channel use.
+
+Importing the package pins BLAS to one thread, unless the variable is already
+set: a trial's matrices are too small for a second BLAS thread to help, and
+sweeps get their parallelism from worker processes instead. The pin must come
+before numpy is first imported, so it has no effect in a process that imported
+numpy earlier.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .channel import (
     ChannelRealization,

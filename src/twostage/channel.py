@@ -75,6 +75,8 @@ class SystemConfig:
                 f"sampled column count m={self.m} must satisfy "
                 f"{self.paths} <= m <= {self.n_tx}"
             )
+        if not math.isfinite(self.noise_var):
+            raise ValueError(f"noise variance must be finite, got {self.noise_var}")
         if self.noise_var < 0:
             raise ValueError("noise variance must be non-negative")
         if self.seed < 0:

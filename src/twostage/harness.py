@@ -76,6 +76,13 @@ class SweepSpec:
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.snr_db_list:
             raise ValueError("need at least one SNR point")
+        for snr_db in self.snr_db_list:
+            try:
+                finite = math.isfinite(noise_var_from_snr_db(snr_db))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"SNR {snr_db} dB gives no finite noise variance")
         if not self.m_list:
             raise ValueError("need at least one sampled-column count")
         for m in self.m_list:

@@ -8,6 +8,7 @@ bank inverts back to H_S + N, independent of the particular bank.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,12 +38,18 @@ class ObservationBlock:
     channel_uses: int = 0
 
 
+@functools.lru_cache
 def dft_combiner(n):
-    """Unitary n x n DFT bank; every entry has modulus 1 / sqrt(n)."""
+    """Unitary n x n DFT bank; every entry has modulus 1 / sqrt(n).
+
+    Built once per size and shared: the returned array is read-only.
+    """
     if n < 1:
         raise ValueError("combiner size must be positive")
     k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) / math.sqrt(n)
+    bank = np.exp(-2j * np.pi * np.outer(k, k) / n) / math.sqrt(n)
+    bank.flags.writeable = False
+    return bank
 
 
 def observe_columns(h_s, combiner, noise, n_rf):

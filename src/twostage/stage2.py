@@ -9,6 +9,7 @@ product approximates the estimated subspace basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -49,19 +50,24 @@ class HybridSounder:
     selected: tuple = ()  # chosen grid indices in selection order
 
 
+@functools.lru_cache
 def build_dictionary(n_r, grid_size):
     """Steering atoms at the uniform sine grid -1 + 2k / grid_size.
 
     The default grid (twice the array size) samples the sine domain at twice
     the critical resolution; entries inherit the 1/sqrt(n_r) modulus of the
-    steering vectors.
+    steering vectors. Built once per size pair and shared: both arrays are
+    read-only.
     """
     if n_r < 1:
         raise ValueError("array size must be positive")
     if grid_size < 1:
         raise ValueError("grid size must be positive")
     grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-    return SteeringDictionary(atoms=ula_response(grid, n_r), grid=grid)
+    atoms = ula_response(grid, n_r)
+    grid.flags.writeable = False
+    atoms.flags.writeable = False
+    return SteeringDictionary(atoms=atoms, grid=grid)
 
 
 def design_sounder_omp(u_hat, dictionary, n_rf):

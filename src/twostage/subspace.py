@@ -48,7 +48,10 @@ def subspace_distance(u, u_hat):
 
     For equal-dimension orthonormal bases this is sin^2 of the largest
     principal angle, so it lies in [0, 1]: 0 for identical spans, 1 for
-    orthogonal ones.
+    orthogonal ones. It is computed as ||U_hat - U (U^H U_hat)||_2^2, the
+    part of U_hat outside span(U), an n x rank matrix rather than the n x n
+    projector difference; unlike 1 - sigma_min(U^H U_hat)^2 this sine form
+    does not cancel for nearly equal spans.
     """
     u = as_complex_matrix(u, "reference basis")
     u_hat = as_complex_matrix(u_hat, "estimated basis")
@@ -56,8 +59,8 @@ def subspace_distance(u, u_hat):
         raise ValueError(f"basis shapes differ: {u.shape} vs {u_hat.shape}")
     _require_orthonormal(u, "reference basis")
     _require_orthonormal(u_hat, "estimated basis")
-    gap = float(np.linalg.norm(u @ u.conj().T - u_hat @ u_hat.conj().T, 2))
-    return min(1.0, gap * gap)
+    sine = float(np.linalg.norm(u_hat - u @ (u.conj().T @ u_hat), 2))
+    return min(1.0, sine * sine)
 
 
 def perturbation_bound(sigma_l, sigma2, n_r, m, c=1.0):

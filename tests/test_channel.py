@@ -57,6 +57,9 @@ def test_config_rejects_misc_bad_values():
         _small_cfg(n_rf=1)
     with pytest.raises(ValueError):
         _small_cfg(noise_var=-0.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            _small_cfg(noise_var=bad)
     with pytest.raises(ValueError):
         _small_cfg(seed=-3)
     with pytest.raises(ValueError, match="atoms"):

@@ -60,6 +60,10 @@ def test_spec_coerces_sequences_and_validates():
     assert spec.m_list == (4,)
     with pytest.raises(ValueError, match="SNR"):
         _small_spec(snr_db_list=())
+    for bad in (math.nan, -math.inf, -4000.0):  # -4000 dB overflows a float
+        with pytest.raises(ValueError, match="finite"):
+            _small_spec(snr_db_list=(0.0, bad))
+    assert _small_spec(snr_db_list=(math.inf,)).snr_db_list == (math.inf,)
     with pytest.raises(ValueError, match="sampled-column"):
         _small_spec(m_list=())
     with pytest.raises(ValueError, match="m="):
@@ -294,6 +298,17 @@ def test_cli_sweep_rejects_unknown_config_keys(tmp_path):
     cfg.write_text("bogus = 1\n")
     with pytest.raises(ValueError, match="unknown config key"):
         main(["sweep", "--config", str(cfg)])
+
+
+def test_cli_sweep_with_a_nan_snr_fails_before_the_first_trial(tmp_path, monkeypatch):
+    trials = []
+    monkeypatch.setattr(harness, "_trial_rows", lambda *a: trials.append(a) or [])
+    out_csv = tmp_path / "nan.csv"
+    with pytest.raises(ValueError, match="finite"):
+        main(["sweep", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2",
+              "--m", "4", "--snr-db", "nan", "--trials", "1", "--out", str(out_csv)])
+    assert trials == []
+    assert not out_csv.exists()
 
 
 def test_cli_check_reports_all_passes(capsys):

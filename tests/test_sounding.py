@@ -39,6 +39,17 @@ def test_dft_combiner_is_unitary_with_constant_modulus(n):
                                atol=1e-12)
 
 
+def test_dft_combiner_is_built_once_and_read_only():
+    bank = dft_combiner(16)
+    assert dft_combiner(16) is bank
+    assert not bank.flags.writeable
+    fresh = dft_combiner.__wrapped__(16)
+    assert fresh is not bank
+    assert bank.shape == fresh.shape and bank.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        bank[0, 0] = 0.0
+
+
 # --------------------------------------------------------------- observation
 
 

@@ -49,6 +49,18 @@ def test_mutual_coherence_matches_the_dirichlet_kernel_peak(n):
     np.testing.assert_allclose(gram.max(), expected, rtol=1e-12)
 
 
+def test_dictionary_is_built_once_and_read_only():
+    d = build_dictionary(16, 32)
+    assert build_dictionary(16, 32) is d
+    fresh = build_dictionary.__wrapped__(16, 32)
+    for shared, new in ((d.atoms, fresh.atoms), (d.grid, fresh.grid)):
+        assert not shared.flags.writeable
+        assert shared is not new
+        assert shared.shape == new.shape and shared.tobytes() == new.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
+
+
 def test_dictionary_rejects_bad_sizes():
     with pytest.raises(ValueError):
         build_dictionary(0, 8)

@@ -113,6 +113,20 @@ def test_distance_matches_the_principal_angle_oracle():
                                        rtol=1e-10, atol=1e-12)
 
 
+def test_distance_matches_the_projector_form():
+    # the n x n projector difference the sine form replaces, on random pairs
+    # and on pairs whose spans are 1e-6 apart
+    rng = RngState(17)
+    for trial in range(20):
+        for n, k in ((32, 4), (8, 3), (6, 1)):
+            u = np.linalg.qr(sample_complex_gaussian(rng.split(trial, n, k, 0),
+                                                     n, k, 1.0))[0]
+            kick = sample_complex_gaussian(rng.split(trial, n, k, 1), n, k, 1.0)
+            for v in (np.linalg.qr(kick)[0], np.linalg.qr(u + 1e-6 * kick)[0]):
+                gap = np.linalg.norm(u @ u.conj().T - v @ v.conj().T, 2)
+                assert abs(subspace_distance(u, v) - gap**2) <= 1e-12
+
+
 def test_distance_rejects_bad_bases():
     e1 = np.eye(3, dtype=complex)[:, :1]
     with pytest.raises(ValueError, match="orthonormal"):
