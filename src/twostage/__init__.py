@@ -22,8 +22,6 @@ from .channel import (
     ChannelRealization,
     SystemConfig,
     generate_channel,
-    load_realization,
-    save_realization,
     steering_matrix,
     steering_vector,
 )

@@ -12,7 +12,6 @@ the expected total channel energy is n_rx * n_tx.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -27,58 +26,46 @@ __all__ = [
     "steering_vector",
     "steering_matrix",
     "generate_channel",
-    "save_realization",
-    "load_realization",
 ]
 
 # two AoDs whose sines are closer than this are redrawn; keeps the steering
 # matrices at full column rank so the sampled-column identity stays well posed
 MIN_SIN_GAP = 1e-6
 
+# sparsity guard: paths <= MAX_PATH_RATIO * min(n_rx, n_tx)
+MAX_PATH_RATIO = 0.5
+
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Scenario parameters for one estimation run.
+    """The array scenario: array sizes, path count, RF chains and dictionary.
 
-    ``m`` is the number of channel columns sounded exhaustively in the first
-    stage; ``grid_size`` is the steering-dictionary resolution used by the
+    ``grid_size`` is the steering-dictionary resolution used by the
     second-stage sounder design (defaults to twice the receive array size).
+    The operating point (columns sounded in stage 1, noise variance) is an
+    argument of each estimate, not part of the scenario.
     """
 
     n_rx: int = 32
     n_tx: int = 128
     paths: int = 4
     n_rf: int = 6
-    noise_var: float = 0.1
-    m: int = 8
     grid_size: int | None = None
     seed: int = 0
-    max_path_ratio: float = 0.5  # sparsity guard: paths <= ratio * min(n_rx, n_tx)
 
     def __post_init__(self):
         if self.n_rx < 1 or self.n_tx < 1:
             raise ValueError("array sizes must be positive")
         if self.n_rf < 2:
             raise ValueError("need at least two RF chains")
-        if not 0 < self.max_path_ratio <= 1:
-            raise ValueError("max_path_ratio must be in (0, 1]")
-        limit = self.max_path_ratio * min(self.n_rx, self.n_tx)
+        limit = MAX_PATH_RATIO * min(self.n_rx, self.n_tx)
         if not 1 <= self.paths <= limit:
             raise ValueError(
                 f"paths must be in [1, {limit:g}] for a {self.n_rx}x{self.n_tx} "
-                f"array pair (sparsity ratio {self.max_path_ratio})"
+                f"array pair (sparsity ratio {MAX_PATH_RATIO})"
             )
         if self.n_rf < self.paths:
             raise ValueError("single-use recovery needs n_rf >= paths")
-        if not self.paths <= self.m <= self.n_tx:
-            raise ValueError(
-                f"sampled column count m={self.m} must satisfy "
-                f"{self.paths} <= m <= {self.n_tx}"
-            )
-        if not math.isfinite(self.noise_var):
-            raise ValueError(f"noise variance must be finite, got {self.noise_var}")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if self.grid_size is None:
@@ -88,11 +75,6 @@ class SystemConfig:
                 f"dictionary must offer at least n_rf={self.n_rf} atoms, "
                 f"got grid_size={self.grid_size}"
             )
-
-    @property
-    def snr(self):
-        """Linear SNR under unit transmit power, 1 / noise_var."""
-        return math.inf if self.noise_var == 0 else 1.0 / self.noise_var
 
 
 @dataclass(frozen=True)
@@ -183,55 +165,3 @@ def generate_channel(cfg, rng):
     return ChannelRealization(h=h, aoa_angles=aoa, aod_angles=aod, gains=gains,
                               a_rx=a_rx, a_tx=a_tx)
 
-
-def _pairs(z):
-    z = np.asarray(z, dtype=np.complex128)
-    return [[float(v.real), float(v.imag)] for v in z.ravel()]
-
-
-def _unpairs(pairs, shape):
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return flat.reshape(shape)
-
-
-def save_realization(real, path):
-    """Write a realization to a JSON text fixture.
-
-    Fields: n_rx, n_tx, paths, aoa_angles, aod_angles (radians), gains and h
-    as [real, imag] pairs, h in row-major order.
-    """
-    doc = {
-        "n_rx": int(real.n_rx),
-        "n_tx": int(real.n_tx),
-        "paths": int(real.paths),
-        "aoa_angles": [float(t) for t in real.aoa_angles],
-        "aod_angles": [float(t) for t in real.aod_angles],
-        "gains": _pairs(real.gains),
-        "h": _pairs(real.h),
-    }
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-
-
-def load_realization(path):
-    """Read a fixture written by :func:`save_realization` and re-verify it.
-
-    The steering factors are rebuilt from the stored angles; if the stored
-    matrix does not match the factor product the fixture is rejected.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    n_rx, n_tx, paths = doc["n_rx"], doc["n_tx"], doc["paths"]
-    aoa = np.asarray(doc["aoa_angles"], dtype=float)
-    aod = np.asarray(doc["aod_angles"], dtype=float)
-    gains = _unpairs(doc["gains"], (paths,))
-    h = _unpairs(doc["h"], (n_rx, n_tx))
-    a_rx = steering_matrix(aoa, n_rx)
-    a_tx = steering_matrix(aod, n_tx)
-    rebuilt = math.sqrt(n_rx * n_tx / paths) * (a_rx * gains) @ a_tx.T
-    err = np.linalg.norm(h - rebuilt)
-    if err > 1e-10 * max(1.0, np.linalg.norm(h)):
-        raise ValueError(f"fixture is inconsistent with its factors (error {err:.3e})")
-    return ChannelRealization(h=h, aoa_angles=aoa, aod_angles=aod, gains=gains,
-                              a_rx=a_rx, a_tx=a_tx)

@@ -81,8 +81,8 @@ def build_parser():
 
     est = sub.add_parser("estimate", parents=[scenario],
                          help="run one estimate and print the report")
-    est.add_argument("--m", type=int, help="columns sounded in stage 1")
-    est.add_argument("--snr-db", type=float, help="SNR in dB")
+    est.add_argument("--m", type=int, default=8, help="columns sounded in stage 1")
+    est.add_argument("--snr-db", type=float, default=10.0, help="SNR in dB")
     est.add_argument("--mode", choices=RECOVERY_MODES, default="pseudo-inverse")
     est.add_argument("--baseline", action=argparse.BooleanOptionalAction,
                      default=False, help="also print the full-observation floor")
@@ -132,16 +132,14 @@ def _print_report(rep, out):
 
 
 def _cmd_estimate(args, out):
-    given = _given(vars(args), {**_SCENARIO_FIELDS, "m": "m"})
-    if args.snr_db is not None:
-        given["noise_var"] = noise_var_from_snr_db(args.snr_db)
-    cfg = SystemConfig(**given)
+    cfg = SystemConfig(**_given(vars(args), _SCENARIO_FIELDS))
+    sigma2 = noise_var_from_snr_db(args.snr_db)
     rng = RngState(cfg.seed)
     real = generate_channel(cfg, rng.split(0))
-    rep = two_stage_estimate(real, cfg, rng.split(1), mode=args.mode)
+    rep = two_stage_estimate(real, cfg, args.m, sigma2, rng.split(1), mode=args.mode)
     _print_report(rep, out)
     if args.baseline:
-        floor = full_observation_baseline(real, cfg.noise_var, rng.split(2))
+        floor = full_observation_baseline(real, sigma2, rng.split(2))
         out.write("\n")
         _print_report(floor, out)
     return 0
@@ -149,11 +147,8 @@ def _cmd_estimate(args, out):
 
 def _cmd_sweep(args, out):
     settings = _resolve_sweep_settings(args)
-    fields = _given(settings, _SPEC_FIELDS)
-    # the sweep sets m per cell; the base config takes the smallest, so it validates
-    base = SystemConfig(m=min(fields.get("m_list", SweepSpec.m_list)),
-                        **_given(settings, _SCENARIO_FIELDS))
-    spec = SweepSpec(base=base, **fields)
+    spec = SweepSpec(scenario=SystemConfig(**_given(settings, _SCENARIO_FIELDS)),
+                     **_given(settings, _SPEC_FIELDS))
     start = time.monotonic()
     rows = run_sweep(spec)
     elapsed = time.monotonic() - start

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,15 +54,25 @@ _NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError)
 
 
 def noise_var_from_snr_db(snr_db):
-    """Noise variance for the given SNR in dB under unit transmit power."""
-    return 10.0 ** (-snr_db / 10.0)
+    """Noise variance for the given SNR in dB under unit transmit power.
+
+    Raises ValueError for an SNR with no finite variance: NaN, -inf, or one
+    low enough (below about -3080 dB) that the power overflows.
+    """
+    try:
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        sigma2 = math.inf
+    if not math.isfinite(sigma2):
+        raise ValueError(f"SNR {snr_db} dB gives no finite noise variance")
+    return sigma2
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One Monte Carlo experiment: an SNR x m grid, repeated trials per point."""
 
-    base: SystemConfig
+    scenario: SystemConfig
     snr_db_list: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
     m_list: tuple = (4, 8, 16, 32)
     trials: int = 200
@@ -77,19 +87,13 @@ class SweepSpec:
         if not self.snr_db_list:
             raise ValueError("need at least one SNR point")
         for snr_db in self.snr_db_list:
-            try:
-                finite = math.isfinite(noise_var_from_snr_db(snr_db))
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ValueError(f"SNR {snr_db} dB gives no finite noise variance")
+            noise_var_from_snr_db(snr_db)
         if not self.m_list:
             raise ValueError("need at least one sampled-column count")
+        paths, n_tx = self.scenario.paths, self.scenario.n_tx
         for m in self.m_list:
-            if not self.base.paths <= m <= self.base.n_tx:
-                raise ValueError(
-                    f"m={m} must satisfy {self.base.paths} <= m <= {self.base.n_tx}"
-                )
+            if not paths <= m <= n_tx:
+                raise ValueError(f"m={m} must satisfy {paths} <= m <= {n_tx}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if not self.modes:
@@ -134,14 +138,15 @@ def _trial_rows(spec, si, mi, trial):
     snr_db = spec.snr_db_list[si]
     m = spec.m_list[mi]
     sigma2 = noise_var_from_snr_db(snr_db)
-    cfg = replace(spec.base, noise_var=sigma2, m=m)
-    root = RngState(spec.base.seed, (si, mi, trial))
+    cfg = spec.scenario
+    root = RngState(cfg.seed, (si, mi, trial))
     trial_seed = root.state_id()
     rows = []
     real = generate_channel(cfg, root.split(_KEY_CHANNEL))
     for k, mode in enumerate(spec.modes):
         try:
-            rep = two_stage_estimate(real, cfg, root.split(_KEY_MODE0 + k), mode=mode)
+            rep = two_stage_estimate(real, cfg, m, sigma2, root.split(_KEY_MODE0 + k),
+                                     mode=mode)
             rows.append(SweepRow(snr_db, m, trial, mode, rep.nmse, rep.subspace_dist,
                                  rep.channel_uses_total, trial_seed))
         except _NUMERICAL_ERRORS as exc:
@@ -253,9 +258,9 @@ def read_config(path):
 
 def check_combiner_independence(rng):
     """Any full-rank combiner bank inverts to the same sounded block plus noise."""
+    cfg = SystemConfig(n_rx=16, n_tx=24, paths=3, n_rf=4)
     worst = 0.0
     for i in range(50):
-        cfg = SystemConfig(n_rx=16, n_tx=24, paths=3, n_rf=4, m=6)
         h_s = generate_channel(cfg, rng.split(i, 0)).h[:, :6]
         noise = sample_complex_gaussian(rng.split(i, 1), 16, 6, 0.05)
         for bank in (dft_combiner(16), random_unitary(rng.split(i, 2), 16)):
@@ -268,10 +273,10 @@ def check_combiner_independence(rng):
 
 def check_sampled_column_subspace(rng):
     """Without noise, m >= paths sampled columns span the channel's column space."""
+    cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4)
     worst = 0.0
     for i in range(100):
         m = (3, 4, 6)[i % 3]
-        cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4, m=m, noise_var=0.0)
         real = generate_channel(cfg, rng.split(i))
         d = subspace_distance(estimate_stage1(real.h, 3).basis,
                               estimate_stage1(real.h[:, :m], 3).basis)
@@ -282,9 +287,9 @@ def check_sampled_column_subspace(rng):
 
 def check_appended_column_interlacing(rng):
     """An appended in-span column moves the rank-th singular value inside its cap."""
+    cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4)
     lo = margin = math.inf
     for i in range(100):
-        cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4, m=6)
         h_s = generate_channel(cfg, rng.split(i, 0)).h[:, :6]
         coeffs = sample_complex_gaussian(rng.split(i, 1), 6, 1, 1.0)[:, 0]
         delta, upper = interlacing_check(h_s, h_s @ coeffs, rank=3)
@@ -299,8 +304,8 @@ def check_sounder_constraints(rng):
     worst_mod = 0.0
     monotone = True
     dictionary = build_dictionary(16, 32)
+    cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=5)
     for i in range(20):
-        cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=5, m=6)
         real = generate_channel(cfg, rng.split(i))
         sounder = design_sounder_omp(estimate_stage1(real.h, 3).basis, dictionary, 5)
         dev = np.max(np.abs(np.abs(sounder.analog) - 1.0 / math.sqrt(16)))
@@ -318,8 +323,9 @@ def check_channel_uses(rng):
     """The reference-scale budget is exactly 152 / 168 uses, below the 624 parameters."""
     totals = {}
     for n_rf in (8, 6):
-        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=n_rf, m=8, noise_var=0.01)
-        rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, rng.split(1))
+        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=n_rf)
+        rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, 8, 0.01,
+                                 rng.split(1))
         totals[n_rf] = (rep.channel_uses_total, rep.dof)
     # exact budgets below the exact parameter count
     passed = totals == {8: (152, 624), 6: (168, 624)}
@@ -329,11 +335,11 @@ def check_channel_uses(rng):
 
 def check_noiseless_exactness(rng):
     """Without noise, ``ideal`` mode recovers the reference-scale channel exactly."""
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     worst = 0.0
     for i in range(20):
-        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8, noise_var=0.0)
         real = generate_channel(cfg, rng.split(i, 0))
-        rep = two_stage_estimate(real, cfg, rng.split(i, 1), mode="ideal")
+        rep = two_stage_estimate(real, cfg, 8, 0.0, rng.split(i, 1), mode="ideal")
         worst = max(worst, rep.nmse)
     return worst <= 1e-18, f"max NMSE {worst:.3e} over 20 channels"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,21 +58,26 @@ def degrees_of_freedom(n_r, n_t, paths):
     return paths * (n_r + n_t - paths)
 
 
-def two_stage_estimate(real, cfg, rng, mode="pseudo-inverse"):
-    """Sound m columns, learn the subspace, then recover the rest.
+def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
+    """Sound m columns at noise variance sigma2, learn the subspace, recover the rest.
 
     Stage 1 inverts the combiner bank and keeps the dominant rank-``paths``
     part of the recovered block; stage 2 designs the subspace-matched sounder
     and recovers each remaining column in one channel use. The estimate stacks
     the denoised block and the recovered block in original column order.
-    Deterministic given (cfg, rng).
+    Deterministic given (cfg, m, sigma2, rng).
     """
+    if not cfg.paths <= m <= cfg.n_tx:
+        raise ValueError(f"m={m} must satisfy {cfg.paths} <= m <= {cfg.n_tx}")
+    if not math.isfinite(sigma2) or sigma2 < 0:
+        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     if mode not in RECOVERY_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    block = sound_columns_stage1(real.h, cfg.m, cfg.noise_var, cfg.n_rf, rng)
+    block = sound_columns_stage1(real.h, m, sigma2, cfg.n_rf, rng)
     y_tilde = invert_combiner(block)
     est = estimate_stage1(y_tilde, cfg.paths)
-    h_rest, uses_stage2 = estimate_remaining(real.h, est.basis, cfg, rng, mode=mode)
+    h_rest, uses_stage2 = estimate_remaining(real.h, est.basis, m, sigma2, cfg, rng,
+                                             mode=mode)
     h_hat = np.hstack([est.denoised, h_rest])
     return EstimateReport(
         h_hat=h_hat,
@@ -94,8 +100,8 @@ def full_observation_baseline(real, sigma2, rng):
     carry the ``full-observation`` tag to keep that explicit.
     """
     h = real.h
-    if sigma2 < 0:
-        raise ValueError("noise variance must be non-negative")
+    if not math.isfinite(sigma2) or sigma2 < 0:
+        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     noise = sample_complex_gaussian(rng, h.shape[0], h.shape[1], sigma2)
     est = estimate_stage1(h + noise, real.paths)
     entries = h.shape[0] * h.shape[1]

@@ -113,18 +113,18 @@ def design_sounder_omp(u_hat, dictionary, n_rf):
     )
 
 
-def sound_and_recover_block(h, sounder, sigma2, rng, mode="pseudo-inverse"):
+def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
     """Observe every column of ``h`` through the same combiner, one use each.
 
-    The uses stack into Y = W^H (H + N), with the noise drawn column by
-    column, real part before imaginary part. ``pseudo-inverse`` returns the
-    minimum-norm least-squares estimate W (W^H W)^-1 Y; ``paper-literal``
-    returns W Y, which agrees only when W has orthonormal columns.
+    The uses stack into Y = W^H (H + N), with W the combiner matrix and the
+    noise drawn column by column, real part before imaginary part.
+    ``pseudo-inverse`` returns the minimum-norm least-squares estimate
+    W (W^H W)^-1 Y; ``paper-literal`` returns W Y, which agrees only when W has
+    orthonormal columns.
     """
     if mode not in COLUMN_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    w = sounder.product if isinstance(sounder, HybridSounder) else \
-        as_complex_matrix(sounder, "combiner")
+    w = as_complex_matrix(combiner, "combiner")
     h = as_complex_matrix(h, "channel")
     if w.shape[0] != h.shape[0]:
         raise ValueError("combiner rows must match the array size")
@@ -146,31 +146,30 @@ def sound_and_recover_block(h, sounder, sigma2, rng, mode="pseudo-inverse"):
     return w @ np.linalg.solve(gram, y)
 
 
-def estimate_remaining(h, u_hat, cfg, rng, mode="pseudo-inverse"):
-    """Recover the columns after the sounded block, one channel use each.
+def estimate_remaining(h, u_hat, m, sigma2, cfg, rng, mode="pseudo-inverse"):
+    """Recover the columns after the first m, one channel use each.
 
     The sounder is designed once from the estimated basis and sounds all
-    remaining columns as one block. ``ideal`` mode skips the hybrid
-    factorization and sounds with the basis itself; otherwise the greedy
-    design runs over the configured grid. Returns the recovered block and the
-    channel uses spent (n_tx - m).
+    remaining columns as one block at noise variance sigma2. ``ideal`` mode
+    skips the hybrid factorization and sounds with the basis itself; otherwise
+    the greedy design runs over the configured grid. Returns the recovered
+    block and the channel uses spent (n_tx - m).
     """
     h = as_complex_matrix(h, "channel")
     basis = as_complex_matrix(u_hat, "estimated basis")
     if cfg.n_rf < basis.shape[1]:
         raise ValueError("single-use recovery needs n_rf >= the subspace dimension")
-    remaining = h.shape[1] - cfg.m
+    remaining = h.shape[1] - m
     if remaining < 0:
         raise ValueError("sounded block is wider than the channel")
     if remaining == 0:
         return np.zeros((h.shape[0], 0), dtype=np.complex128), 0
     if mode == "ideal":
-        sounder = basis
+        combiner = basis
         column_mode = "pseudo-inverse"
     else:
         dictionary = build_dictionary(h.shape[0], cfg.grid_size)
-        sounder = design_sounder_omp(basis, dictionary, cfg.n_rf)
+        combiner = design_sounder_omp(basis, dictionary, cfg.n_rf).product
         column_mode = mode
-    block = sound_and_recover_block(h[:, cfg.m:], sounder, cfg.noise_var, rng,
-                                    column_mode)
+    block = sound_and_recover_block(h[:, m:], combiner, sigma2, rng, column_mode)
     return block, remaining

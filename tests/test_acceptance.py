@@ -34,8 +34,8 @@ def _ok(name, detail):
 
 @pytest.fixture(scope="module")
 def reference_sweep():
-    base = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=4, seed=0)
-    spec = SweepSpec(base=base, snr_db_list=(0.0, 10.0, 20.0),
+    scenario = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, seed=0)
+    spec = SweepSpec(scenario=scenario, snr_db_list=(0.0, 10.0, 20.0),
                      m_list=(4, 8, 16, 32), trials=200,
                      modes=("pseudo-inverse",), baseline=True)
     start = time.monotonic()
@@ -126,8 +126,8 @@ def test_designed_sounders_respect_hardware_constraints():
 
 
 def test_repeated_sweeps_are_byte_identical(tmp_path):
-    base = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, seed=0)
-    spec = SweepSpec(base=base, snr_db_list=(0.0, 10.0), m_list=(4,), trials=5,
+    scenario = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=0)
+    spec = SweepSpec(scenario=scenario, snr_db_list=(0.0, 10.0), m_list=(4,), trials=5,
                      modes=("pseudo-inverse",), baseline=True)
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     first.write_bytes(rows_to_csv(run_sweep(spec)).encode("ascii"))

@@ -28,14 +28,12 @@ from twostage.pipeline import two_stage_estimate
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _small_base(**kw):
-    base = dict(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, seed=0)
-    base.update(kw)
-    return SystemConfig(**base)
+def _small_scenario():
+    return SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=0)
 
 
 def _small_spec(**kw):
-    spec = dict(base=_small_base(), snr_db_list=(0.0, 10.0), m_list=(4, 8),
+    spec = dict(scenario=_small_scenario(), snr_db_list=(0.0, 10.0), m_list=(4, 8),
                 trials=3, modes=("pseudo-inverse", "ideal"), baseline=True)
     spec.update(kw)
     return SweepSpec(**spec)
@@ -48,13 +46,17 @@ def test_noise_variance_from_snr():
     assert noise_var_from_snr_db(0.0) == 1.0
     np.testing.assert_allclose(noise_var_from_snr_db(10.0), 0.1, rtol=1e-15)
     np.testing.assert_allclose(noise_var_from_snr_db(-10.0), 10.0, rtol=1e-15)
+    assert noise_var_from_snr_db(math.inf) == 0.0
+    for bad in (math.nan, -math.inf, -4000.0):  # -4000 dB overflows a float
+        with pytest.raises(ValueError, match=f"SNR {bad} dB gives no finite"):
+            noise_var_from_snr_db(bad)
 
 
 # ---------------------------------------------------------------------- spec
 
 
 def test_spec_coerces_sequences_and_validates():
-    spec = SweepSpec(base=_small_base(), snr_db_list=[0, 10], m_list=[4],
+    spec = SweepSpec(scenario=_small_scenario(), snr_db_list=[0, 10], m_list=[4],
                      trials=1, modes=["ideal"], baseline=False)
     assert spec.snr_db_list == (0.0, 10.0)
     assert spec.m_list == (4,)
@@ -70,6 +72,10 @@ def test_spec_coerces_sequences_and_validates():
         _small_spec(m_list=(1,))
     with pytest.raises(ValueError, match="m="):
         _small_spec(m_list=(17,))
+    # the scenario carries no m of its own, so any valid m_list is accepted
+    wide = SweepSpec(scenario=SystemConfig(n_rx=8, n_tx=6, paths=2, n_rf=4),
+                     m_list=(2, 4))
+    assert wide.m_list == (2, 4)
     with pytest.raises(ValueError, match="trial"):
         _small_spec(trials=0)
     with pytest.raises(ValueError, match="mode"):
@@ -303,12 +309,22 @@ def test_cli_sweep_rejects_unknown_config_keys(tmp_path):
 def test_cli_sweep_with_a_nan_snr_fails_before_the_first_trial(tmp_path, monkeypatch):
     trials = []
     monkeypatch.setattr(harness, "_trial_rows", lambda *a: trials.append(a) or [])
-    out_csv = tmp_path / "nan.csv"
-    with pytest.raises(ValueError, match="finite"):
-        main(["sweep", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2",
-              "--m", "4", "--snr-db", "nan", "--trials", "1", "--out", str(out_csv)])
+    out_csv = tmp_path / "bad.csv"
+    for snr_db in ("nan", "-4000"):  # -4000 dB overflows the noise variance
+        with pytest.raises(ValueError, match=f"SNR {float(snr_db)} dB gives no finite"):
+            main(["sweep", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2",
+                  "--m", "4", "--snr-db", snr_db, "--trials", "1", "--out", str(out_csv)])
     assert trials == []
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "-4000"])
+def test_cli_estimate_rejects_an_snr_without_finite_noise(monkeypatch, capsys, snr_db):
+    monkeypatch.setattr(cli, "two_stage_estimate", _raise(AssertionError))
+    with pytest.raises(ValueError, match=f"SNR {float(snr_db)} dB gives no finite"):
+        main(["estimate", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2",
+              "--m", "4", "--snr-db", snr_db])
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_check_reports_all_passes(capsys):
@@ -341,14 +357,14 @@ def test_cli_estimate_defaults_are_the_library_defaults(capsys):
     assert main(["estimate"]) == 0
     cfg = SystemConfig()
     rng = RngState(cfg.seed)
-    rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, rng.split(1))
+    rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, 8, 0.1,
+                             rng.split(1))
     expected = io.StringIO()
     cli._print_report(rep, expected)
     assert capsys.readouterr().out == expected.getvalue()
 
 
-# the default spec; its base config carries the smallest swept m
-_DEFAULT_SPEC = SweepSpec(base=SystemConfig(m=4))
+_DEFAULT_SPEC = SweepSpec(scenario=SystemConfig())
 
 
 def test_cli_sweep_defaults_are_the_dataclass_defaults(monkeypatch):

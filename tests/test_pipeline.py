@@ -16,12 +16,11 @@ from twostage.pipeline import (
 )
 
 
-def _run(seed, mode="pseudo-inverse", **kw):
-    base = dict(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.1, seed=seed)
-    base.update(kw)
-    cfg = SystemConfig(**base)
+def _run(seed, mode="pseudo-inverse", sigma2=0.1):
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=seed)
     real = generate_channel(cfg, RngState(seed))
-    return cfg, real, two_stage_estimate(real, cfg, RngState(seed, (1,)), mode)
+    return cfg, real, two_stage_estimate(real, cfg, 4, sigma2, RngState(seed, (1,)),
+                                         mode)
 
 
 # ------------------------------------------------------------------- metrics
@@ -53,16 +52,15 @@ def test_degrees_of_freedom_examples():
 
 
 def test_noiseless_ideal_run_is_exact_to_machine_precision():
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8, noise_var=0.0,
-                       seed=5)
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, seed=5)
     real = generate_channel(cfg, RngState(5))
-    report = two_stage_estimate(real, cfg, RngState(5, (1,)), mode="ideal")
+    report = two_stage_estimate(real, cfg, 8, 0.0, RngState(5, (1,)), mode="ideal")
     assert report.nmse <= 1e-18
     assert report.subspace_dist <= 1e-18
 
 
 def test_sounded_block_passes_through_unchanged_without_noise():
-    _, real, report = _run(7, noise_var=0.0, mode="ideal")
+    _, real, report = _run(7, sigma2=0.0, mode="ideal")
     np.testing.assert_allclose(report.h_hat[:, :4], real.h[:, :4], atol=1e-10)
 
 
@@ -71,10 +69,9 @@ def test_ideal_mode_is_no_upper_bound_at_low_snr():
     # exact-PCA sounder of ``ideal`` does worse than the designed hybrid sounder
     gaps = []
     for seed in range(60):
-        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8, noise_var=1.0,
-                           seed=seed)
+        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, seed=seed)
         real = generate_channel(cfg, RngState(seed))
-        ideal, pinv = (two_stage_estimate(real, cfg, RngState(seed, (1,)), mode)
+        ideal, pinv = (two_stage_estimate(real, cfg, 8, 1.0, RngState(seed, (1,)), mode)
                        for mode in ("ideal", "pseudo-inverse"))
         gaps.append(ideal.nmse - pinv.nmse)
     assert np.mean(gaps) > 0.1
@@ -86,12 +83,11 @@ def test_noiseless_pseudo_inverse_floor_is_the_grid_mismatch():
     # at grid sizes 64 (the default), 128 and 256
     floors = []
     for grid_size in (64, 128, 256):
-        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8, noise_var=0.0,
-                           grid_size=grid_size)
+        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, grid_size=grid_size)
         runs = []
         for s in range(100):
             real = generate_channel(cfg, RngState(s).split(0))
-            runs.append(two_stage_estimate(real, cfg, RngState(s).split(1)).nmse)
+            runs.append(two_stage_estimate(real, cfg, 8, 0.0, RngState(s).split(1)).nmse)
         floors.append(np.mean(runs))
     assert 1.0e-2 <= floors[0] <= 1.5e-2
     assert floors[0] > floors[1] > floors[2]
@@ -101,18 +97,18 @@ def test_noiseless_pseudo_inverse_floor_is_the_grid_mismatch():
 
 
 def test_channel_use_accounting_at_the_reference_scale():
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=8, m=8, noise_var=0.0)
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=8)
     real = generate_channel(cfg, RngState(9))
-    report = two_stage_estimate(real, cfg, RngState(9, (1,)), mode="ideal")
+    report = two_stage_estimate(real, cfg, 8, 0.0, RngState(9, (1,)), mode="ideal")
     assert report.channel_uses_stage1 == 32
     assert report.channel_uses_stage2 == 120
     assert report.channel_uses_total == 152
     assert report.dof == 624
     assert report.channel_uses_total < report.dof
 
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8, noise_var=0.0)
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     real = generate_channel(cfg, RngState(9))
-    report = two_stage_estimate(real, cfg, RngState(9, (1,)), mode="ideal")
+    report = two_stage_estimate(real, cfg, 8, 0.0, RngState(9, (1,)), mode="ideal")
     assert report.channel_uses_total == 168
     assert report.channel_uses_total < report.dof
 
@@ -176,19 +172,35 @@ def test_requested_mode_and_seed_are_recorded():
 
 
 def test_unknown_mode_and_underprovisioned_chains_are_rejected():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.1)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(15))
     with pytest.raises(ValueError, match="unknown recovery mode"):
-        two_stage_estimate(real, cfg, RngState(0), mode="oracle")
+        two_stage_estimate(real, cfg, 4, 0.1, RngState(0), mode="oracle")
     with pytest.raises(ValueError, match="n_rf >= paths"):
-        SystemConfig(n_rx=8, n_tx=16, paths=3, n_rf=2, m=4, noise_var=0.1)
+        SystemConfig(n_rx=8, n_tx=16, paths=3, n_rf=2)
+
+
+def test_estimate_rejects_bad_sampled_column_counts_and_noise():
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
+    real = generate_channel(cfg, RngState(16))
+    with pytest.raises(ValueError, match="m="):
+        two_stage_estimate(real, cfg, 1, 0.1, RngState(0))  # below the path count
+    with pytest.raises(ValueError, match="m="):
+        two_stage_estimate(real, cfg, 17, 0.1, RngState(0))  # beyond the transmit array
+    for bad in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            two_stage_estimate(real, cfg, 4, bad, RngState(0))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            full_observation_baseline(real, bad, RngState(0))
+    for m in (2, 16):  # both ends of the range are admitted
+        assert np.isfinite(two_stage_estimate(real, cfg, m, 0.1, RngState(0)).nmse)
 
 
 # ----------------------------------------------------------------- baseline
 
 
 def test_noiseless_baseline_reproduces_the_channel():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.0)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(17))
     report = full_observation_baseline(real, 0.0, RngState(18))
     assert report.nmse <= 1e-18
@@ -199,7 +211,7 @@ def test_noiseless_baseline_reproduces_the_channel():
 
 
 def test_baseline_matches_an_independent_truncation_oracle():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.3)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(19))
     report = full_observation_baseline(real, 0.3, RngState(20))
     noise = sample_complex_gaussian(RngState(20), 8, 16, 0.3)
@@ -209,7 +221,7 @@ def test_baseline_matches_an_independent_truncation_oracle():
 
 
 def test_baseline_rejects_negative_noise():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(21))
     with pytest.raises(ValueError, match="non-negative"):
         full_observation_baseline(real, -0.1, RngState(0))
@@ -220,7 +232,7 @@ def test_baseline_rejects_negative_noise():
 
 @st.composite
 def corner_configs(draw):
-    """Small scenarios biased toward the edges that SystemConfig still accepts.
+    """Small (scenario, m, noise variance) triples biased toward accepted edges.
 
     Each corner is drawn on its own: more RF chains than receive antennas,
     every column sounded in stage 1 (m = n_tx), a dictionary with exactly
@@ -235,17 +247,19 @@ def corner_configs(draw):
     snr_db = draw(st.one_of(st.just(math.inf), st.just(-20.0),
                             st.floats(-20.0, 30.0)))
     noise_var = 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 10.0)
-    return SystemConfig(n_rx=n_rx, n_tx=n_tx, paths=paths, n_rf=n_rf, m=m,
-                        grid_size=grid_size, noise_var=noise_var)
+    cfg = SystemConfig(n_rx=n_rx, n_tx=n_tx, paths=paths, n_rf=n_rf,
+                       grid_size=grid_size)
+    return cfg, m, noise_var
 
 
 @settings(max_examples=80, deadline=None)
-@given(cfg=corner_configs(), seed=st.integers(0, 2**32 - 1))
-def test_corner_configs_give_finite_metrics_in_every_mode(cfg, seed):
+@given(corner=corner_configs(), seed=st.integers(0, 2**32 - 1))
+def test_corner_configs_give_finite_metrics_in_every_mode(corner, seed):
+    cfg, m, sigma2 = corner
     real = generate_channel(cfg, RngState(seed))
-    reports = [two_stage_estimate(real, cfg, RngState(seed, (1,)), mode)
+    reports = [two_stage_estimate(real, cfg, m, sigma2, RngState(seed, (1,)), mode)
                for mode in RECOVERY_MODES]
-    reports.append(full_observation_baseline(real, cfg.noise_var, RngState(seed, (2,))))
+    reports.append(full_observation_baseline(real, sigma2, RngState(seed, (2,))))
     for report in reports:
         assert np.isfinite(report.nmse), report.mode
         assert 0.0 <= report.subspace_dist <= 1.0, report.mode

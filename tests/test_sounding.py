@@ -16,7 +16,7 @@ from twostage.sounding import (
 
 
 def _channel(seed=0, **kw):
-    base = dict(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.1, seed=seed)
+    base = dict(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=seed)
     base.update(kw)
     cfg = SystemConfig(**base)
     return cfg, generate_channel(cfg, RngState(seed))
@@ -62,7 +62,7 @@ def test_observation_equals_combined_signal_plus_combined_noise():
 
 
 def test_channel_use_accounting_with_and_without_divisibility():
-    _, real = _channel(1, n_rx=32, n_tx=64, m=8, paths=4, n_rf=4)
+    _, real = _channel(1, n_rx=32, n_tx=64, paths=4, n_rf=4)
     assert sound_columns_stage1(real.h, 8, 0.0, 6, RngState(0)).channel_uses == 48
     assert sound_columns_stage1(real.h, 8, 0.0, 8, RngState(0)).channel_uses == 32
 

@@ -6,7 +6,6 @@ import pytest
 from twostage.channel import SystemConfig, generate_channel, steering_vector
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.stage2 import (
-    HybridSounder,
     SteeringDictionary,
     build_dictionary,
     design_sounder_omp,
@@ -141,8 +140,7 @@ def test_doubling_the_grid_usually_helps_a_two_path_subspace_target():
     # this holds for most draws rather than all of them
     not_worse = 0
     for trial in range(50):
-        cfg = SystemConfig(n_rx=16, n_tx=32, paths=2, n_rf=2, m=4,
-                           noise_var=0.0, seed=11)
+        cfg = SystemConfig(n_rx=16, n_tx=32, paths=2, n_rf=2, seed=11)
         real = generate_channel(cfg, RngState(11, (trial,)))
         target = real.basis
         coarse = design_sounder_omp(target, build_dictionary(16, 32), 2).residual
@@ -232,12 +230,11 @@ def test_column_recovery_argument_errors():
         sound_and_recover_block(h[:, :0], w, 0.1, RngState(0))
 
 
-def test_hybrid_sounder_object_is_accepted_directly():
+def test_designed_sounder_product_recovers_an_in_dictionary_column():
     d = build_dictionary(8, 16)
     s = design_sounder_omp(d.atoms[:, 3:4], d, 1)
-    assert isinstance(s, HybridSounder)
     h = (d.atoms[:, 3] * 2.5)[:, None]
-    est = sound_and_recover_block(h, s, 0.0, RngState(0))
+    est = sound_and_recover_block(h, s.product, 0.0, RngState(0))
     np.testing.assert_allclose(est, h, atol=1e-9)
 
 
@@ -245,46 +242,46 @@ def test_hybrid_sounder_object_is_accepted_directly():
 
 
 def test_everything_sounded_in_stage_one_leaves_nothing_to_do():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=16, noise_var=0.0)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(40))
-    block, uses = estimate_remaining(real.h, real.basis, cfg, RngState(41))
+    block, uses = estimate_remaining(real.h, real.basis, 16, 0.0, cfg, RngState(41))
     assert block.shape == (8, 0)
     assert uses == 0
 
 
 def test_each_remaining_column_costs_one_use():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=5, noise_var=0.1)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(42))
-    block, uses = estimate_remaining(real.h, real.basis, cfg, RngState(43))
+    block, uses = estimate_remaining(real.h, real.basis, 5, 0.1, cfg, RngState(43))
     assert block.shape == (8, 11)
     assert uses == 11
 
 
 def test_ideal_mode_with_the_true_basis_is_exact_without_noise():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.0)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(44))
-    block, _ = estimate_remaining(real.h, real.basis, cfg, RngState(45),
+    block, _ = estimate_remaining(real.h, real.basis, 4, 0.0, cfg, RngState(45),
                                   mode="ideal")
     np.testing.assert_allclose(block, real.h[:, 4:], atol=1e-9)
 
 
 def test_remaining_estimation_rejects_underprovisioned_chains():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, m=4, noise_var=0.0)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(46))
     basis = real.basis
     wide = np.column_stack([basis, basis, basis])  # 6 > n_rf
     with pytest.raises(ValueError, match="n_rf"):
-        estimate_remaining(real.h, wide, cfg, RngState(0))
+        estimate_remaining(real.h, wide, 4, 0.0, cfg, RngState(0))
     with pytest.raises(ValueError, match="wider"):
-        estimate_remaining(real.h[:, :3], basis, cfg, RngState(0))
+        estimate_remaining(real.h[:, :3], basis, 4, 0.0, cfg, RngState(0))
 
 
 @pytest.mark.parametrize("mode", ["pseudo-inverse", "paper-literal", "ideal"])
 def test_remaining_columns_match_a_per_column_loop(mode):
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, m=8, noise_var=0.1)
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     real = generate_channel(cfg, RngState(47))
     basis = real.basis
-    block, uses = estimate_remaining(real.h, basis, cfg, RngState(48), mode=mode)
+    block, uses = estimate_remaining(real.h, basis, 8, 0.1, cfg, RngState(48), mode=mode)
     if mode == "ideal":
         w, column_mode = basis, "pseudo-inverse"
     else:

@@ -237,8 +237,7 @@ def test_more_sounded_columns_do_not_hurt_the_subspace_estimate():
     trials, sigma2 = 200, 0.1
     means, errs = [], []
     for m in (2, 4, 8):
-        cfg = SystemConfig(n_rx=16, n_tx=64, paths=2, n_rf=4, m=m,
-                           noise_var=sigma2)
+        cfg = SystemConfig(n_rx=16, n_tx=64, paths=2, n_rf=4)
         dists = []
         for trial in range(trials):
             rng = RngState(13, (m, trial))
