@@ -179,13 +179,18 @@ def _cmd_check(args, out):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     out = sys.stdout
-    if args.command == "estimate":
-        return _cmd_estimate(args, out)
-    if args.command == "sweep":
-        return _cmd_sweep(args, out)
-    return _cmd_check(args, out)
+    try:
+        if args.command == "estimate":
+            return _cmd_estimate(args, out)
+        if args.command == "sweep":
+            return _cmd_sweep(args, out)
+        return _cmd_check(args, out)
+    except ValueError as exc:
+        # a rejected setting is a usage error: one message, exit status 2
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SubspaceEstimate:
-    """Dominant left subspace of the recovered column block."""
+    """Dominant left subspace of the recovered column block.
+
+    For a wide or square block the values are square roots of eigenvalues of
+    the Gram matrix ``Y Y^H``, so a value sigma is accurate only to about
+    ``eps * sigma_1**2 / sigma``, and its basis vector degrades with it; a
+    tall block gets them from an SVD, to about ``eps * sigma_1``.
+    """
 
     basis: np.ndarray = field(repr=False)  # n_rx x rank, orthonormal columns
     singular_values: np.ndarray = field(repr=False)  # leading values, descending
@@ -27,10 +33,20 @@ class SubspaceEstimate:
 
 
 def estimate_stage1(y_tilde, rank):
-    """PCA denoising: keep the ``rank`` dominant left singular directions."""
+    """PCA denoising: keep the ``rank`` dominant left singular directions.
+
+    A block with at least as many columns as rows goes through the
+    eigendecomposition of its Gram matrix ``Y Y^H``, which there is cheaper
+    than the SVD that a tall block takes.
+    """
     y = as_complex_matrix(y_tilde, "recovered block")
     if not 1 <= rank <= min(y.shape):
         raise ValueError(f"rank must be in [1, {min(y.shape)}], got {rank}")
+    if y.shape[1] >= y.shape[0]:
+        evals, evecs = np.linalg.eigh(y @ y.conj().T)
+        u = evecs[:, ::-1][:, :rank]  # eigh sorts ascending
+        s = np.sqrt(np.maximum(evals[::-1][:rank], 0.0))
+        return SubspaceEstimate(basis=u, singular_values=s, denoised=u @ (u.conj().T @ y))
     u, s, vh = np.linalg.svd(y, full_matrices=False)
     u, s = u[:, :rank], s[:rank]
     return SubspaceEstimate(basis=u, singular_values=s, denoised=(u * s) @ vh[:rank])

@@ -299,21 +299,32 @@ def test_cli_sweep_honors_config_with_flag_overrides(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_cli_sweep_rejects_unknown_config_keys(tmp_path):
+def _usage_error(capsys, argv, match):
+    """Run the CLI on ``argv``; it must exit 2 with an argparse error line."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert re.search(f"twostage: error: {match}", captured.err), captured.err
+    return captured
+
+
+def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("bogus = 1\n")
-    with pytest.raises(ValueError, match="unknown config key"):
-        main(["sweep", "--config", str(cfg)])
+    _usage_error(capsys, ["sweep", "--config", str(cfg)], "unknown config key")
 
 
-def test_cli_sweep_with_a_nan_snr_fails_before_the_first_trial(tmp_path, monkeypatch):
+def test_cli_sweep_with_a_nan_snr_fails_before_the_first_trial(tmp_path, monkeypatch,
+                                                              capsys):
     trials = []
     monkeypatch.setattr(harness, "_trial_rows", lambda *a: trials.append(a) or [])
     out_csv = tmp_path / "bad.csv"
     for snr_db in ("nan", "-4000"):  # -4000 dB overflows the noise variance
-        with pytest.raises(ValueError, match=f"SNR {float(snr_db)} dB gives no finite"):
-            main(["sweep", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2",
-                  "--m", "4", "--snr-db", snr_db, "--trials", "1", "--out", str(out_csv)])
+        _usage_error(capsys, ["sweep", "--nr", "8", "--nt", "16", "--paths", "2",
+                              "--nrf", "2", "--m", "4", "--snr-db", snr_db,
+                              "--trials", "1", "--out", str(out_csv)],
+                     f"SNR {float(snr_db)} dB gives no finite")
     assert trials == []
     assert not out_csv.exists()
 
@@ -321,10 +332,15 @@ def test_cli_sweep_with_a_nan_snr_fails_before_the_first_trial(tmp_path, monkeyp
 @pytest.mark.parametrize("snr_db", ["nan", "-4000"])
 def test_cli_estimate_rejects_an_snr_without_finite_noise(monkeypatch, capsys, snr_db):
     monkeypatch.setattr(cli, "two_stage_estimate", _raise(AssertionError))
-    with pytest.raises(ValueError, match=f"SNR {float(snr_db)} dB gives no finite"):
-        main(["estimate", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2",
-              "--m", "4", "--snr-db", snr_db])
-    assert capsys.readouterr().out == ""
+    captured = _usage_error(capsys, ["estimate", "--nr", "8", "--nt", "16", "--paths",
+                                     "2", "--nrf", "2", "--m", "4", "--snr-db", snr_db],
+                            f"SNR {float(snr_db)} dB gives no finite")
+    assert captured.out == ""
+
+
+def test_cli_estimate_rejects_fewer_sounded_columns_than_paths(capsys):
+    _usage_error(capsys, ["estimate", "--paths", "4", "--m", "2"],
+                 re.escape("m=2 must satisfy 4 <= m <= 128"))
 
 
 def test_cli_check_reports_all_passes(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twostage.channel import SystemConfig, generate_channel
+from twostage.harness import noise_var_from_snr_db
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.sounding import invert_combiner, sound_columns_stage1
 from twostage.subspace import (
@@ -74,6 +75,66 @@ def test_column_basis_spans_a_rank_limited_matrix():
     a = _rank_limited(RngState(5), 8, 6, 3)
     u = estimate_stage1(a, 3).basis
     np.testing.assert_allclose(u @ (u.conj().T @ a), a, atol=1e-9)
+
+
+def _svd_truncation(y, rank):
+    u, s, vh = np.linalg.svd(y, full_matrices=False)
+    u, s = u[:, :rank], s[:rank]
+    return u, s, (u * s) @ vh[:rank]
+
+
+def _gram_route_draws():
+    # noisy channels at the reference scale, wide (all 128 columns) and square
+    # (the first 32), then noiseless rank-3 blocks
+    cfg = SystemConfig()
+    rng = RngState(18)
+    for snr_db in (-10.0, 20.0):
+        for trial in range(50):
+            real = generate_channel(cfg, rng.split(0, trial))
+            y = real.h + sample_complex_gaussian(rng.split(1, trial), cfg.n_rx, cfg.n_tx,
+                                                 noise_var_from_snr_db(snr_db))
+            yield y, cfg.paths
+            yield y[:, :cfg.n_rx], cfg.paths
+    for trial in range(50):
+        yield _rank_limited(rng.split(2, trial), 16, 48, 3), 3
+
+
+def test_wide_and_square_blocks_match_the_svd_truncation():
+    for y, rank in _gram_route_draws():
+        est = estimate_stage1(y, rank)
+        u, s, denoised = _svd_truncation(y, rank)
+        assert (np.linalg.norm(est.denoised - denoised)
+                <= 1e-12 * np.linalg.norm(denoised))
+        proj_gap = est.basis @ est.basis.conj().T - u @ u.conj().T
+        assert np.max(np.abs(proj_gap)) <= 1e-12
+        np.testing.assert_allclose(est.singular_values, s, rtol=1e-10)
+
+
+def test_tall_blocks_take_the_svd_truncation_bit_for_bit():
+    y = sample_complex_gaussian(RngState(19), 32, 8, 1.0)
+    est = estimate_stage1(y, 4)
+    u, s, denoised = _svd_truncation(y, 4)
+    assert np.array_equal(est.basis, u)
+    assert np.array_equal(est.singular_values, s)
+    assert np.array_equal(est.denoised, denoised)
+
+
+def test_gram_route_loses_a_weak_direction_to_the_squared_condition_number():
+    # wide rank-4 blocks with singular values (1, 0.5, 0.1, r): the Gram
+    # matrix squares r, so the weakest direction is found to about eps / r^2,
+    # where the SVD finds it to about eps / r
+    rng = RngState(20)
+    for trial in range(5):
+        u = np.linalg.qr(sample_complex_gaussian(rng.split(trial, 0), 32, 4, 1.0))[0]
+        v = np.linalg.qr(sample_complex_gaussian(rng.split(trial, 1), 128, 4, 1.0))[0]
+        dist = {}
+        for r in (1e-4, 1e-6):
+            y = (u * np.array([1.0, 0.5, 0.1, r])) @ v.conj().T
+            dist[r] = subspace_distance(u, estimate_stage1(y, 4).basis)
+            assert subspace_distance(u, _svd_truncation(y, 4)[0]) <= 1e-18
+        assert dist[1e-4] <= 1e-12
+        # measured 1.5e-9 to 8.5e-9 over 20 draws
+        assert 1e-10 <= dist[1e-6] <= 1e-7
 
 
 # ------------------------------------------------------------------ distance
