@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
+from pathlib import Path
 
 from .channel import SystemConfig, generate_channel
-from .harness import (
-    SweepSpec,
-    noise_var_from_snr_db,
-    read_config,
-    run_checks,
-    run_sweep,
-    summarize,
-    write_rows,
-)
+from .harness import (SweepSpec, noise_var_from_snr_db, run_checks, run_sweep,
+                      summarize, write_rows)
 from .numkit import RngState
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
 
@@ -23,43 +18,49 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-def _parse_bool(text):
-    try:
-        return _BOOL[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
+def read_config(path):
+    """Parse a ``key = value`` file into a dict; ``#`` starts a comment.
+
+    Keys are the sweep flag names, lower case, with dashes or underscores.
+    """
+    out = {}
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        out[key.strip().lower().replace("-", "_")] = value.strip()
+    return out
 
 
-def _parse_list(text, item):
-    return tuple(item(tok) for tok in text.replace(",", " ").split())
+def _config_argv(path, parser):
+    """A config file as ``sweep`` argv: a list flag's value splits on commas and
+    spaces, a single value stays whole (a path may hold spaces), and a boolean
+    word becomes ``--baseline`` / ``--no-baseline``."""
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    flags = {a.option_strings[0][2:].replace("-", "_"): a
+             for a in commands.choices["sweep"]._actions
+             if a.dest not in ("help", "config")}
+    argv = ["sweep"]
+    for key, value in read_config(path).items():
+        if key not in flags:
+            raise ValueError(f"unknown config key {key!r}")
+        action, flag = flags[key], flags[key].option_strings[0]
+        if isinstance(action, argparse.BooleanOptionalAction) and value.lower() in _BOOL:
+            argv.append(action.option_strings[not _BOOL[value.lower()]])
+        elif action.nargs == "+":
+            argv += [flag, *value.replace(",", " ").split()]
+        else:  # argparse rejects a bad value, a non-boolean word included
+            argv.append(f"{flag}={value}")
+    return argv
 
 
-# scenario settings shared by ``estimate`` and ``sweep``, with their SystemConfig
-# fields; sweep-only settings with their SweepSpec fields. A setting left unset
-# falls through to the dataclass default.
-_SCENARIO_FIELDS = {"nr": "n_rx", "nt": "n_tx", "paths": "paths", "nrf": "n_rf",
-                    "seed": "seed", "grid_size": "grid_size"}
-_SPEC_FIELDS = {"m": "m_list", "snr_db": "snr_db_list", "trials": "trials",
-                "mode": "modes", "baseline": "baseline", "workers": "workers"}
-
-# every sweep setting, with the parser for its config-file value; ``out`` is the
-# CSV path, which only the CLI uses
-_SWEEP_KEYS = {
-    **dict.fromkeys(_SCENARIO_FIELDS, int),
-    "m": lambda s: _parse_list(s, int),
-    "snr_db": lambda s: _parse_list(s, float),
-    "trials": int,
-    "mode": lambda s: _parse_list(s, str),
-    "baseline": _parse_bool,
-    "workers": int,
-    "out": str,
-}
-
-
-def _given(settings, fields):
-    """Keyword arguments for the settings that were given, keyed by field name."""
-    return {field: settings[key] for key, field in fields.items()
-            if settings.get(key) is not None}
+def _kwargs(cls, values):
+    """Keyword arguments of dataclass ``cls`` for the values that were given."""
+    return {f.name: values[f.name] for f in dataclasses.fields(cls)
+            if values.get(f.name) is not None}
 
 
 def build_parser():
@@ -71,10 +72,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     scenario = argparse.ArgumentParser(add_help=False)
-    scenario.add_argument("--nr", type=int, help="receive antennas")
-    scenario.add_argument("--nt", type=int, help="transmit antennas")
+    scenario.add_argument("--nr", type=int, dest="n_rx", help="receive antennas")
+    scenario.add_argument("--nt", type=int, dest="n_tx", help="transmit antennas")
     scenario.add_argument("--paths", type=int, help="propagation paths")
-    scenario.add_argument("--nrf", type=int, help="RF chains")
+    scenario.add_argument("--nrf", type=int, dest="n_rf", help="RF chains")
     scenario.add_argument("--seed", type=int)
     scenario.add_argument("--grid-size", type=int,
                           help="sounder dictionary size (default 2 * nr)")
@@ -91,10 +92,11 @@ def build_parser():
                          help="Monte Carlo sweep over SNR and m grids")
     swp.add_argument("--config", type=str,
                      help="key = value file mirroring the flags below")
-    swp.add_argument("--m", type=int, nargs="+", help="sampled-column counts")
-    swp.add_argument("--snr-db", type=float, nargs="+")
+    swp.add_argument("--m", type=int, nargs="+", dest="m_list",
+                     help="sampled-column counts")
+    swp.add_argument("--snr-db", type=float, nargs="+", dest="snr_db_list")
     swp.add_argument("--trials", type=int)
-    swp.add_argument("--mode", choices=RECOVERY_MODES, nargs="+")
+    swp.add_argument("--mode", choices=RECOVERY_MODES, nargs="+", dest="modes")
     swp.add_argument("--baseline", action=argparse.BooleanOptionalAction,
                      help="include the full-observation floor")
     swp.add_argument("--workers", type=int)
@@ -104,21 +106,6 @@ def build_parser():
     chk.add_argument("--seed", type=int, default=0)
 
     return parser
-
-
-def _resolve_sweep_settings(args):
-    """Config-file values, overridden by explicit flags; unset settings are absent."""
-    settings = {}
-    if args.config is not None:
-        for key, raw in read_config(args.config).items():
-            if key not in _SWEEP_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            settings[key] = _SWEEP_KEYS[key](raw)
-    for key in _SWEEP_KEYS:
-        flag = getattr(args, key)
-        if flag is not None:
-            settings[key] = tuple(flag) if isinstance(flag, list) else flag
-    return settings
 
 
 def _print_report(rep, out):
@@ -132,7 +119,7 @@ def _print_report(rep, out):
 
 
 def _cmd_estimate(args, out):
-    cfg = SystemConfig(**_given(vars(args), _SCENARIO_FIELDS))
+    cfg = SystemConfig(**_kwargs(SystemConfig, vars(args)))
     sigma2 = noise_var_from_snr_db(args.snr_db)
     rng = RngState(cfg.seed)
     real = generate_channel(cfg, rng.split(0))
@@ -145,10 +132,14 @@ def _cmd_estimate(args, out):
     return 0
 
 
-def _cmd_sweep(args, out):
-    settings = _resolve_sweep_settings(args)
-    spec = SweepSpec(scenario=SystemConfig(**_given(settings, _SCENARIO_FIELDS)),
-                     **_given(settings, _SPEC_FIELDS))
+def _cmd_sweep(args, out, parser):
+    # config-file values, overlaid by the flags given; unset ones take the defaults
+    settings = {}
+    if args.config is not None:
+        settings = vars(parser.parse_args(_config_argv(args.config, parser)))
+    settings.update((k, v) for k, v in vars(args).items() if v is not None)
+    spec = SweepSpec(scenario=SystemConfig(**_kwargs(SystemConfig, settings)),
+                     **_kwargs(SweepSpec, settings))
     start = time.monotonic()
     rows = run_sweep(spec)
     elapsed = time.monotonic() - start
@@ -186,7 +177,7 @@ def main(argv=None):
         if args.command == "estimate":
             return _cmd_estimate(args, out)
         if args.command == "sweep":
-            return _cmd_sweep(args, out)
+            return _cmd_sweep(args, out, parser)
         return _cmd_check(args, out)
     except ValueError as exc:
         # a rejected setting is a usage error: one message, exit status 2

@@ -32,7 +32,6 @@ __all__ = [
     "summarize",
     "rows_to_csv",
     "write_rows",
-    "read_config",
     "run_checks",
     "check_combiner_independence",
     "check_sampled_column_subspace",
@@ -103,6 +102,12 @@ class SweepSpec:
                 raise ValueError(f"unknown recovery mode {mode!r}")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
+        # a repeated grid value would put two cells under one CSV key
+        for name in ("snr_db_list", "m_list", "modes"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:  # == also matches 0.0 against -0.0
+                    raise ValueError(f"{name} repeats {value!r}")
 
 
 @dataclass(frozen=True)
@@ -236,24 +241,6 @@ def rows_to_csv(rows):
 
 def write_rows(rows, path):
     Path(path).write_text(rows_to_csv(rows), encoding="ascii")
-
-
-def read_config(path):
-    """Parse a ``key = value`` config file into a string-to-string dict.
-
-    ``#`` starts a comment; keys mirror the CLI flag names with dashes or
-    underscores; list values are comma separated.
-    """
-    out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip().lower().replace("-", "_")] = value.strip()
-    return out
 
 
 def check_combiner_independence(rng):

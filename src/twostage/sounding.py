@@ -77,28 +77,25 @@ def observe_columns(h_s, combiner, noise, n_rf):
                             injected_noise=noise, channel_uses=uses)
 
 
-def sound_columns_stage1(h, m, sigma2, n_rf, rng, combiner=None):
-    """Observe the first m channel columns through the DFT bank.
-
-    A custom full-rank ``combiner`` may be substituted; the recovered block
-    after :func:`invert_combiner` is the same either way.
-    """
+def sound_columns_stage1(h, m, sigma2, n_rf, rng):
+    """Observe the first m channel columns through the DFT bank."""
     h = as_complex_matrix(h, "channel")
     if not 1 <= m <= h.shape[1]:
         raise ValueError(f"m must be in [1, {h.shape[1]}], got {m}")
     if sigma2 < 0:
         raise ValueError("noise variance must be non-negative")
-    bank = dft_combiner(h.shape[0]) if combiner is None else combiner
     noise = sample_complex_gaussian(rng, h.shape[0], m, sigma2)
-    return observe_columns(h[:, :m], bank, noise, n_rf)
+    return observe_columns(h[:, :m], dft_combiner(h.shape[0]), noise, n_rf)
 
 
 def invert_combiner(block):
     """Undo the combiner bank, returning H_S + N exactly for any full-rank bank."""
     bank = block.combiner
-    cond = np.linalg.cond(bank)
-    if not np.isfinite(cond) or cond > MAX_COMBINER_COND:
-        raise ValueError(
-            f"combiner bank is numerically singular (condition number {cond:.3e})"
-        )
+    # the cached DFT bank is unitary (condition number 1): check other banks only
+    if bank is not dft_combiner(len(bank)):
+        cond = np.linalg.cond(bank)
+        if not np.isfinite(cond) or cond > MAX_COMBINER_COND:
+            raise ValueError(
+                f"combiner bank is numerically singular (condition number {cond:.3e})"
+            )
     return np.linalg.solve(bank.conj().T, block.observations)

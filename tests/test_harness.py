@@ -9,13 +9,12 @@ import pytest
 
 from twostage import cli, harness
 from twostage.channel import SystemConfig, generate_channel
-from twostage.cli import build_parser, main
+from twostage.cli import build_parser, main, read_config
 from twostage.harness import (
     CSV_HEADER,
     SweepRow,
     SweepSpec,
     noise_var_from_snr_db,
-    read_config,
     rows_to_csv,
     run_checks,
     run_sweep,
@@ -82,6 +81,13 @@ def test_spec_coerces_sequences_and_validates():
         _small_spec(modes=("genie",))
     with pytest.raises(ValueError, match="worker"):
         _small_spec(workers=0)
+    # a repeated grid value would give two cells one CSV key; -0.0 repeats 0.0
+    for field, values, match in (("snr_db_list", (10.0, 0.0, 10.0), "repeats 10.0"),
+                                 ("snr_db_list", (0.0, -0.0), "repeats -0.0"),
+                                 ("m_list", (4, 8, 4), "repeats 4"),
+                                 ("modes", ("ideal", "ideal"), "repeats 'ideal'")):
+        with pytest.raises(ValueError, match=f"{field} {match}"):
+            _small_spec(**{field: values})
 
 
 # --------------------------------------------------------------------- sweep
@@ -315,6 +321,16 @@ def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
     _usage_error(capsys, ["sweep", "--config", str(cfg)], "unknown config key")
 
 
+def test_cli_sweep_rejects_repeated_grid_values_before_the_first_trial(monkeypatch,
+                                                                       capsys):
+    trials = []
+    monkeypatch.setattr(harness, "_trial_rows", lambda *a: trials.append(a) or [])
+    _usage_error(capsys, ["sweep", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf",
+                          "2", "--m", "4", "--snr-db", "10", "10", "--trials", "2",
+                          "--no-baseline"], "snr_db_list repeats 10.0")
+    assert trials == []
+
+
 def test_cli_sweep_with_a_nan_snr_fails_before_the_first_trial(tmp_path, monkeypatch,
                                                               capsys):
     trials = []
@@ -391,6 +407,56 @@ def test_reference_sweep_config_resolves_to_the_default_spec(monkeypatch):
     # bench/ sweeps this file; it spells out every default
     path = ROOT / "scripts" / "reference_sweep.cfg"
     assert _captured_spec(monkeypatch, ["sweep", "--config", str(path)]) == _DEFAULT_SPEC
+
+
+# every sweep setting off its default, once as flags and once as config lines
+_EVERY_SETTING = (("nr", "16"), ("nt", "40"), ("paths", "3"), ("nrf", "5"),
+                  ("seed", "7"), ("grid-size", "48"), ("m", "3 6 12"),
+                  ("snr-db", "-3.5 12"), ("trials", "9"),
+                  ("mode", "ideal paper-literal"), ("workers", "2"))
+
+
+def test_config_file_and_flags_resolve_to_the_same_spec(tmp_path, monkeypatch):
+    cfg = tmp_path / "every.cfg"
+    cfg.write_text("".join(f"{key} = {value.replace(' ', ', ')}\n"
+                           for key, value in _EVERY_SETTING) + "baseline = no\n")
+    flags = [tok for key, value in _EVERY_SETTING for tok in [f"--{key}", *value.split()]]
+    from_flags = _captured_spec(monkeypatch, ["sweep", *flags, "--no-baseline"])
+    assert from_flags == SweepSpec(
+        scenario=SystemConfig(n_rx=16, n_tx=40, paths=3, n_rf=5, seed=7, grid_size=48),
+        m_list=(3, 6, 12), snr_db_list=(-3.5, 12.0), trials=9,
+        modes=("ideal", "paper-literal"), baseline=False, workers=2)
+    assert _captured_spec(monkeypatch, ["sweep", "--config", str(cfg)]) == from_flags
+
+
+def test_cli_flags_override_the_config_file_wherever_they_stand(tmp_path, monkeypatch,
+                                                                capsys):
+    out_csv = tmp_path / "rows with spaces.csv"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("nr = 8\nnt = 16\npaths = 2\nnrf = 2\nm = 4\nsnr-db = 0\n"
+                   f"trials = 50\nbaseline = no\nout = {out_csv}\n")
+    for argv in (["--trials", "2", "--config", str(cfg)],
+                 ["--config", str(cfg), "--trials", "2"]):
+        assert _captured_spec(monkeypatch, ["sweep", *argv]).trials == 2
+    assert _captured_spec(monkeypatch, ["sweep", "--config", str(cfg)]).trials == 50
+    monkeypatch.undo()
+    # a single-valued key keeps its whole value, spaces included
+    assert main(["sweep", "--trials", "2", "--config", str(cfg)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("line, flag", [("trials = many", "--trials"),
+                                        ("mode = bogus", "--mode"),
+                                        ("baseline = maybe", "--baseline")])
+def test_cli_sweep_rejects_bad_config_values_naming_the_flag(tmp_path, monkeypatch,
+                                                             capsys, line, flag):
+    monkeypatch.setattr(cli, "run_sweep", _raise(AssertionError))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"nr = 8\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"error: argument {flag}" in capsys.readouterr().err
 
 
 def _readme_commands():

@@ -118,6 +118,18 @@ def test_singular_bank_is_rejected_with_condition_diagnostic():
         invert_combiner(block)
 
 
+def test_stage1_through_the_dft_bank_skips_the_condition_check(monkeypatch):
+    # the cached DFT bank is unitary, so inverting it takes no SVD
+    def no_cond(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called on the DFT bank")
+
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    cfg, real = _channel(13)
+    block = sound_columns_stage1(real.h, 4, 0.1, cfg.n_rf, RngState(13).split(1))
+    error = invert_combiner(block) - real.h[:, :4]
+    np.testing.assert_allclose(error, block.injected_noise, atol=1e-12)
+
+
 def test_observe_rejects_shape_mismatches():
     cfg, real = _channel(15)
     noise = np.zeros((8, 4), dtype=complex)
