@@ -45,18 +45,15 @@ from .pipeline import (
     two_stage_estimate,
 )
 from .sounding import (
-    ObservationBlock,
     dft_combiner,
     invert_combiner,
     observe_columns,
-    sound_columns_stage1,
 )
 from .stage2 import (
     HybridSounder,
     SteeringDictionary,
     build_dictionary,
     design_sounder_omp,
-    estimate_remaining,
     sound_and_recover_block,
 )
 from .subspace import (

@@ -21,7 +21,8 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 def read_config(path):
     """Parse a ``key = value`` file into a dict; ``#`` starts a comment.
 
-    Keys are the sweep flag names, lower case, with dashes or underscores.
+    Keys are the sweep flag names, lower case, with dashes or underscores;
+    each may appear once.
     """
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -31,7 +32,10 @@ def read_config(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().lower().replace("-", "_")] = value.strip()
+        key = key.strip().lower().replace("-", "_")
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -140,10 +144,13 @@ def _cmd_sweep(args, out, parser):
     settings.update((k, v) for k, v in vars(args).items() if v is not None)
     spec = SweepSpec(scenario=SystemConfig(**_kwargs(SystemConfig, settings)),
                      **_kwargs(SweepSpec, settings))
+    out_path = settings.get("out")
+    if out_path is not None and (Path(out_path).is_dir()
+                                 or not Path(out_path).parent.is_dir()):
+        raise ValueError(f"--out {out_path} is not a file in an existing directory")
     start = time.monotonic()
     rows = run_sweep(spec)
     elapsed = time.monotonic() - start
-    out_path = settings.get("out")
     if out_path is not None:
         write_rows(rows, out_path)
         out.write(f"wrote {len(rows)} rows to {out_path}\n")

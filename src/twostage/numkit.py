@@ -76,8 +76,9 @@ def sample_complex_gaussian(rng, rows, cols, variance):
     """
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    if variance < 0:
-        raise ValueError("variance must be non-negative")
+    if not math.isfinite(variance) or variance < 0:
+        raise ValueError(
+            f"noise variance must be finite and non-negative, got {variance}")
     scale = math.sqrt(variance / 2.0)
     re = rng.generator.standard_normal((rows, cols))
     im = rng.generator.standard_normal((rows, cols))

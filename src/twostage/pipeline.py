@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import as_complex_matrix, sample_complex_gaussian
-from .sounding import invert_combiner, sound_columns_stage1
-from .stage2 import estimate_remaining
+from .sounding import dft_combiner, invert_combiner, observe_columns
+from .stage2 import build_dictionary, design_sounder_omp, sound_and_recover_block
 from .subspace import estimate_stage1, subspace_distance
 
 __all__ = [
@@ -61,31 +61,46 @@ def degrees_of_freedom(n_r, n_t, paths):
 def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     """Sound m columns at noise variance sigma2, learn the subspace, recover the rest.
 
-    Stage 1 inverts the combiner bank and keeps the dominant rank-``paths``
-    part of the recovered block; stage 2 designs the subspace-matched sounder
-    and recovers each remaining column in one channel use. The estimate stacks
-    the denoised block and the recovered block in original column order.
+    Stage 1 observes the first m columns through the DFT bank, n_rf rows per
+    channel use, inverts the bank and keeps the dominant rank-``paths`` part
+    of the recovered block. Stage 2 designs the subspace-matched sounder
+    (``ideal`` mode sounds with the estimated basis itself) and recovers each
+    remaining column in one channel use. The estimate stacks the denoised
+    block and the recovered block in original column order.
     Deterministic given (cfg, m, sigma2, rng).
     """
+    if real.h.shape != (cfg.n_rx, cfg.n_tx):
+        raise ValueError(f"channel shape {real.h.shape} does not match the "
+                         f"{cfg.n_rx} x {cfg.n_tx} scenario")
     if not cfg.paths <= m <= cfg.n_tx:
         raise ValueError(f"m={m} must satisfy {cfg.paths} <= m <= {cfg.n_tx}")
-    if not math.isfinite(sigma2) or sigma2 < 0:
-        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     if mode not in RECOVERY_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    block = sound_columns_stage1(real.h, m, sigma2, cfg.n_rf, rng)
-    y_tilde = invert_combiner(block)
+    # the sampler rejects a negative or non-finite sigma2 before any draw
+    noise = sample_complex_gaussian(rng, cfg.n_rx, m, sigma2)
+    bank = dft_combiner(cfg.n_rx)
+    y_tilde = invert_combiner(bank, observe_columns(real.h[:, :m], bank, noise))
     est = estimate_stage1(y_tilde, cfg.paths)
-    h_rest, uses_stage2 = estimate_remaining(real.h, est.basis, m, sigma2, cfg, rng,
-                                             mode=mode)
-    h_hat = np.hstack([est.denoised, h_rest])
+    h_hat = est.denoised
+    if m < cfg.n_tx:
+        if mode == "ideal":
+            sounder, column_mode = est.basis, "pseudo-inverse"
+        else:
+            dictionary = build_dictionary(cfg.n_rx, cfg.grid_size)
+            sounder = design_sounder_omp(est.basis, dictionary, cfg.n_rf).product
+            column_mode = mode
+        h_rest = sound_and_recover_block(real.h[:, m:], sounder, sigma2, rng,
+                                         column_mode)
+        h_hat = np.hstack([h_hat, h_rest])
+    uses_stage1 = m * math.ceil(cfg.n_rx / cfg.n_rf)
+    uses_stage2 = cfg.n_tx - m
     return EstimateReport(
         h_hat=h_hat,
         nmse=nmse(real.h, h_hat),
         subspace_dist=subspace_distance(real.basis, est.basis),
-        channel_uses_stage1=block.channel_uses,
+        channel_uses_stage1=uses_stage1,
         channel_uses_stage2=uses_stage2,
-        channel_uses_total=block.channel_uses + uses_stage2,
+        channel_uses_total=uses_stage1 + uses_stage2,
         dof=degrees_of_freedom(cfg.n_rx, cfg.n_tx, cfg.paths),
         mode=mode,
         seed=cfg.seed,
@@ -100,8 +115,6 @@ def full_observation_baseline(real, sigma2, rng):
     carry the ``full-observation`` tag to keep that explicit.
     """
     h = real.h
-    if not math.isfinite(sigma2) or sigma2 < 0:
-        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     noise = sample_complex_gaussian(rng, h.shape[0], h.shape[1], sigma2)
     est = estimate_stage1(h + noise, real.paths)
     entries = h.shape[0] * h.shape[1]

@@ -10,32 +10,19 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, sample_complex_gaussian
+from .numkit import as_complex_matrix
 
 __all__ = [
-    "ObservationBlock",
     "dft_combiner",
     "observe_columns",
-    "sound_columns_stage1",
     "invert_combiner",
 ]
 
 # combiner banks with condition numbers beyond this are treated as singular
 MAX_COMBINER_COND = 1e12
-
-
-@dataclass(frozen=True)
-class ObservationBlock:
-    """Stacked combiner outputs for one sounded column block."""
-
-    observations: np.ndarray = field(repr=False)  # n_rx x m
-    combiner: np.ndarray = field(repr=False)  # the square bank M
-    injected_noise: np.ndarray = field(repr=False)  # per-column antenna noise
-    channel_uses: int = 0
 
 
 @functools.lru_cache
@@ -52,45 +39,26 @@ def dft_combiner(n):
     return bank
 
 
-def observe_columns(h_s, combiner, noise, n_rf):
-    """Stack the combined observations of a column block with given noise.
+def observe_columns(h_s, bank, noise):
+    """Stacked combiner outputs Y = M^H H_S + M^H N of a column block.
 
-    The bank is tiled n_rf columns per channel use; a final partial use
-    contributes only the leftover rows, so sounding one column costs
-    ceil(n_rx / n_rf) uses. Keeping the noise argument explicit lets oracle
-    tests replay the same noise through different banks.
+    Keeping the noise argument explicit lets oracle tests replay the same
+    noise through different banks.
     """
     h_s = as_complex_matrix(h_s, "column block")
-    combiner = as_complex_matrix(combiner, "combiner bank")
+    bank = as_complex_matrix(bank, "combiner bank")
     noise = as_complex_matrix(noise, "noise")
-    if combiner.shape[0] != combiner.shape[1]:
-        raise ValueError(f"combiner bank must be square, got {combiner.shape}")
-    if combiner.shape[0] != h_s.shape[0]:
+    if bank.shape[0] != bank.shape[1]:
+        raise ValueError(f"combiner bank must be square, got {bank.shape}")
+    if bank.shape[0] != h_s.shape[0]:
         raise ValueError("combiner bank size must match the array size")
     if noise.shape != h_s.shape:
         raise ValueError("noise must match the column block shape")
-    if n_rf < 1:
-        raise ValueError("need at least one RF chain")
-    y = combiner.conj().T @ h_s + combiner.conj().T @ noise
-    uses = h_s.shape[1] * math.ceil(h_s.shape[0] / n_rf)
-    return ObservationBlock(observations=y, combiner=combiner,
-                            injected_noise=noise, channel_uses=uses)
+    return bank.conj().T @ h_s + bank.conj().T @ noise
 
 
-def sound_columns_stage1(h, m, sigma2, n_rf, rng):
-    """Observe the first m channel columns through the DFT bank."""
-    h = as_complex_matrix(h, "channel")
-    if not 1 <= m <= h.shape[1]:
-        raise ValueError(f"m must be in [1, {h.shape[1]}], got {m}")
-    if sigma2 < 0:
-        raise ValueError("noise variance must be non-negative")
-    noise = sample_complex_gaussian(rng, h.shape[0], m, sigma2)
-    return observe_columns(h[:, :m], dft_combiner(h.shape[0]), noise, n_rf)
-
-
-def invert_combiner(block):
+def invert_combiner(bank, observations):
     """Undo the combiner bank, returning H_S + N exactly for any full-rank bank."""
-    bank = block.combiner
     # the cached DFT bank is unitary (condition number 1): check other banks only
     if bank is not dft_combiner(len(bank)):
         cond = np.linalg.cond(bank)
@@ -98,4 +66,4 @@ def invert_combiner(block):
             raise ValueError(
                 f"combiner bank is numerically singular (condition number {cond:.3e})"
             )
-    return np.linalg.solve(bank.conj().T, block.observations)
+    return np.linalg.solve(bank.conj().T, observations)

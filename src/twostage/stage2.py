@@ -24,7 +24,6 @@ __all__ = [
     "build_dictionary",
     "design_sounder_omp",
     "sound_and_recover_block",
-    "estimate_remaining",
 ]
 
 COLUMN_MODES = ("pseudo-inverse", "paper-literal")
@@ -128,8 +127,8 @@ def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
     h = as_complex_matrix(h, "channel")
     if w.shape[0] != h.shape[0]:
         raise ValueError("combiner rows must match the array size")
-    if sigma2 < 0:
-        raise ValueError("noise variance must be non-negative")
+    if not math.isfinite(sigma2) or sigma2 < 0:
+        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     draws = rng.generator.standard_normal((h.shape[1], 2, h.shape[0]))
     noise = math.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1]).T
     wh = w.conj().T
@@ -145,31 +144,3 @@ def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
         )
     return w @ np.linalg.solve(gram, y)
 
-
-def estimate_remaining(h, u_hat, m, sigma2, cfg, rng, mode="pseudo-inverse"):
-    """Recover the columns after the first m, one channel use each.
-
-    The sounder is designed once from the estimated basis and sounds all
-    remaining columns as one block at noise variance sigma2. ``ideal`` mode
-    skips the hybrid factorization and sounds with the basis itself; otherwise
-    the greedy design runs over the configured grid. Returns the recovered
-    block and the channel uses spent (n_tx - m).
-    """
-    h = as_complex_matrix(h, "channel")
-    basis = as_complex_matrix(u_hat, "estimated basis")
-    if cfg.n_rf < basis.shape[1]:
-        raise ValueError("single-use recovery needs n_rf >= the subspace dimension")
-    remaining = h.shape[1] - m
-    if remaining < 0:
-        raise ValueError("sounded block is wider than the channel")
-    if remaining == 0:
-        return np.zeros((h.shape[0], 0), dtype=np.complex128), 0
-    if mode == "ideal":
-        combiner = basis
-        column_mode = "pseudo-inverse"
-    else:
-        dictionary = build_dictionary(h.shape[0], cfg.grid_size)
-        combiner = design_sounder_omp(basis, dictionary, cfg.n_rf).product
-        column_mode = mode
-    block = sound_and_recover_block(h[:, m:], combiner, sigma2, rng, column_mode)
-    return block, remaining

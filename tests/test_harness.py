@@ -315,10 +315,16 @@ def _usage_error(capsys, argv, match):
     return captured
 
 
-def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
+def test_cli_sweep_rejects_unknown_config_keys(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", _raise(AssertionError))
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("bogus = 1\n")
     _usage_error(capsys, ["sweep", "--config", str(cfg)], "unknown config key")
+    # a repeated key, in either spelling, would silently drop the first value
+    for text, key in (("m = 4\nm = 8\n", "m"), ("snr-db = 0\nsnr_db = 10\n", "snr_db")):
+        cfg.write_text(text)
+        _usage_error(capsys, ["sweep", "--config", str(cfg)],
+                     re.escape(f"{cfg}:2: repeated key '{key}'"))
 
 
 def test_cli_sweep_rejects_repeated_grid_values_before_the_first_trial(monkeypatch,
@@ -343,6 +349,18 @@ def test_cli_sweep_with_a_nan_snr_fails_before_the_first_trial(tmp_path, monkeyp
                      f"SNR {float(snr_db)} dB gives no finite")
     assert trials == []
     assert not out_csv.exists()
+
+
+def test_cli_sweep_with_an_unwritable_out_fails_before_the_first_trial(tmp_path,
+                                                                      monkeypatch,
+                                                                      capsys):
+    monkeypatch.setattr(cli, "run_sweep", _raise(AssertionError))
+    for out in (tmp_path / "no" / "such" / "dir" / "x.csv", tmp_path):
+        _usage_error(capsys, ["sweep", "--nr", "8", "--nt", "16", "--paths", "2",
+                              "--nrf", "2", "--m", "4", "--trials", "1",
+                              "--out", str(out)],
+                     re.escape(f"--out {out} is not a file in an existing directory"))
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("snr_db", ["nan", "-4000"])

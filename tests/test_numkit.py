@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,8 +188,9 @@ def test_rng_rejects_bad_seed_and_keys():
         RngState(-1)
     with pytest.raises(ValueError):
         RngState(1).split(-2)
-    with pytest.raises(ValueError):
-        sample_complex_gaussian(RngState(1), 3, 3, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample_complex_gaussian(RngState(1), 3, 3, bad)
 
 
 def test_random_unitary_is_unitary():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -194,6 +195,14 @@ def test_estimate_rejects_bad_sampled_column_counts_and_noise():
             full_observation_baseline(real, bad, RngState(0))
     for m in (2, 16):  # both ends of the range are admitted
         assert np.isfinite(two_stage_estimate(real, cfg, m, 0.1, RngState(0)).nmse)
+
+
+def test_estimate_rejects_a_realization_of_another_shape():
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
+    real = generate_channel(cfg, RngState(46))
+    for h in (real.h[:, :3], real.h[:4]):
+        with pytest.raises(ValueError, match="does not match"):
+            two_stage_estimate(dataclasses.replace(real, h=h), cfg, 2, 0.0, RngState(0))
 
 
 # ----------------------------------------------------------------- baseline

@@ -5,11 +5,12 @@ import pytest
 
 from twostage.channel import SystemConfig, generate_channel, steering_vector
 from twostage.numkit import RngState, sample_complex_gaussian
+from twostage.pipeline import two_stage_estimate
+from twostage.sounding import dft_combiner, invert_combiner, observe_columns
 from twostage.stage2 import (
     SteeringDictionary,
     build_dictionary,
     design_sounder_omp,
-    estimate_remaining,
     sound_and_recover_block,
 )
 from twostage.subspace import estimate_stage1
@@ -222,8 +223,9 @@ def test_column_recovery_argument_errors():
     h, w = _column_setup(37)
     with pytest.raises(ValueError, match="unknown recovery mode"):
         sound_and_recover_block(h, w, 0.1, RngState(0), "genie")
-    with pytest.raises(ValueError, match="non-negative"):
-        sound_and_recover_block(h, w, -0.1, RngState(0))
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sound_and_recover_block(h, w, bad, RngState(0))
     with pytest.raises(ValueError, match="rows"):
         sound_and_recover_block(h, w[:5], 0.1, RngState(0))
     with pytest.raises(ValueError, match="at least one"):
@@ -244,49 +246,43 @@ def test_designed_sounder_product_recovers_an_in_dictionary_column():
 def test_everything_sounded_in_stage_one_leaves_nothing_to_do():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(40))
-    block, uses = estimate_remaining(real.h, real.basis, 16, 0.0, cfg, RngState(41))
-    assert block.shape == (8, 0)
-    assert uses == 0
+    rep = two_stage_estimate(real, cfg, 16, 0.0, RngState(41))
+    assert rep.h_hat.shape == (8, 16)
+    assert rep.channel_uses_stage2 == 0
 
 
 def test_each_remaining_column_costs_one_use():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(42))
-    block, uses = estimate_remaining(real.h, real.basis, 5, 0.1, cfg, RngState(43))
-    assert block.shape == (8, 11)
-    assert uses == 11
+    rep = two_stage_estimate(real, cfg, 5, 0.1, RngState(43))
+    assert rep.h_hat.shape == (8, 16)
+    assert rep.channel_uses_stage2 == 11
 
 
 def test_ideal_mode_with_the_true_basis_is_exact_without_noise():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(44))
-    block, _ = estimate_remaining(real.h, real.basis, 4, 0.0, cfg, RngState(45),
-                                  mode="ideal")
+    block = sound_and_recover_block(real.h[:, 4:], real.basis, 0.0, RngState(45))
     np.testing.assert_allclose(block, real.h[:, 4:], atol=1e-9)
-
-
-def test_remaining_estimation_rejects_underprovisioned_chains():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, RngState(46))
-    basis = real.basis
-    wide = np.column_stack([basis, basis, basis])  # 6 > n_rf
-    with pytest.raises(ValueError, match="n_rf"):
-        estimate_remaining(real.h, wide, 4, 0.0, cfg, RngState(0))
-    with pytest.raises(ValueError, match="wider"):
-        estimate_remaining(real.h[:, :3], basis, 4, 0.0, cfg, RngState(0))
 
 
 @pytest.mark.parametrize("mode", ["pseudo-inverse", "paper-literal", "ideal"])
 def test_remaining_columns_match_a_per_column_loop(mode):
     cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     real = generate_channel(cfg, RngState(47))
-    basis = real.basis
-    block, uses = estimate_remaining(real.h, basis, 8, 0.1, cfg, RngState(48), mode=mode)
+    rep = two_stage_estimate(real, cfg, 8, 0.1, RngState(48), mode=mode)
+    # replay stage 1 on the same stream, then sound column by column
+    rng = RngState(48)
+    noise = sample_complex_gaussian(rng, 32, 8, 0.1)
+    bank = dft_combiner(32)
+    y_tilde = invert_combiner(bank, observe_columns(real.h[:, :8], bank, noise))
+    basis = estimate_stage1(y_tilde, 4).basis
     if mode == "ideal":
         w, column_mode = basis, "pseudo-inverse"
     else:
         w = design_sounder_omp(basis, build_dictionary(32, cfg.grid_size), 6).product
         column_mode = mode
-    ref = _per_column_reference(real.h[:, 8:], w, 0.1, RngState(48), column_mode)
-    assert uses == 120
-    np.testing.assert_allclose(block, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+    ref = _per_column_reference(real.h[:, 8:], w, 0.1, rng, column_mode)
+    assert rep.channel_uses_stage2 == 120
+    np.testing.assert_allclose(rep.h_hat[:, 8:], ref, rtol=0,
+                               atol=1e-12 * np.abs(ref).max())

@@ -4,7 +4,7 @@ import pytest
 from twostage.channel import SystemConfig, generate_channel
 from twostage.harness import noise_var_from_snr_db
 from twostage.numkit import RngState, sample_complex_gaussian
-from twostage.sounding import invert_combiner, sound_columns_stage1
+from twostage.sounding import dft_combiner, invert_combiner, observe_columns
 from twostage.subspace import (
     estimate_stage1,
     interlacing_check,
@@ -303,9 +303,10 @@ def test_more_sounded_columns_do_not_hurt_the_subspace_estimate():
         for trial in range(trials):
             rng = RngState(13, (m, trial))
             real = generate_channel(cfg, rng.split(0))
-            block = sound_columns_stage1(real.h, m, sigma2, cfg.n_rf,
-                                         rng.split(1))
-            est = estimate_stage1(invert_combiner(block), cfg.paths)
+            noise = sample_complex_gaussian(rng.split(1), 16, m, sigma2)
+            bank = dft_combiner(16)
+            y = observe_columns(real.h[:, :m], bank, noise)
+            est = estimate_stage1(invert_combiner(bank, y), cfg.paths)
             dists.append(subspace_distance(real.basis, est.basis))
         dists = np.asarray(dists)
         means.append(float(dists.mean()))
