@@ -22,7 +22,6 @@ from .channel import (
     ChannelRealization,
     SystemConfig,
     generate_channel,
-    steering_matrix,
     steering_vector,
 )
 from .harness import (
@@ -44,14 +43,9 @@ from .pipeline import (
     nmse,
     two_stage_estimate,
 )
-from .sounding import (
-    dft_combiner,
-    invert_combiner,
-    observe_columns,
-)
+from .sounding import dft_combiner, sound_and_invert_block
 from .stage2 import (
     HybridSounder,
-    SteeringDictionary,
     build_dictionary,
     design_sounder_omp,
     sound_and_recover_block,

@@ -17,14 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import sample_complex_gaussian
+from .numkit import as_integer, sample_complex_gaussian
 
 __all__ = [
     "SystemConfig",
     "ChannelRealization",
     "ula_response",
     "steering_vector",
-    "steering_matrix",
     "generate_channel",
 ]
 
@@ -54,6 +53,10 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.grid_size is None:
+            object.__setattr__(self, "grid_size", 2 * self.n_rx)
+        for name in ("n_rx", "n_tx", "paths", "n_rf", "grid_size", "seed"):
+            as_integer(getattr(self, name), name)
         if self.n_rx < 1 or self.n_tx < 1:
             raise ValueError("array sizes must be positive")
         if self.n_rf < 2:
@@ -68,8 +71,6 @@ class SystemConfig:
             raise ValueError("single-use recovery needs n_rf >= paths")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.grid_size is None:
-            object.__setattr__(self, "grid_size", 2 * self.n_rx)
         if self.grid_size < self.n_rf:
             raise ValueError(
                 f"dictionary must offer at least n_rf={self.n_rf} atoms, "
@@ -129,11 +130,6 @@ def steering_vector(theta, n):
     return ula_response(math.sin(theta), n)[:, 0]
 
 
-def steering_matrix(angles, n):
-    """Column-stacked steering vectors, one per angle."""
-    return np.column_stack([steering_vector(t, n) for t in np.atleast_1d(angles)])
-
-
 def _draw_distinct_angles(generator, count):
     # redraw the whole set while any two sines nearly coincide
     for _ in range(1000):
@@ -158,8 +154,8 @@ def generate_channel(cfg, rng):
     aoa = _draw_distinct_angles(gen, cfg.paths)
     aod = _draw_distinct_angles(gen, cfg.paths)
     gains = sample_complex_gaussian(rng, cfg.paths, 1, 1.0)[:, 0]
-    a_rx = steering_matrix(aoa, cfg.n_rx)
-    a_tx = steering_matrix(aod, cfg.n_tx)
+    a_rx = ula_response(np.sin(aoa), cfg.n_rx)
+    a_tx = ula_response(np.sin(aod), cfg.n_tx)
     scale = math.sqrt(cfg.n_rx * cfg.n_tx / cfg.paths)
     h = scale * (a_rx * gains) @ a_tx.T
     return ChannelRealization(h=h, aoa_angles=aoa, aod_angles=aod, gains=gains,

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .channel import SystemConfig, generate_channel
-from .numkit import RngState, random_unitary, sample_complex_gaussian
+from .numkit import RngState, as_integer, random_unitary, sample_complex_gaussian
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
-from .sounding import dft_combiner, invert_combiner, observe_columns
+from .sounding import dft_combiner, sound_and_invert_block
 from .stage2 import build_dictionary, design_sounder_omp
 from .subspace import estimate_stage1, interlacing_check, subspace_distance
 
@@ -40,8 +40,6 @@ __all__ = [
     "check_channel_uses",
     "check_noiseless_exactness",
 ]
-
-CSV_HEADER = "snr_db,m,trial,mode,nmse,subspace_dist,channel_uses,seed"
 
 # sub-stream keys inside one trial
 _KEY_CHANNEL = 0
@@ -81,7 +79,8 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
-        object.__setattr__(self, "m_list", tuple(int(m) for m in self.m_list))
+        object.__setattr__(self, "m_list",
+                           tuple(as_integer(m, "m_list entry") for m in self.m_list))
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.snr_db_list:
             raise ValueError("need at least one SNR point")
@@ -93,14 +92,14 @@ class SweepSpec:
         for m in self.m_list:
             if not paths <= m <= n_tx:
                 raise ValueError(f"m={m} must satisfy {paths} <= m <= {n_tx}")
-        if self.trials < 1:
+        if as_integer(self.trials, "trials") < 1:
             raise ValueError("need at least one trial")
         if not self.modes:
             raise ValueError("need at least one recovery mode")
         for mode in self.modes:
             if mode not in RECOVERY_MODES:
                 raise ValueError(f"unknown recovery mode {mode!r}")
-        if self.workers < 1:
+        if as_integer(self.workers, "workers") < 1:
             raise ValueError("worker count must be positive")
         # a repeated grid value would put two cells under one CSV key
         for name in ("snr_db_list", "m_list", "modes"):
@@ -122,6 +121,9 @@ class SweepRow:
     subspace_dist: float
     channel_uses: int
     seed: int
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 @dataclass(frozen=True)
@@ -218,24 +220,15 @@ def summarize(rows):
     return out
 
 
-def _fmt_float(x):
+def _fmt(value):
     # 17 significant digits round-trips float64 exactly
-    return format(float(x), ".17g")
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def rows_to_csv(rows):
     lines = [CSV_HEADER]
     for r in sorted(rows, key=lambda r: (r.snr_db, r.m, r.trial, r.mode)):
-        lines.append(",".join([
-            _fmt_float(r.snr_db),
-            str(r.m),
-            str(r.trial),
-            r.mode,
-            _fmt_float(r.nmse),
-            _fmt_float(r.subspace_dist),
-            str(r.channel_uses),
-            str(r.seed),
-        ]))
+        lines.append(",".join(_fmt(value) for value in astuple(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -251,7 +244,7 @@ def check_combiner_independence(rng):
         h_s = generate_channel(cfg, rng.split(i, 0)).h[:, :6]
         noise = sample_complex_gaussian(rng.split(i, 1), 16, 6, 0.05)
         for bank in (dft_combiner(16), random_unitary(rng.split(i, 2), 16)):
-            y_tilde = invert_combiner(bank, observe_columns(h_s, bank, noise))
+            y_tilde = sound_and_invert_block(h_s, bank, noise)
             err = np.max(np.abs(y_tilde - h_s - noise))
             worst = max(worst, float(err))
     return worst <= 1e-9, (f"max entrywise deviation {worst:.3e} over 50 instances, "
@@ -290,17 +283,17 @@ def check_sounder_constraints(rng):
     """Sounders are constant-modulus, residuals never grow, in-dictionary targets fit."""
     worst_mod = 0.0
     monotone = True
-    dictionary = build_dictionary(16, 32)
+    atoms = build_dictionary(16, 32)
     cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=5)
     for i in range(20):
         real = generate_channel(cfg, rng.split(i))
-        sounder = design_sounder_omp(estimate_stage1(real.h, 3).basis, dictionary, 5)
+        sounder = design_sounder_omp(estimate_stage1(real.h, 3).basis, atoms, 5)
         dev = np.max(np.abs(np.abs(sounder.analog) - 1.0 / math.sqrt(16)))
         worst_mod = max(worst_mod, float(dev))
         path = sounder.residual_path
         monotone = monotone and all(b <= a + 1e-12 for a, b in zip(path, path[1:]))
-    target = np.linalg.qr(dictionary.atoms[:, [5, 20]])[0]
-    exact = design_sounder_omp(target, dictionary, 2).residual
+    target = np.linalg.qr(atoms[:, [5, 20]])[0]
+    exact = design_sounder_omp(target, atoms, 2).residual
     passed = worst_mod <= 1e-12 and monotone and exact <= 1e-8
     return passed, (f"max modulus deviation {worst_mod:.3e} over 20 designs, residuals "
                     f"monotone: {monotone}, exact target residual {exact:.3e}")

@@ -10,12 +10,14 @@ Monte Carlo trials stay reproducible and independent of execution order.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 __all__ = [
     "RngState",
     "as_complex_matrix",
+    "as_integer",
     "sample_complex_gaussian",
     "random_unitary",
 ]
@@ -32,6 +34,14 @@ def as_complex_matrix(a, name="matrix"):
         bad = int(np.count_nonzero(~np.isfinite(out.real) | ~np.isfinite(out.imag)))
         raise ValueError(f"{name} contains {bad} non-finite entries")
     return out
+
+
+def as_integer(value, name):
+    """``value`` as an int; a Python or numpy integer passes, anything else
+    (a float, even 4.0, included) is a ValueError."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class RngState:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import as_complex_matrix, sample_complex_gaussian
-from .sounding import dft_combiner, invert_combiner, observe_columns
+from .sounding import dft_combiner, sound_and_invert_block
 from .stage2 import build_dictionary, design_sounder_omp, sound_and_recover_block
 from .subspace import estimate_stage1, subspace_distance
 
@@ -78,16 +78,15 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
         raise ValueError(f"unknown recovery mode {mode!r}")
     # the sampler rejects a negative or non-finite sigma2 before any draw
     noise = sample_complex_gaussian(rng, cfg.n_rx, m, sigma2)
-    bank = dft_combiner(cfg.n_rx)
-    y_tilde = invert_combiner(bank, observe_columns(real.h[:, :m], bank, noise))
+    y_tilde = sound_and_invert_block(real.h[:, :m], dft_combiner(cfg.n_rx), noise)
     est = estimate_stage1(y_tilde, cfg.paths)
     h_hat = est.denoised
     if m < cfg.n_tx:
         if mode == "ideal":
             sounder, column_mode = est.basis, "pseudo-inverse"
         else:
-            dictionary = build_dictionary(cfg.n_rx, cfg.grid_size)
-            sounder = design_sounder_omp(est.basis, dictionary, cfg.n_rf).product
+            atoms = build_dictionary(cfg.n_rx, cfg.grid_size)
+            sounder = design_sounder_omp(est.basis, atoms, cfg.n_rf).product
             column_mode = mode
         h_rest = sound_and_recover_block(real.h[:, m:], sounder, sigma2, rng,
                                          column_mode)

@@ -17,8 +17,7 @@ from .numkit import as_complex_matrix
 
 __all__ = [
     "dft_combiner",
-    "observe_columns",
-    "invert_combiner",
+    "sound_and_invert_block",
 ]
 
 # combiner banks with condition numbers beyond this are treated as singular
@@ -39,11 +38,12 @@ def dft_combiner(n):
     return bank
 
 
-def observe_columns(h_s, bank, noise):
-    """Stacked combiner outputs Y = M^H H_S + M^H N of a column block.
+def sound_and_invert_block(h_s, bank, noise):
+    """Sound a column block through the bank and undo the bank: H_S + N back.
 
-    Keeping the noise argument explicit lets oracle tests replay the same
-    noise through different banks.
+    The stacked combiner outputs are Y = M^H H_S + M^H N; solving M^H X = Y
+    returns H_S + N exactly for any full-rank bank. Keeping the noise argument
+    explicit lets oracle tests replay the same noise through different banks.
     """
     h_s = as_complex_matrix(h_s, "column block")
     bank = as_complex_matrix(bank, "combiner bank")
@@ -54,11 +54,6 @@ def observe_columns(h_s, bank, noise):
         raise ValueError("combiner bank size must match the array size")
     if noise.shape != h_s.shape:
         raise ValueError("noise must match the column block shape")
-    return bank.conj().T @ h_s + bank.conj().T @ noise
-
-
-def invert_combiner(bank, observations):
-    """Undo the combiner bank, returning H_S + N exactly for any full-rank bank."""
     # the cached DFT bank is unitary (condition number 1): check other banks only
     if bank is not dft_combiner(len(bank)):
         cond = np.linalg.cond(bank)
@@ -66,4 +61,5 @@ def invert_combiner(bank, observations):
             raise ValueError(
                 f"combiner bank is numerically singular (condition number {cond:.3e})"
             )
-    return np.linalg.solve(bank.conj().T, observations)
+    mh = bank.conj().T
+    return np.linalg.solve(mh, mh @ h_s + mh @ noise)

@@ -19,7 +19,6 @@ from .channel import ula_response
 from .numkit import as_complex_matrix
 
 __all__ = [
-    "SteeringDictionary",
     "HybridSounder",
     "build_dictionary",
     "design_sounder_omp",
@@ -27,14 +26,6 @@ __all__ = [
 ]
 
 COLUMN_MODES = ("pseudo-inverse", "paper-literal")
-
-
-@dataclass(frozen=True)
-class SteeringDictionary:
-    """Unit-norm steering atoms on a uniform grid of the sine domain."""
-
-    atoms: np.ndarray = field(repr=False)  # n_rx x grid_size
-    grid: np.ndarray = field(repr=False)  # sin values in [-1, 1)
 
 
 @dataclass(frozen=True)
@@ -51,25 +42,23 @@ class HybridSounder:
 
 @functools.lru_cache
 def build_dictionary(n_r, grid_size):
-    """Steering atoms at the uniform sine grid -1 + 2k / grid_size.
+    """The n_r x grid_size steering atoms, column k at the sine -1 + 2k / grid_size.
 
-    The default grid (twice the array size) samples the sine domain at twice
-    the critical resolution; entries inherit the 1/sqrt(n_r) modulus of the
-    steering vectors. Built once per size pair and shared: both arrays are
-    read-only.
+    The grid samples the sine domain [-1, 1) uniformly; the default size
+    (twice the array size) is twice the critical resolution. Entries inherit
+    the 1/sqrt(n_r) modulus of the steering vectors. Built once per size pair
+    and shared: the returned array is read-only.
     """
     if n_r < 1:
         raise ValueError("array size must be positive")
     if grid_size < 1:
         raise ValueError("grid size must be positive")
-    grid = -1.0 + 2.0 * np.arange(grid_size) / grid_size
-    atoms = ula_response(grid, n_r)
-    grid.flags.writeable = False
+    atoms = ula_response(-1.0 + 2.0 * np.arange(grid_size) / grid_size, n_r)
     atoms.flags.writeable = False
-    return SteeringDictionary(atoms=atoms, grid=grid)
+    return atoms
 
 
-def design_sounder_omp(u_hat, dictionary, n_rf):
+def design_sounder_omp(u_hat, atoms, n_rf):
     """Simultaneous matching pursuit of the target combiner over the atoms.
 
     Each of the n_rf steps scores every unused atom by the energy of its
@@ -78,7 +67,7 @@ def design_sounder_omp(u_hat, dictionary, n_rf):
     residual never increases. Atoms are never reused.
     """
     target = as_complex_matrix(u_hat, "target combiner")
-    atoms = as_complex_matrix(dictionary.atoms)
+    atoms = as_complex_matrix(atoms, "dictionary atoms")
     if atoms.shape[0] != target.shape[0]:
         raise ValueError("dictionary atoms must match the target row count")
     if n_rf < target.shape[1]:
@@ -101,7 +90,6 @@ def design_sounder_omp(u_hat, dictionary, n_rf):
         digital = np.linalg.lstsq(analog, target, rcond=None)[0]
         residual_mat = target - analog @ digital
         residual_path.append(float(np.linalg.norm(residual_mat)))
-    analog = atoms[:, selected]
     return HybridSounder(
         analog=analog,
         digital=digital,

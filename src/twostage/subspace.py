@@ -79,13 +79,13 @@ def subspace_distance(u, u_hat):
     return min(1.0, sine * sine)
 
 
-def perturbation_bound(sigma_l, sigma2, n_r, m, c=1.0):
+def perturbation_bound(sigma_l, sigma2, n_r, m):
     """Order-wise cap on the subspace distance after rank-limited PCA.
 
     ``sigma_l`` is the smallest retained singular value of the clean block,
     ``sigma2`` the per-entry noise variance, ``m`` the sounded column count.
-    The leading constant ``c`` is exposed; the bound saturates at 1 because
-    the distance itself cannot exceed 1.
+    The leading constant is 1; the bound saturates at 1 because the distance
+    itself cannot exceed 1.
     """
     if sigma_l <= 0:
         raise ValueError("smallest retained singular value must be positive")
@@ -93,27 +93,18 @@ def perturbation_bound(sigma_l, sigma2, n_r, m, c=1.0):
         raise ValueError("noise variance must be non-negative")
     if n_r < 1 or m < 1:
         raise ValueError("dimensions must be positive")
-    if c <= 0:
-        raise ValueError("leading constant must be positive")
-    raw = c * n_r * (sigma_l**2 * sigma2 + m * sigma2**2) / sigma_l**4
+    raw = n_r * (sigma_l**2 * sigma2 + m * sigma2**2) / sigma_l**4
     return min(1.0, float(raw))
 
 
-def _numerical_rank(s):
-    if s[0] <= 0:
-        raise ValueError("block has no positive singular value")
-    return int(np.count_nonzero(s > 1e-8 * s[0]))
-
-
-def interlacing_check(h_s, h_new, rank=None):
+def interlacing_check(h_s, h_new, rank):
     """Shift of the rank-th squared singular value when a column is appended.
 
     Returns ``(delta, upper)`` where delta is
     sigma_rank^2([H_S, h_new]) - sigma_rank^2(H_S) and upper is |a_rank|^2
     with ``a`` the coefficients of h_new on the dominant left basis of H_S.
     For columns inside the span of that basis, 0 <= delta <= upper; for a
-    general column only delta >= 0 is guaranteed. ``rank`` defaults to the
-    numerical rank of H_S.
+    general column only delta >= 0 is guaranteed.
     """
     h_s = as_complex_matrix(h_s, "column block")
     h_new = np.asarray(h_new, dtype=np.complex128).reshape(-1)
@@ -121,12 +112,10 @@ def interlacing_check(h_s, h_new, rank=None):
         raise ValueError("appended column length must match the block rows")
     grown = as_complex_matrix(np.column_stack([h_s, h_new]))
     u, s, _ = np.linalg.svd(h_s, full_matrices=False)
-    if rank is None:
-        rank = _numerical_rank(s)
     if not 1 <= rank <= len(s):
         raise ValueError(f"rank must be in [1, {len(s)}], got {rank}")
     if s[rank - 1] <= 0:
-        raise ValueError("retained singular values must be positive")
+        raise ValueError(f"rank {rank} reaches past the last positive singular value")
     upper = float(abs(np.vdot(u[:, rank - 1], h_new)) ** 2)
     s_grown = np.linalg.svd(grown, compute_uv=False)
     delta = float(s_grown[rank - 1] ** 2 - s[rank - 1] ** 2)

@@ -43,6 +43,12 @@ def test_config_rejects_misc_bad_values():
         _small_cfg(seed=-3)
     with pytest.raises(ValueError, match="atoms"):
         _small_cfg(n_rf=4, grid_size=3)
+    # a count must be an integer: 8.5 antennas would give grid_size=17.0
+    for name, bad in (("n_rx", 8.5), ("n_tx", 16.0), ("paths", 2.5), ("n_rf", 2.0),
+                      ("grid_size", 16.5), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            _small_cfg(**{name: bad})
+    assert _small_cfg(n_rx=np.int64(8), grid_size=np.int32(16)).grid_size == 16
 
 
 # ----------------------------------------------------------------- steering
@@ -93,6 +99,17 @@ def test_channel_matches_path_sum_oracle():
         a_t = steering_vector(real.aod_angles[l], cfg.n_tx)
         acc += scale * real.gains[l] * np.outer(a_r, a_t)
     assert np.linalg.norm(real.h - acc) <= 1e-10 * np.linalg.norm(real.h)
+
+
+def test_steering_factors_are_the_steering_vectors_bit_for_bit():
+    cfg = _small_cfg(n_rx=16, n_tx=32, paths=4, n_rf=4)
+    for i in range(20):
+        real = generate_channel(cfg, RngState(5, (i,)))
+        for l in range(cfg.paths):
+            np.testing.assert_array_equal(
+                real.a_rx[:, l], steering_vector(real.aoa_angles[l], cfg.n_rx))
+            np.testing.assert_array_equal(
+                real.a_tx[:, l], steering_vector(real.aod_angles[l], cfg.n_tx))
 
 
 def test_channel_has_numerical_rank_at_most_paths():

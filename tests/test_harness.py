@@ -22,7 +22,7 @@ from twostage.harness import (
     write_rows,
 )
 from twostage.numkit import RngState
-from twostage.pipeline import two_stage_estimate
+from twostage.pipeline import full_observation_baseline, two_stage_estimate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,6 +81,12 @@ def test_spec_coerces_sequences_and_validates():
         _small_spec(modes=("genie",))
     with pytest.raises(ValueError, match="worker"):
         _small_spec(workers=0)
+    # a non-integral count is rejected, not truncated or kept as a float
+    for field, value in (("m_list", (4.5,)), ("trials", 1.5), ("workers", 2.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            _small_spec(**{field: value})
+    numpy_ints = _small_spec(m_list=(np.int64(4),), trials=np.int32(2))
+    assert numpy_ints.m_list == (4,) and type(numpy_ints.m_list[0]) is int
     # a repeated grid value would give two cells one CSV key; -0.0 repeats 0.0
     for field, values, match in (("snr_db_list", (10.0, 0.0, 10.0), "repeats 10.0"),
                                  ("snr_db_list", (0.0, -0.0), "repeats -0.0"),
@@ -110,6 +116,26 @@ def test_rows_of_one_trial_share_their_stream_seed():
         by_trial.setdefault((r.snr_db, r.m, r.trial), set()).add(r.seed)
     assert all(len(seeds) == 1 for seeds in by_trial.values())
     assert len({next(iter(s)) for s in by_trial.values()}) == len(by_trial)
+
+
+def test_every_row_replays_from_its_grid_indices_and_the_stream_keys():
+    # the recipe in the README: root RngState(seed, (snr index, m index, trial));
+    # channel on key 0, mode k on key 1 + k, baseline on key 999
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=4)
+    spec = _small_spec(scenario=cfg, modes=("ideal", "pseudo-inverse"))
+    for row in run_sweep(spec):
+        root = RngState(4, (spec.snr_db_list.index(row.snr_db),
+                            spec.m_list.index(row.m), row.trial))
+        real = generate_channel(cfg, root.split(0))
+        sigma2 = noise_var_from_snr_db(row.snr_db)
+        if row.mode == "full-observation":
+            rep = full_observation_baseline(real, sigma2, root.split(999))
+        else:
+            rep = two_stage_estimate(real, cfg, row.m, sigma2,
+                                     root.split(1 + spec.modes.index(row.mode)),
+                                     mode=row.mode)
+        assert root.state_id() == row.seed
+        assert (rep.nmse, rep.subspace_dist) == (row.nmse, row.subspace_dist)
 
 
 def _raise(exc_type):

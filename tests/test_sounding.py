@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twostage.channel import SystemConfig, generate_channel
 from twostage.numkit import RngState, random_unitary, sample_complex_gaussian
 from twostage.pipeline import two_stage_estimate
-from twostage.sounding import dft_combiner, invert_combiner, observe_columns
+from twostage.sounding import dft_combiner, sound_and_invert_block
 
 
 def _channel(seed=0, **kw):
@@ -50,17 +50,20 @@ def test_dft_combiner_is_built_once_and_read_only():
 
 
 def _sound(h, m, sigma2, rng):
-    """Stage-1 sounding of the first m columns through the DFT bank."""
+    """Stage-1 sounding and inversion of the first m columns through the DFT bank."""
     noise = sample_complex_gaussian(rng, h.shape[0], m, sigma2)
-    return observe_columns(h[:, :m], dft_combiner(h.shape[0]), noise), noise
+    return sound_and_invert_block(h[:, :m], dft_combiner(h.shape[0]), noise), noise
 
 
-def test_observation_equals_combined_signal_plus_combined_noise():
+def test_inversion_solves_the_combined_signal_plus_combined_noise():
+    # bitwise oracle: solve(M^H, M^H H + M^H N) for the DFT bank and another bank
     _, real = _channel(3)
-    y, noise = _sound(real.h, 4, 0.1, RngState(3).split(1))
-    bank = dft_combiner(8)
-    expected = bank.conj().T @ real.h[:, :4] + bank.conj().T @ noise
-    np.testing.assert_array_equal(y, expected)
+    noise = sample_complex_gaussian(RngState(3).split(1), 8, 4, 0.1)
+    for bank in (dft_combiner(8), random_unitary(RngState(3).split(2), 8)):
+        mh = bank.conj().T
+        expected = np.linalg.solve(mh, mh @ real.h[:, :4] + mh @ noise)
+        np.testing.assert_array_equal(
+            sound_and_invert_block(real.h[:, :4], bank, noise), expected)
 
 
 def test_channel_use_accounting_with_and_without_divisibility():
@@ -74,15 +77,14 @@ def test_channel_use_accounting_with_and_without_divisibility():
 
 def test_noiseless_inversion_recovers_the_block_exactly():
     _, real = _channel(5)
-    y, _ = _sound(real.h, 4, 0.0, RngState(5).split(1))
-    recovered = invert_combiner(dft_combiner(8), y)
+    recovered, _ = _sound(real.h, 4, 0.0, RngState(5).split(1))
     assert np.max(np.abs(recovered - real.h[:, :4])) <= 1e-12
 
 
 def test_recovery_error_is_exactly_the_injected_noise():
     _, real = _channel(7)
-    y, noise = _sound(real.h, 4, 0.2, RngState(7).split(1))
-    error = invert_combiner(dft_combiner(8), y) - real.h[:, :4]
+    recovered, noise = _sound(real.h, 4, 0.2, RngState(7).split(1))
+    error = recovered - real.h[:, :4]
     np.testing.assert_allclose(error, noise, atol=1e-12)
 
 
@@ -97,8 +99,7 @@ def test_recovered_block_is_independent_of_the_combiner_bank():
         random_unitary(RngState(9).split(2), 8),
         np.eye(8) + 0.2 * sample_complex_gaussian(RngState(9).split(3), 8, 8, 1.0),
     ]
-    recovered = [invert_combiner(bank, observe_columns(h_s, bank, noise))
-                 for bank in banks]
+    recovered = [sound_and_invert_block(h_s, bank, noise) for bank in banks]
     for rec in recovered:
         np.testing.assert_allclose(rec, h_s + noise, atol=1e-9)
 
@@ -118,9 +119,15 @@ def test_singular_bank_is_rejected_with_condition_diagnostic():
     _, real = _channel(13)
     bank = np.ones((8, 8), dtype=complex)  # rank one
     noise = np.zeros((8, 4), dtype=complex)
-    y = observe_columns(real.h[:, :4], bank, noise)
     with pytest.raises(ValueError, match="condition number"):
-        invert_combiner(bank, y)
+        sound_and_invert_block(real.h[:, :4], bank, noise)
+    # a list bank is coerced like any other array argument
+    recovered = sound_and_invert_block(real.h[:, :4], np.eye(8).tolist(), noise)
+    np.testing.assert_allclose(recovered, real.h[:, :4], atol=1e-12)
+    nan_bank = dft_combiner(8).copy()
+    nan_bank[2, 5] = np.nan
+    with pytest.raises(ValueError, match="combiner bank contains 1 non-finite"):
+        sound_and_invert_block(real.h[:, :4], nan_bank, noise)
 
 
 def test_stage1_through_the_dft_bank_skips_the_condition_check(monkeypatch):
@@ -130,8 +137,8 @@ def test_stage1_through_the_dft_bank_skips_the_condition_check(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cond", no_cond)
     _, real = _channel(13)
-    y, noise = _sound(real.h, 4, 0.1, RngState(13).split(1))
-    error = invert_combiner(dft_combiner(8), y) - real.h[:, :4]
+    recovered, noise = _sound(real.h, 4, 0.1, RngState(13).split(1))
+    error = recovered - real.h[:, :4]
     np.testing.assert_allclose(error, noise, atol=1e-12)
 
 
@@ -139,6 +146,6 @@ def test_observe_rejects_shape_mismatches():
     _, real = _channel(15)
     noise = np.zeros((8, 4), dtype=complex)
     with pytest.raises(ValueError, match="square"):
-        observe_columns(real.h[:, :4], np.ones((8, 4)), noise)
+        sound_and_invert_block(real.h[:, :4], np.ones((8, 4)), noise)
     with pytest.raises(ValueError, match="noise"):
-        observe_columns(real.h[:, :4], dft_combiner(8), noise[:, :3])
+        sound_and_invert_block(real.h[:, :4], dft_combiner(8), noise[:, :3])

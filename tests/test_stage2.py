@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from twostage.channel import SystemConfig, generate_channel, steering_vector
+from twostage.channel import SystemConfig, generate_channel, steering_vector, ula_response
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import two_stage_estimate
-from twostage.sounding import dft_combiner, invert_combiner, observe_columns
+from twostage.sounding import dft_combiner, sound_and_invert_block
 from twostage.stage2 import (
-    SteeringDictionary,
     build_dictionary,
     design_sounder_omp,
     sound_and_recover_block,
@@ -20,45 +19,45 @@ from twostage.subspace import estimate_stage1
 
 
 def test_two_element_dictionary_is_written_out():
-    d = build_dictionary(2, 2)
-    np.testing.assert_allclose(d.grid, [-1.0, 0.0])
-    np.testing.assert_allclose(d.atoms[:, 0], np.array([1.0, np.exp(1j * np.pi)])
+    # grid sines -1 and 0
+    atoms = build_dictionary(2, 2)
+    assert atoms.shape == (2, 2)
+    np.testing.assert_allclose(atoms[:, 0], np.array([1.0, np.exp(1j * np.pi)])
                                / math.sqrt(2), atol=1e-15)
-    np.testing.assert_allclose(d.atoms[:, 1], np.array([1.0, 1.0])
+    np.testing.assert_allclose(atoms[:, 1], np.array([1.0, 1.0])
                                / math.sqrt(2), atol=1e-15)
 
 
 def test_atoms_have_unit_norm_and_constant_modulus():
-    d = build_dictionary(16, 32)
-    np.testing.assert_allclose(np.linalg.norm(d.atoms, axis=0), 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(d.atoms), 1 / 4.0, atol=1e-12)
+    atoms = build_dictionary(16, 32)
+    np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(atoms), 1 / 4.0, atol=1e-12)
 
 
 def test_grid_covers_the_sine_domain_uniformly():
-    d = build_dictionary(8, 16)
-    np.testing.assert_allclose(d.grid, -1.0 + 2.0 * np.arange(16) / 16)
+    np.testing.assert_array_equal(build_dictionary(8, 16),
+                                  ula_response(-1.0 + 2.0 * np.arange(16) / 16, 8))
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_mutual_coherence_matches_the_dirichlet_kernel_peak(n):
     # worst-case inner product of the critical grid in closed form
-    d = build_dictionary(n, 2 * n)
-    gram = np.abs(d.atoms.conj().T @ d.atoms)
+    atoms = build_dictionary(n, 2 * n)
+    gram = np.abs(atoms.conj().T @ atoms)
     np.fill_diagonal(gram, 0.0)
     expected = 1.0 / (n * math.sin(math.pi / (2 * n)))
     np.testing.assert_allclose(gram.max(), expected, rtol=1e-12)
 
 
 def test_dictionary_is_built_once_and_read_only():
-    d = build_dictionary(16, 32)
-    assert build_dictionary(16, 32) is d
-    fresh = build_dictionary.__wrapped__(16, 32)
-    for shared, new in ((d.atoms, fresh.atoms), (d.grid, fresh.grid)):
-        assert not shared.flags.writeable
-        assert shared is not new
-        assert shared.shape == new.shape and shared.tobytes() == new.tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            shared[0] = 0.0
+    shared = build_dictionary(16, 32)
+    assert build_dictionary(16, 32) is shared
+    new = build_dictionary.__wrapped__(16, 32)
+    assert not shared.flags.writeable
+    assert shared is not new
+    assert shared.shape == new.shape and shared.tobytes() == new.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        shared[0] = 0.0
 
 
 def test_dictionary_rejects_bad_sizes():
@@ -72,8 +71,8 @@ def test_dictionary_rejects_bad_sizes():
 
 
 def test_a_single_atom_target_is_matched_exactly():
-    d = build_dictionary(16, 32)
-    s = design_sounder_omp(d.atoms[:, 9:10], d, 1)
+    atoms = build_dictionary(16, 32)
+    s = design_sounder_omp(atoms[:, 9:10], atoms, 1)
     assert s.selected == (9,)
     assert s.residual <= 1e-10
     assert s.digital.shape == (1, 1)
@@ -81,9 +80,9 @@ def test_a_single_atom_target_is_matched_exactly():
 
 
 def test_an_orthonormalized_atom_pair_is_recovered():
-    d = build_dictionary(16, 32)
-    target = np.linalg.qr(d.atoms[:, [5, 20]])[0]
-    s = design_sounder_omp(target, d, 2)
+    atoms = build_dictionary(16, 32)
+    target = np.linalg.qr(atoms[:, [5, 20]])[0]
+    s = design_sounder_omp(target, atoms, 2)
     assert sorted(s.selected) == [5, 20]
     assert s.residual <= 1e-8
 
@@ -110,18 +109,18 @@ def test_residual_path_never_increases_and_atoms_are_not_reused():
 
 
 def test_design_rejects_impossible_requests():
-    d = build_dictionary(16, 32)
-    target = d.atoms[:, :3]
+    atoms = build_dictionary(16, 32)
+    target = atoms[:, :3]
     with pytest.raises(ValueError, match="need n_rf"):
-        design_sounder_omp(target, d, 2)
+        design_sounder_omp(target, atoms, 2)
     with pytest.raises(ValueError, match="fewer than"):
-        design_sounder_omp(d.atoms[:, :1], build_dictionary(16, 4), 5)
+        design_sounder_omp(atoms[:, :1], build_dictionary(16, 4), 5)
     with pytest.raises(ValueError, match="row count"):
-        design_sounder_omp(np.ones((8, 1)), d, 1)
-    atoms = d.atoms.copy()
-    atoms[3, 7] = np.nan
+        design_sounder_omp(np.ones((8, 1)), atoms, 1)
+    bad = atoms.copy()
+    bad[3, 7] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        design_sounder_omp(target, SteeringDictionary(atoms=atoms, grid=d.grid), 4)
+        design_sounder_omp(target, bad, 4)
 
 
 def test_doubling_the_grid_never_hurts_a_single_steering_target():
@@ -233,9 +232,9 @@ def test_column_recovery_argument_errors():
 
 
 def test_designed_sounder_product_recovers_an_in_dictionary_column():
-    d = build_dictionary(8, 16)
-    s = design_sounder_omp(d.atoms[:, 3:4], d, 1)
-    h = (d.atoms[:, 3] * 2.5)[:, None]
+    atoms = build_dictionary(8, 16)
+    s = design_sounder_omp(atoms[:, 3:4], atoms, 1)
+    h = (atoms[:, 3] * 2.5)[:, None]
     est = sound_and_recover_block(h, s.product, 0.0, RngState(0))
     np.testing.assert_allclose(est, h, atol=1e-9)
 
@@ -274,8 +273,7 @@ def test_remaining_columns_match_a_per_column_loop(mode):
     # replay stage 1 on the same stream, then sound column by column
     rng = RngState(48)
     noise = sample_complex_gaussian(rng, 32, 8, 0.1)
-    bank = dft_combiner(32)
-    y_tilde = invert_combiner(bank, observe_columns(real.h[:, :8], bank, noise))
+    y_tilde = sound_and_invert_block(real.h[:, :8], dft_combiner(32), noise)
     basis = estimate_stage1(y_tilde, 4).basis
     if mode == "ideal":
         w, column_mode = basis, "pseudo-inverse"

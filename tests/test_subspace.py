@@ -4,7 +4,7 @@ import pytest
 from twostage.channel import SystemConfig, generate_channel
 from twostage.harness import noise_var_from_snr_db
 from twostage.numkit import RngState, sample_complex_gaussian
-from twostage.sounding import dft_combiner, invert_combiner, observe_columns
+from twostage.sounding import dft_combiner, sound_and_invert_block
 from twostage.subspace import (
     estimate_stage1,
     interlacing_check,
@@ -210,12 +210,6 @@ def test_bound_frozen_example():
                                rtol=1e-12)
 
 
-def test_bound_scales_linearly_in_the_leading_constant():
-    lo = perturbation_bound(4.0, 0.01, 8, 8, c=1.0)
-    hi = perturbation_bound(4.0, 0.01, 8, 8, c=2.0)
-    np.testing.assert_allclose(hi, 2.0 * lo, rtol=1e-12)
-
-
 def test_bound_rejects_bad_arguments():
     with pytest.raises(ValueError):
         perturbation_bound(0.0, 0.1, 4, 4)
@@ -223,8 +217,6 @@ def test_bound_rejects_bad_arguments():
         perturbation_bound(1.0, -0.1, 4, 4)
     with pytest.raises(ValueError):
         perturbation_bound(1.0, 0.1, 0, 4)
-    with pytest.raises(ValueError):
-        perturbation_bound(1.0, 0.1, 4, 4, c=0.0)
 
 
 # --------------------------------------------------------------- interlacing
@@ -232,7 +224,7 @@ def test_bound_rejects_bad_arguments():
 
 def test_appending_a_zero_column_changes_nothing():
     h_s = _rank_limited(RngState(7), 8, 6, 3)
-    delta, upper = interlacing_check(h_s, np.zeros(8, dtype=complex))
+    delta, upper = interlacing_check(h_s, np.zeros(8, dtype=complex), rank=3)
     assert abs(delta) <= 1e-12
     assert upper == 0.0
 
@@ -268,25 +260,19 @@ def test_delta_matches_a_direct_spectrum_computation():
     np.testing.assert_allclose(delta, after - before, rtol=1e-9, atol=1e-12)
 
 
-def test_default_rank_is_the_numerical_rank():
-    h_s = _rank_limited(RngState(11), 8, 6, 2)
-    h_new = estimate_stage1(h_s, 2).basis @ np.array([0.3, 0.4 + 0.1j])
-    assert interlacing_check(h_s, h_new) == interlacing_check(h_s, h_new, rank=2)
-
-
 def test_interlacing_rejects_bad_inputs():
     h_s = _rank_limited(RngState(12), 8, 6, 3)
     with pytest.raises(ValueError, match="length"):
-        interlacing_check(h_s, np.zeros(7, dtype=complex))
+        interlacing_check(h_s, np.zeros(7, dtype=complex), rank=3)
     with pytest.raises(ValueError, match="rank"):
         interlacing_check(h_s, np.zeros(8, dtype=complex), rank=7)
     with pytest.raises(ValueError, match="positive singular value"):
-        interlacing_check(np.zeros((4, 3)), np.zeros(4, dtype=complex))
+        interlacing_check(np.zeros((4, 3)), np.zeros(4, dtype=complex), rank=1)
     for bad in (np.nan, np.inf):
         h_new = np.zeros(8, dtype=complex)
         h_new[2] = bad
         with pytest.raises(ValueError, match="non-finite entries"):
-            interlacing_check(h_s, h_new)
+            interlacing_check(h_s, h_new, rank=3)
 
 
 # ------------------------------------------------------- estimation accuracy
@@ -304,9 +290,8 @@ def test_more_sounded_columns_do_not_hurt_the_subspace_estimate():
             rng = RngState(13, (m, trial))
             real = generate_channel(cfg, rng.split(0))
             noise = sample_complex_gaussian(rng.split(1), 16, m, sigma2)
-            bank = dft_combiner(16)
-            y = observe_columns(real.h[:, :m], bank, noise)
-            est = estimate_stage1(invert_combiner(bank, y), cfg.paths)
+            y_tilde = sound_and_invert_block(real.h[:, :m], dft_combiner(16), noise)
+            est = estimate_stage1(y_tilde, cfg.paths)
             dists.append(subspace_distance(real.basis, est.basis))
         dists = np.asarray(dists)
         means.append(float(dists.mean()))
