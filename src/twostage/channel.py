@@ -12,6 +12,7 @@ the expected total channel energy is n_rx * n_tx.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -90,25 +91,20 @@ class ChannelRealization:
     a_tx: np.ndarray = field(repr=False)  # n_tx x paths
 
     @property
-    def n_rx(self):
-        return self.h.shape[0]
-
-    @property
-    def n_tx(self):
-        return self.h.shape[1]
-
-    @property
     def paths(self):
         return len(self.gains)
 
-    @property
+    @functools.cached_property
     def basis(self):
         """Orthonormal basis of the column space of h, from the receive steering.
 
         H = a_rx diag(gains) a_tx^T spans exactly col(a_rx): the departure
-        angles are drawn distinct, so a_tx has full column rank.
+        angles are drawn distinct, so a_tx has full column rank. Computed once
+        per realization and read-only; every estimate is scored against it.
         """
-        return np.linalg.qr(self.a_rx)[0]
+        basis = np.linalg.qr(self.a_rx)[0]
+        basis.flags.writeable = False
+        return basis
 
 
 def ula_response(sines, n):

@@ -9,8 +9,9 @@ import time
 from pathlib import Path
 
 from .channel import SystemConfig, generate_channel
-from .harness import (SweepSpec, noise_var_from_snr_db, run_checks, run_sweep,
-                      summarize, write_rows)
+from .harness import (_KEY_BASELINE, _KEY_CHANNEL, _KEY_MODE0, SweepSpec,
+                      noise_var_from_snr_db, run_checks, run_sweep, summarize,
+                      write_rows)
 from .numkit import RngState
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
 
@@ -18,37 +19,30 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 
-def read_config(path):
-    """Parse a ``key = value`` file into a dict; ``#`` starts a comment.
+def _config_argv(path, parser):
+    """A ``key = value`` config file as ``sweep`` argv; ``#`` starts a comment.
 
     Keys are the sweep flag names, lower case, with dashes or underscores;
-    each may appear once.
+    each may appear once. A list flag's value splits on commas and spaces, a
+    single value stays whole (a path may hold spaces), and a boolean word
+    becomes ``--baseline`` / ``--no-baseline``.
     """
-    out = {}
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    flags = {a.option_strings[0][2:].replace("-", "_"): a
+             for a in commands.choices["sweep"]._actions
+             if a.dest not in ("help", "config")}
+    argv, seen = ["sweep"], set()
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip().lower().replace("-", "_")
-        if key in out:
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower().replace("-", "_")
+        if key in seen:
             raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-        out[key] = value.strip()
-    return out
-
-
-def _config_argv(path, parser):
-    """A config file as ``sweep`` argv: a list flag's value splits on commas and
-    spaces, a single value stays whole (a path may hold spaces), and a boolean
-    word becomes ``--baseline`` / ``--no-baseline``."""
-    (commands,) = (a for a in parser._actions if a.dest == "command")
-    flags = {a.option_strings[0][2:].replace("-", "_"): a
-             for a in commands.choices["sweep"]._actions
-             if a.dest not in ("help", "config")}
-    argv = ["sweep"]
-    for key, value in read_config(path).items():
+        seen.add(key)
         if key not in flags:
             raise ValueError(f"unknown config key {key!r}")
         action, flag = flags[key], flags[key].option_strings[0]
@@ -112,27 +106,29 @@ def build_parser():
     return parser
 
 
-def _print_report(rep, out):
+def _print_report(rep, seed, out):
     out.write(f"mode:            {rep.mode}\n")
     out.write(f"nmse:            {rep.nmse:.6e}\n")
     out.write(f"subspace_dist:   {rep.subspace_dist:.6e}\n")
     out.write(f"channel_uses:    stage1={rep.channel_uses_stage1} "
               f"stage2={rep.channel_uses_stage2} total={rep.channel_uses_total}\n")
     out.write(f"dof:             {rep.dof}\n")
-    out.write(f"seed:            {rep.seed}\n")
+    out.write(f"seed:            {seed}\n")
 
 
 def _cmd_estimate(args, out):
     cfg = SystemConfig(**_kwargs(SystemConfig, vars(args)))
     sigma2 = noise_var_from_snr_db(args.snr_db)
+    # a sweep trial's stream keys, under the root stream RngState(seed)
     rng = RngState(cfg.seed)
-    real = generate_channel(cfg, rng.split(0))
-    rep = two_stage_estimate(real, cfg, args.m, sigma2, rng.split(1), mode=args.mode)
-    _print_report(rep, out)
+    real = generate_channel(cfg, rng.split(_KEY_CHANNEL))
+    rep = two_stage_estimate(real, cfg, args.m, sigma2, rng.split(_KEY_MODE0),
+                             mode=args.mode)
+    _print_report(rep, cfg.seed, out)
     if args.baseline:
-        floor = full_observation_baseline(real, sigma2, rng.split(2))
+        floor = full_observation_baseline(real, sigma2, rng.split(_KEY_BASELINE))
         out.write("\n")
-        _print_report(floor, out)
+        _print_report(floor, cfg.seed, out)
     return 0
 
 

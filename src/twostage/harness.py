@@ -11,12 +11,13 @@ from __future__ import annotations
 import concurrent.futures
 import math
 from dataclasses import astuple, dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .channel import SystemConfig, generate_channel
-from .numkit import RngState, as_integer, random_unitary, sample_complex_gaussian
+from .numkit import RngState, as_integer, sample_complex_gaussian
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
 from .sounding import dft_combiner, sound_and_invert_block
 from .stage2 import build_dictionary, design_sounder_omp
@@ -124,6 +125,8 @@ class SweepRow:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+# the canonical row order, shared by the sweep and the CSV
+_ROW_ORDER = attrgetter("snr_db", "m", "trial", "mode")
 
 
 @dataclass(frozen=True)
@@ -191,7 +194,7 @@ def run_sweep(spec):
         with concurrent.futures.ProcessPoolExecutor(spec.workers) as pool:
             rows = [row for group in pool.map(_trial_rows_star, tasks, chunksize=chunk)
                     for row in group]
-    rows.sort(key=lambda r: (r.snr_db, r.m, r.trial, r.mode))
+    rows.sort(key=_ROW_ORDER)
     return rows
 
 
@@ -227,7 +230,7 @@ def _fmt(value):
 
 def rows_to_csv(rows):
     lines = [CSV_HEADER]
-    for r in sorted(rows, key=lambda r: (r.snr_db, r.m, r.trial, r.mode)):
+    for r in sorted(rows, key=_ROW_ORDER):
         lines.append(",".join(_fmt(value) for value in astuple(r)))
     return "\n".join(lines) + "\n"
 
@@ -243,7 +246,8 @@ def check_combiner_independence(rng):
     for i in range(50):
         h_s = generate_channel(cfg, rng.split(i, 0)).h[:, :6]
         noise = sample_complex_gaussian(rng.split(i, 1), 16, 6, 0.05)
-        for bank in (dft_combiner(16), random_unitary(rng.split(i, 2), 16)):
+        gaussian = sample_complex_gaussian(rng.split(i, 2), 16, 16, 1.0)
+        for bank in (dft_combiner(16), gaussian):
             y_tilde = sound_and_invert_block(h_s, bank, noise)
             err = np.max(np.abs(y_tilde - h_s - noise))
             worst = max(worst, float(err))
@@ -258,8 +262,7 @@ def check_sampled_column_subspace(rng):
     for i in range(100):
         m = (3, 4, 6)[i % 3]
         real = generate_channel(cfg, rng.split(i))
-        d = subspace_distance(estimate_stage1(real.h, 3).basis,
-                              estimate_stage1(real.h[:, :m], 3).basis)
+        d = subspace_distance(real.basis, estimate_stage1(real.h[:, :m], 3).basis)
         worst = max(worst, d)
     return worst <= 1e-10, (f"max distance {worst:.3e} over 100 noiseless draws, "
                             f"m in (3, 4, 6)")
@@ -287,7 +290,7 @@ def check_sounder_constraints(rng):
     cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=5)
     for i in range(20):
         real = generate_channel(cfg, rng.split(i))
-        sounder = design_sounder_omp(estimate_stage1(real.h, 3).basis, atoms, 5)
+        sounder = design_sounder_omp(real.basis, atoms, 5)
         dev = np.max(np.abs(np.abs(sounder.analog) - 1.0 / math.sqrt(16)))
         worst_mod = max(worst_mod, float(dev))
         path = sounder.residual_path

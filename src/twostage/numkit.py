@@ -19,7 +19,6 @@ __all__ = [
     "as_complex_matrix",
     "as_integer",
     "sample_complex_gaussian",
-    "random_unitary",
 ]
 
 
@@ -54,10 +53,10 @@ class RngState:
     """
 
     def __init__(self, seed, key=()):
-        seed = int(seed)
+        seed = as_integer(seed, "seed")
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        key = tuple(int(k) for k in key)
+        key = tuple(as_integer(k, "stream key") for k in key)
         if any(k < 0 for k in key):
             raise ValueError("stream keys must be non-negative integers")
         self.seed = seed
@@ -93,11 +92,3 @@ def sample_complex_gaussian(rng, rows, cols, variance):
     re = rng.generator.standard_normal((rows, cols))
     im = rng.generator.standard_normal((rows, cols))
     return scale * (re + 1j * im)
-
-
-def random_unitary(rng, n):
-    """Haar-distributed n x n unitary: QR of a complex Gaussian with phase-fixed R."""
-    z = sample_complex_gaussian(rng, n, n, 1.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

@@ -36,7 +36,6 @@ class EstimateReport:
     channel_uses_total: int = 0
     dof: int = 0
     mode: str = "pseudo-inverse"
-    seed: int = 0
 
 
 def nmse(h, h_hat):
@@ -91,19 +90,8 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
         h_rest = sound_and_recover_block(real.h[:, m:], sounder, sigma2, rng,
                                          column_mode)
         h_hat = np.hstack([h_hat, h_rest])
-    uses_stage1 = m * math.ceil(cfg.n_rx / cfg.n_rf)
-    uses_stage2 = cfg.n_tx - m
-    return EstimateReport(
-        h_hat=h_hat,
-        nmse=nmse(real.h, h_hat),
-        subspace_dist=subspace_distance(real.basis, est.basis),
-        channel_uses_stage1=uses_stage1,
-        channel_uses_stage2=uses_stage2,
-        channel_uses_total=uses_stage1 + uses_stage2,
-        dof=degrees_of_freedom(cfg.n_rx, cfg.n_tx, cfg.paths),
-        mode=mode,
-        seed=cfg.seed,
-    )
+    return _report(real, h_hat, est.basis, m * math.ceil(cfg.n_rx / cfg.n_rf),
+                   cfg.n_tx - m, mode)
 
 
 def full_observation_baseline(real, sigma2, rng):
@@ -113,18 +101,20 @@ def full_observation_baseline(real, sigma2, rng):
     not comparable with the sounding budget of the two-stage estimator; rows
     carry the ``full-observation`` tag to keep that explicit.
     """
-    h = real.h
-    noise = sample_complex_gaussian(rng, h.shape[0], h.shape[1], sigma2)
-    est = estimate_stage1(h + noise, real.paths)
-    entries = h.shape[0] * h.shape[1]
+    noise = sample_complex_gaussian(rng, *real.h.shape, sigma2)
+    est = estimate_stage1(real.h + noise, real.paths)
+    return _report(real, est.denoised, est.basis, real.h.size, 0, "full-observation")
+
+
+def _report(real, h_hat, basis, uses_stage1, uses_stage2, mode):
+    """Score an estimate and its column basis against the realization."""
     return EstimateReport(
-        h_hat=est.denoised,
-        nmse=nmse(h, est.denoised),
-        subspace_dist=subspace_distance(real.basis, est.basis),
-        channel_uses_stage1=entries,
-        channel_uses_stage2=0,
-        channel_uses_total=entries,
-        dof=degrees_of_freedom(h.shape[0], h.shape[1], real.paths),
-        mode="full-observation",
-        seed=rng.seed,
+        h_hat=h_hat,
+        nmse=nmse(real.h, h_hat),
+        subspace_dist=subspace_distance(real.basis, basis),
+        channel_uses_stage1=uses_stage1,
+        channel_uses_stage2=uses_stage2,
+        channel_uses_total=uses_stage1 + uses_stage2,
+        dof=degrees_of_freedom(*h_hat.shape, basis.shape[1]),
+        mode=mode,
     )

@@ -9,7 +9,7 @@ import pytest
 
 from twostage import cli, harness
 from twostage.channel import SystemConfig, generate_channel
-from twostage.cli import build_parser, main, read_config
+from twostage.cli import _config_argv, build_parser, main
 from twostage.harness import (
     CSV_HEADER,
     SweepRow,
@@ -267,21 +267,23 @@ def test_config_parsing(tmp_path):
         "\n"
         "TRIALS=5\n"
     )
-    assert read_config(path) == {"nr": "8", "snr_db": "0, 10", "trials": "5"}
+    assert _config_argv(path, build_parser()) == [
+        "sweep", "--nr=8", "--snr-db", "0", "10", "--trials=5"]
 
 
 def test_config_rejects_lines_without_assignment(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("nr = 8\njust words\n")
     with pytest.raises(ValueError, match="bad.cfg:2"):
-        read_config(path)
+        _config_argv(path, build_parser())
 
 
 # -------------------------------------------------------------------- checks
 
 
-def test_builtin_checks_all_pass():
-    results = run_checks(seed=0)
+@pytest.mark.parametrize("seed", (0, 7))
+def test_builtin_checks_all_pass(seed):
+    results = run_checks(seed=seed)
     assert [name for name, _, _ in results] == [
         "combiner-independence",
         "sampled-column-subspace",
@@ -436,8 +438,18 @@ def test_cli_estimate_defaults_are_the_library_defaults(capsys):
     rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, 8, 0.1,
                              rng.split(1))
     expected = io.StringIO()
-    cli._print_report(rep, expected)
+    cli._print_report(rep, cfg.seed, expected)
     assert capsys.readouterr().out == expected.getvalue()
+
+
+def test_cli_estimate_floor_draws_on_the_sweep_baseline_key(capsys):
+    assert main(["estimate", "--baseline", "--seed", "3"]) == 0
+    cfg = SystemConfig(seed=3)
+    real = generate_channel(cfg, RngState(3).split(0))
+    floor = full_observation_baseline(real, 0.1, RngState(3).split(999))
+    expected = io.StringIO()
+    cli._print_report(floor, 3, expected)
+    assert capsys.readouterr().out.endswith("\n\n" + expected.getvalue())
 
 
 _DEFAULT_SPEC = SweepSpec(scenario=SystemConfig())
@@ -522,3 +534,13 @@ def test_readme_commands_parse_and_resolve(monkeypatch):
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
         if args.command == "sweep":
             _captured_spec(monkeypatch, argv[1:])
+
+
+def test_readme_layout_states_the_source_line_count():
+    stated = re.search(r"src/twostage/\s+([\d,]+) lines in all",
+                       (ROOT / "README.md").read_text())
+    assert stated is not None
+    lines = sum(len(path.read_text().splitlines())
+                for path in (ROOT / "src" / "twostage").glob("*.py"))
+    assert int(stated.group(1).replace(",", "")) == lines
+    assert lines < 1400  # the line budget in ROADMAP.md

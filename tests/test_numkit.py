@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from twostage.numkit import (
     RngState,
     as_complex_matrix,
-    random_unitary,
     sample_complex_gaussian,
 )
 from twostage.subspace import estimate_stage1
@@ -188,11 +187,15 @@ def test_rng_rejects_bad_seed_and_keys():
         RngState(-1)
     with pytest.raises(ValueError):
         RngState(1).split(-2)
+    # a float would be truncated onto another stream: RngState(1.5) is not RngState(1)
+    for seed, key in ((1.5, ()), (1.0, ()), (0, (2.7,)), (0, (2.0,))):
+        with pytest.raises(ValueError, match="must be an integer"):
+            RngState(seed, key)
+    with pytest.raises(ValueError, match="must be an integer"):
+        RngState(0).split(2.7)
+    numpy_ints = RngState(np.int64(3), (np.int32(2),))
+    assert numpy_ints.state_id() == RngState(3, (2,)).state_id()
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and non-negative"):
             sample_complex_gaussian(RngState(1), 3, 3, bad)
 
-
-def test_random_unitary_is_unitary():
-    q = random_unitary(RngState(9), 8)
-    np.testing.assert_allclose(q.conj().T @ q, np.eye(8), atol=1e-10)
