@@ -113,7 +113,7 @@ def ula_response(sines, n):
     Entry (k, j) is exp(-1j * pi * k * sines[j]) / sqrt(n), so every column
     has unit norm and every entry has modulus 1 / sqrt(n).
     """
-    k = np.arange(n)[:, None]
+    k = np.arange(as_integer(n, "antenna count"))[:, None]
     return np.exp(-1j * np.pi * k * np.atleast_1d(sines)) / math.sqrt(n)
 
 

@@ -9,6 +9,7 @@ Monte Carlo trials stay reproducible and independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 
@@ -18,6 +19,7 @@ __all__ = [
     "RngState",
     "as_complex_matrix",
     "as_integer",
+    "cached_by_size",
     "sample_complex_gaussian",
 ]
 
@@ -41,6 +43,26 @@ def as_integer(value, name):
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def cached_by_size(*names):
+    """Memoize a builder of shared arrays on its integer size arguments.
+
+    Each argument passes ``as_integer`` under its name before the cache
+    lookup: a float such as 64.0 hashes like 64 and would otherwise be served
+    the cached entry. ``__wrapped__`` is the uncached builder.
+    """
+    def decorate(build):
+        cached = functools.lru_cache(build)
+
+        @functools.wraps(build)
+        def lookup(*sizes):
+            if len(sizes) != len(names):
+                raise TypeError(f"{build.__name__} takes {len(names)} sizes, "
+                                f"got {len(sizes)}")
+            return cached(*map(as_integer, sizes, names))
+        return lookup
+    return decorate
 
 
 class RngState:
@@ -83,6 +105,7 @@ def sample_complex_gaussian(rng, rows, cols, variance):
     imaginary parts. The real block is drawn before the imaginary block, so a
     given stream state always produces the same matrix.
     """
+    rows, cols = as_integer(rows, "rows"), as_integer(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
     if not math.isfinite(variance) or variance < 0:

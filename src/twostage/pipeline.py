@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, sample_complex_gaussian
+from .numkit import as_complex_matrix, as_integer, sample_complex_gaussian
 from .sounding import dft_combiner, sound_and_invert_block
 from .stage2 import build_dictionary, design_sounder_omp, sound_and_recover_block
 from .subspace import estimate_stage1, subspace_distance
@@ -44,10 +44,11 @@ def nmse(h, h_hat):
     h_hat = as_complex_matrix(h_hat, "estimate")
     if h.shape != h_hat.shape:
         raise ValueError(f"shape mismatch: {h.shape} vs {h_hat.shape}")
-    denom = float(np.linalg.norm(h)) ** 2
+    denom = np.vdot(h, h).real
     if denom == 0.0:
         raise ValueError("true channel has zero energy")
-    return float(np.linalg.norm(h - h_hat)) ** 2 / denom
+    error = h - h_hat
+    return float(np.vdot(error, error).real / denom)
 
 
 def degrees_of_freedom(n_r, n_t, paths):
@@ -71,6 +72,7 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     if real.h.shape != (cfg.n_rx, cfg.n_tx):
         raise ValueError(f"channel shape {real.h.shape} does not match the "
                          f"{cfg.n_rx} x {cfg.n_tx} scenario")
+    m = as_integer(m, "m")
     if not cfg.paths <= m <= cfg.n_tx:
         raise ValueError(f"m={m} must satisfy {cfg.paths} <= m <= {cfg.n_tx}")
     if mode not in RECOVERY_MODES:

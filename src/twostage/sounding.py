@@ -8,12 +8,11 @@ bank inverts back to H_S + N, independent of the particular bank.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .numkit import as_complex_matrix
+from .numkit import as_complex_matrix, cached_by_size
 
 __all__ = [
     "dft_combiner",
@@ -24,7 +23,7 @@ __all__ = [
 MAX_COMBINER_COND = 1e12
 
 
-@functools.lru_cache
+@cached_by_size("combiner size")
 def dft_combiner(n):
     """Unitary n x n DFT bank; every entry has modulus 1 / sqrt(n).
 
@@ -42,8 +41,10 @@ def sound_and_invert_block(h_s, bank, noise):
     """Sound a column block through the bank and undo the bank: H_S + N back.
 
     The stacked combiner outputs are Y = M^H H_S + M^H N; solving M^H X = Y
-    returns H_S + N exactly for any full-rank bank. Keeping the noise argument
-    explicit lets oracle tests replay the same noise through different banks.
+    returns H_S + N exactly for any full-rank bank. The cached DFT bank is
+    unitary, so for it X = M Y, with no condition check and no factorization.
+    Keeping the noise argument explicit lets oracle tests replay the same
+    noise through different banks.
     """
     h_s = as_complex_matrix(h_s, "column block")
     bank = as_complex_matrix(bank, "combiner bank")
@@ -54,12 +55,13 @@ def sound_and_invert_block(h_s, bank, noise):
         raise ValueError("combiner bank size must match the array size")
     if noise.shape != h_s.shape:
         raise ValueError("noise must match the column block shape")
-    # the cached DFT bank is unitary (condition number 1): check other banks only
-    if bank is not dft_combiner(len(bank)):
-        cond = np.linalg.cond(bank)
-        if not np.isfinite(cond) or cond > MAX_COMBINER_COND:
-            raise ValueError(
-                f"combiner bank is numerically singular (condition number {cond:.3e})"
-            )
     mh = bank.conj().T
-    return np.linalg.solve(mh, mh @ h_s + mh @ noise)
+    y = mh @ h_s + mh @ noise
+    if bank is dft_combiner(len(bank)):
+        return bank @ y
+    cond = np.linalg.cond(bank)
+    if not np.isfinite(cond) or cond > MAX_COMBINER_COND:
+        raise ValueError(
+            f"combiner bank is numerically singular (condition number {cond:.3e})"
+        )
+    return np.linalg.solve(mh, y)

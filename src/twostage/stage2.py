@@ -9,14 +9,13 @@ product approximates the estimated subspace basis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ula_response
-from .numkit import as_complex_matrix
+from .numkit import as_complex_matrix, as_integer, cached_by_size
 
 __all__ = [
     "HybridSounder",
@@ -26,6 +25,13 @@ __all__ = [
 ]
 
 COLUMN_MODES = ("pseudo-inverse", "paper-literal")
+
+# combiners whose Gram matrix has a condition number beyond this are rank deficient
+MAX_GRAM_COND = 1e12
+
+# an atom whose part outside the span of the atoms already picked is below this
+# fraction of its norm adds nothing to that span
+SPAN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,7 @@ class HybridSounder:
     selected: tuple = ()  # chosen grid indices in selection order
 
 
-@functools.lru_cache
+@cached_by_size("array size", "grid size")
 def build_dictionary(n_r, grid_size):
     """The n_r x grid_size steering atoms, column k at the sine -1 + 2k / grid_size.
 
@@ -62,12 +68,15 @@ def design_sounder_omp(u_hat, atoms, n_rf):
     """Simultaneous matching pursuit of the target combiner over the atoms.
 
     Each of the n_rf steps scores every unused atom by the energy of its
-    correlation row against the current residual, appends the best one, and
-    refits the digital matrix by least squares over all selected atoms, so the
-    residual never increases. Atoms are never reused.
+    correlation row against the current residual and appends the best one.
+    The residual is the part of the target outside the span of the picked
+    atoms, kept as an orthonormal basis that grows by one Gram-Schmidt vector
+    per step, so it never increases. Atoms are never reused. The digital
+    matrix is one least-squares fit over all picked atoms, at the end.
     """
     target = as_complex_matrix(u_hat, "target combiner")
     atoms = as_complex_matrix(atoms, "dictionary atoms")
+    n_rf = as_integer(n_rf, "n_rf")
     if atoms.shape[0] != target.shape[0]:
         raise ValueError("dictionary atoms must match the target row count")
     if n_rf < target.shape[1]:
@@ -78,18 +87,33 @@ def design_sounder_omp(u_hat, atoms, n_rf):
         raise ValueError(
             f"dictionary offers {atoms.shape[1]} atoms, fewer than n_rf={n_rf}"
         )
+    atoms_h = atoms.conj().T
+    # orthonormal basis of the picked atoms' span in its first `rank` columns;
+    # the zero columns past it leave the projections below unchanged
+    span = np.zeros((atoms.shape[0], n_rf), dtype=np.complex128)
+    span_h = np.zeros((n_rf, atoms.shape[0]), dtype=np.complex128)
+    rank = 0
     selected = []
     residual_path = []
     residual_mat = target
-    digital = None
     for _ in range(n_rf):
-        scores = np.linalg.norm(atoms.conj().T @ residual_mat, axis=1)
+        scores = np.linalg.norm(atoms_h @ residual_mat, axis=1)
         scores[selected] = -1.0
-        selected.append(int(np.argmax(scores)))
-        analog = atoms[:, selected]
-        digital = np.linalg.lstsq(analog, target, rcond=None)[0]
-        residual_mat = target - analog @ digital
-        residual_path.append(float(np.linalg.norm(residual_mat)))
+        pick = int(np.argmax(scores))
+        selected.append(pick)
+        atom = q = atoms[:, pick]
+        # the second pass restores the orthogonality the first loses to rounding
+        for _ in range(2):
+            q = q - span @ (span_h @ q)
+        size = math.sqrt(np.vdot(q, q).real)
+        if size > SPAN_TOL * math.sqrt(np.vdot(atom, atom).real):
+            q = q / size
+            span[:, rank], span_h[rank] = q, q.conj()
+            residual_mat = residual_mat - q[:, None] * (span_h[rank] @ residual_mat)
+            rank += 1
+        residual_path.append(math.sqrt(np.vdot(residual_mat, residual_mat).real))
+    analog = atoms[:, selected]
+    digital = np.linalg.lstsq(analog, target, rcond=None)[0]
     return HybridSounder(
         analog=analog,
         digital=digital,
@@ -106,8 +130,9 @@ def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
     The uses stack into Y = W^H (H + N), with W the combiner matrix and the
     noise drawn column by column, real part before imaginary part.
     ``pseudo-inverse`` returns the minimum-norm least-squares estimate
-    W (W^H W)^-1 Y; ``paper-literal`` returns W Y, which agrees only when W has
-    orthonormal columns.
+    W (W^H W)^-1 Y, inverting the Gram matrix through its eigendecomposition;
+    ``paper-literal`` returns W Y, which agrees only when W has orthonormal
+    columns.
     """
     if mode not in COLUMN_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
@@ -123,12 +148,14 @@ def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
     y = wh @ (h + noise)
     if mode == "paper-literal":
         return w @ y
-    gram = wh @ w
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
+    # one eigendecomposition of the Hermitian Gram matrix gives both its
+    # condition number and its inverse
+    evals, evecs = np.linalg.eigh(wh @ w)
+    low, high = float(evals[0]), float(evals[-1])
+    cond = high / low if low > 0 else math.inf
+    if not math.isfinite(cond) or cond > MAX_GRAM_COND:
         raise ValueError(
             f"combiner is rank deficient (Gram condition number {cond:.3e}, "
             f"rank {np.linalg.matrix_rank(w)})"
         )
-    return w @ np.linalg.solve(gram, y)
-
+    return w @ (evecs @ ((evecs.conj().T @ y) / evals[:, None]))

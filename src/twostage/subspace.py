@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix
+from .numkit import as_complex_matrix, as_integer
 
 __all__ = [
     "SubspaceEstimate",
@@ -40,6 +40,7 @@ def estimate_stage1(y_tilde, rank):
     than the SVD that a tall block takes.
     """
     y = as_complex_matrix(y_tilde, "recovered block")
+    rank = as_integer(rank, "rank")
     if not 1 <= rank <= min(y.shape):
         raise ValueError(f"rank must be in [1, {min(y.shape)}], got {rank}")
     if y.shape[1] >= y.shape[0]:
@@ -64,10 +65,11 @@ def subspace_distance(u, u_hat):
 
     For equal-dimension orthonormal bases this is sin^2 of the largest
     principal angle, so it lies in [0, 1]: 0 for identical spans, 1 for
-    orthogonal ones. It is computed as ||U_hat - U (U^H U_hat)||_2^2, the
-    part of U_hat outside span(U), an n x rank matrix rather than the n x n
-    projector difference; unlike 1 - sigma_min(U^H U_hat)^2 this sine form
-    does not cancel for nearly equal spans.
+    orthogonal ones. It is computed as ||D||_2^2 with D = U_hat - U (U^H U_hat),
+    the part of U_hat outside span(U), an n x rank matrix rather than the
+    n x n projector difference, and taken as the largest eigenvalue of the
+    rank x rank Gram matrix D^H D; unlike 1 - sigma_min(U^H U_hat)^2 this
+    sine form does not cancel for nearly equal spans.
     """
     u = as_complex_matrix(u, "reference basis")
     u_hat = as_complex_matrix(u_hat, "estimated basis")
@@ -75,8 +77,10 @@ def subspace_distance(u, u_hat):
         raise ValueError(f"basis shapes differ: {u.shape} vs {u_hat.shape}")
     _require_orthonormal(u, "reference basis")
     _require_orthonormal(u_hat, "estimated basis")
-    sine = float(np.linalg.norm(u_hat - u @ (u.conj().T @ u_hat), 2))
-    return min(1.0, sine * sine)
+    outside = u_hat - u @ (u.conj().T @ u_hat)
+    sine2 = float(np.linalg.eigvalsh(outside.conj().T @ outside)[-1])
+    # for nearly equal spans the largest eigenvalue can round below zero
+    return min(1.0, max(0.0, sine2))
 
 
 def perturbation_bound(sigma_l, sigma2, n_r, m):
@@ -107,6 +111,7 @@ def interlacing_check(h_s, h_new, rank):
     general column only delta >= 0 is guaranteed.
     """
     h_s = as_complex_matrix(h_s, "column block")
+    rank = as_integer(rank, "rank")
     h_new = np.asarray(h_new, dtype=np.complex128).reshape(-1)
     if h_new.shape[0] != h_s.shape[0]:
         raise ValueError("appended column length must match the block rows")

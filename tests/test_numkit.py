@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twostage.channel import SystemConfig, generate_channel, steering_vector, ula_response
 from twostage.numkit import (
     RngState,
     as_complex_matrix,
     sample_complex_gaussian,
 )
-from twostage.subspace import estimate_stage1
+from twostage.pipeline import two_stage_estimate
+from twostage.sounding import dft_combiner
+from twostage.stage2 import build_dictionary, design_sounder_omp
+from twostage.subspace import estimate_stage1, interlacing_check
 
 
 def _random_matrix(seed, rows, cols):
@@ -199,3 +203,40 @@ def test_rng_rejects_bad_seed_and_keys():
         with pytest.raises(ValueError, match="finite and non-negative"):
             sample_complex_gaussian(RngState(1), 3, 3, bad)
 
+
+
+_CFG = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
+_BLOCK = sample_complex_gaussian(RngState(5), 8, 4, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_dictionary(32, 64.5),
+    lambda: build_dictionary(32.0, 64),
+    lambda: dft_combiner(32.5),
+    lambda: steering_vector(0.3, 4.5),
+    lambda: ula_response([0.1, 0.2], 4.0),
+    lambda: two_stage_estimate(generate_channel(_CFG, RngState(0)), _CFG, 8.0, 0.1,
+                               RngState(1)),
+    lambda: estimate_stage1(_BLOCK, 2.0),
+    lambda: interlacing_check(_BLOCK, _BLOCK[:, 0], 2.0),
+    lambda: design_sounder_omp(_BLOCK[:, :1], build_dictionary(8, 16), 6.0),
+    lambda: sample_complex_gaussian(RngState(0), 2.5, 3, 1.0),
+    lambda: sample_complex_gaussian(RngState(0), 2, 3.0, 1.0),
+], ids=["dictionary-grid", "dictionary-array", "dft-bank", "steering", "ula",
+        "two-stage-m", "pca-rank", "interlacing-rank", "omp-n_rf", "gaussian-rows",
+        "gaussian-cols"])
+def test_primitives_reject_non_integer_counts(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+def test_cached_builders_check_counts_before_the_cache_lookup():
+    # 64.0 hashes like 64, so a check inside the cached body would never run
+    shared = build_dictionary(32, 64)
+    with pytest.raises(ValueError, match="grid size must be an integer"):
+        build_dictionary(32, 64.0)
+    assert build_dictionary(np.int64(32), np.int32(64)) is shared
+    bank = dft_combiner(8)
+    with pytest.raises(ValueError, match="combiner size must be an integer"):
+        dft_combiner(8.0)
+    assert dft_combiner(np.int64(8)) is bank

@@ -94,6 +94,30 @@ def test_noiseless_pseudo_inverse_floor_is_the_grid_mismatch():
     assert floors[0] > floors[1] > floors[2]
 
 
+# --------------------------------------------------------------------- cost
+
+
+@pytest.mark.parametrize("m, expected", [
+    (8, {"svd": 1, "lstsq": 1, "eigh": 1, "eigvalsh": 1}),
+    (32, {"lstsq": 1, "eigh": 2, "eigvalsh": 1}),
+])
+def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, expected):
+    # stage 1 undoes the DFT bank by its adjoint, the PCA takes one SVD (tall
+    # block) or one eigh (square), OMP one lstsq, stage 2 one eigh and the
+    # subspace distance one eigvalsh; no cond and no solve anywhere
+    calls = {}
+    for name in ("svd", "eigh", "eigvalsh", "lstsq", "cond", "solve"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
+    real = generate_channel(cfg, RngState(2))
+    real.basis  # the realization's own QR, cached before the count
+    two_stage_estimate(real, cfg, m, 0.1, RngState(3))
+    assert calls == expected
+
+
 # ------------------------------------------------------------------- budget
 
 

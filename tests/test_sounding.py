@@ -56,15 +56,21 @@ def _sound(h, m, sigma2, rng):
 
 
 def test_inversion_solves_the_combined_signal_plus_combined_noise():
-    # bitwise oracle: solve(M^H, M^H H + M^H N) for the DFT bank and another bank
+    # bitwise oracles: the unitary DFT bank is undone by its adjoint,
+    # M (M^H H + M^H N), any other bank by solve(M^H, M^H H + M^H N)
     _, real = _channel(3)
+    h_s = real.h[:, :4]
     noise = sample_complex_gaussian(RngState(3).split(1), 8, 4, 0.1)
     gaussian = sample_complex_gaussian(RngState(3).split(2), 8, 8, 1.0)
     for bank in (dft_combiner(8), gaussian):
         mh = bank.conj().T
-        expected = np.linalg.solve(mh, mh @ real.h[:, :4] + mh @ noise)
-        np.testing.assert_array_equal(
-            sound_and_invert_block(real.h[:, :4], bank, noise), expected)
+        solved = np.linalg.solve(mh, mh @ h_s + mh @ noise)
+        recovered = sound_and_invert_block(h_s, bank, noise)
+        if bank is gaussian:
+            np.testing.assert_array_equal(recovered, solved)
+        else:
+            np.testing.assert_array_equal(recovered, bank @ (mh @ h_s + mh @ noise))
+            assert np.max(np.abs(recovered - solved)) <= 1e-13
 
 
 def test_channel_use_accounting_with_and_without_divisibility():

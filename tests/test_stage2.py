@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,77 @@ def test_doubling_the_grid_usually_helps_a_two_path_subspace_target():
     assert not_worse >= 45
 
 
+def _omp_refit_every_step(target, atoms, n_rf):
+    # the design with a least-squares refit over all picked atoms at every
+    # step, the oracle for the projection-updated residual
+    selected, path = [], []
+    residual = target
+    for _ in range(n_rf):
+        scores = np.linalg.norm(atoms.conj().T @ residual, axis=1)
+        scores[selected] = -1.0
+        selected.append(int(np.argmax(scores)))
+        analog = atoms[:, selected]
+        digital = np.linalg.lstsq(analog, target, rcond=None)[0]
+        residual = target - analog @ digital
+        path.append(float(np.linalg.norm(residual)))
+    return tuple(selected), analog @ digital, path
+
+
+def test_projection_updated_design_matches_the_refit_every_step_loop():
+    # 204 noisy stage-1 bases at the reference scale (32x128, L=4, N_RF=6)
+    cfg = SystemConfig()
+    atoms = build_dictionary(cfg.n_rx, cfg.grid_size)
+    for m in (4, 8, 16, 32):
+        for snr_db in (-10, 5, 20):
+            for trial in range(17):
+                rng = RngState(60, (m, snr_db + 10, trial))
+                real = generate_channel(cfg, rng.split(0))
+                noise = sample_complex_gaussian(rng.split(1), cfg.n_rx, m,
+                                                10.0 ** (-snr_db / 10.0))
+                basis = estimate_stage1(real.h[:, :m] + noise, cfg.paths).basis
+                s = design_sounder_omp(basis, atoms, cfg.n_rf)
+                selected, product, path = _omp_refit_every_step(basis, atoms, cfg.n_rf)
+                assert s.selected == selected
+                np.testing.assert_array_equal(s.product, product)
+                np.testing.assert_allclose(s.residual_path, path, rtol=0, atol=1e-12)
+
+
+def test_atoms_past_the_array_size_add_nothing_to_the_span():
+    # 7 chains on 4 antennas: the first 4 atoms span the space and the residual
+    # drops to rounding level, where the later picks of the two loops may
+    # differ; every later atom adds nothing and the product stays the target
+    atoms = build_dictionary(4, 16)
+    target = estimate_stage1(sample_complex_gaussian(RngState(61), 4, 3, 1.0), 2).basis
+    s = design_sounder_omp(target, atoms, 7)
+    _, product, path = _omp_refit_every_step(target, atoms, 7)
+    assert len(set(s.selected)) == 7
+    assert np.all(np.diff(s.residual_path) <= 0.0)
+    np.testing.assert_allclose(s.residual_path[:4], path[:4], rtol=0, atol=1e-12)
+    assert s.residual <= 1e-14
+    np.testing.assert_allclose(s.product, product, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s.product, target, rtol=0, atol=1e-12)
+
+
+def test_nearly_dependent_and_zero_atoms_keep_the_residual_exact():
+    # atoms 3-5 lie 1e-6 from atoms 0-2: one Gram-Schmidt pass would leave
+    # their span vectors far from orthogonal and put the residual path 1e-3
+    # off a Householder-QR projection; the second pass keeps it within 1e-8.
+    # The zero atom, scored 0 and picked last, adds nothing to the span.
+    rng = RngState(62)
+    base = sample_complex_gaussian(rng.split(0), 8, 3, 1.0)
+    near = base + 1e-6 * sample_complex_gaussian(rng.split(1), 8, 3, 1.0)
+    atoms = np.column_stack([base, near])
+    atoms = np.column_stack([atoms / np.linalg.norm(atoms, axis=0), np.zeros(8)])
+    target = np.linalg.qr(sample_complex_gaussian(rng.split(2), 8, 2, 1.0))[0]
+    s = design_sounder_omp(target, atoms, 7)
+    assert s.selected[-1] == 6
+    for k in range(1, 7):
+        q = np.linalg.qr(atoms[:, list(s.selected[:k])])[0]
+        exact = np.linalg.norm(target - q @ (q.conj().T @ target))
+        assert abs(s.residual_path[k - 1] - exact) <= 1e-8
+    assert s.residual_path[6] == s.residual_path[5]
+
+
 # ------------------------------------------------------------- block recovery
 
 
@@ -212,10 +284,30 @@ def test_modes_agree_only_for_orthonormal_combiners():
 
 
 def test_rank_deficient_combiner_is_reported():
+    # an exactly singular Gram matrix gives an infinite condition number,
+    # with no division warning on the way
     h, w = _column_setup(36)
     dup = np.column_stack([w[:, 0], w[:, 0]])
-    with pytest.raises(ValueError, match="rank deficient"):
-        sound_and_recover_block(h, dup, 0.0, RngState(0))
+    zero = np.column_stack([w[:, 0], np.zeros(8)])
+    for singular in (dup, zero):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"rank deficient .*rank 1\)"):
+                sound_and_recover_block(h, singular, 0.0, RngState(0))
+
+
+@pytest.mark.parametrize("log_cond", [11.8, 12.2])
+def test_gram_condition_threshold_is_1e12(log_cond):
+    h, w = _column_setup(39)
+    skewed = w @ np.diag([1.0, 10.0 ** (-log_cond / 2.0)])
+    gram_cond = np.linalg.cond(skewed.conj().T @ skewed)
+    np.testing.assert_allclose(np.log10(gram_cond), log_cond, atol=1e-3)
+    if log_cond > 12.0:
+        with pytest.raises(ValueError, match="rank deficient"):
+            sound_and_recover_block(h, skewed, 0.0, RngState(0))
+    else:
+        est = sound_and_recover_block(h, skewed, 0.0, RngState(0))
+        np.testing.assert_allclose(est, w @ (w.conj().T @ h), rtol=0, atol=1e-3)
 
 
 def test_column_recovery_argument_errors():

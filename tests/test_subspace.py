@@ -188,6 +188,23 @@ def test_distance_matches_the_projector_form():
                 assert abs(subspace_distance(u, v) - gap**2) <= 1e-12
 
 
+def test_distance_matches_the_svd_norm_form():
+    # the SVD 2-norm of the n x k part outside span(U) that the k x k Gram
+    # eigenvalue replaces, on random pairs, pairs 1e-6 apart and equal pairs,
+    # where the eigenvalue can round below zero
+    rng = RngState(18)
+    for trial in range(20):
+        for n, k in ((32, 4), (8, 3), (6, 1)):
+            u = np.linalg.qr(sample_complex_gaussian(rng.split(trial, n, k, 0),
+                                                     n, k, 1.0))[0]
+            kick = sample_complex_gaussian(rng.split(trial, n, k, 1), n, k, 1.0)
+            for v in (np.linalg.qr(kick)[0], np.linalg.qr(u + 1e-6 * kick)[0], u):
+                sine = np.linalg.norm(v - u @ (u.conj().T @ v), 2)
+                dist = subspace_distance(u, v)
+                assert dist >= 0.0
+                assert abs(dist - min(1.0, sine**2)) <= 1e-14
+
+
 def test_distance_rejects_bad_bases():
     e1 = np.eye(3, dtype=complex)[:, :1]
     with pytest.raises(ValueError, match="orthonormal"):
