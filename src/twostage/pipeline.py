@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import as_complex_matrix, as_integer, sample_complex_gaussian
-from .sounding import dft_combiner, sound_and_invert_block
-from .stage2 import build_dictionary, design_sounder_omp, sound_and_recover_block
-from .subspace import estimate_stage1, subspace_distance
+from .sounding import _invert_block, dft_combiner
+from .stage2 import _design_omp, _recover_block, build_dictionary
+from .subspace import _pca, _sine2
 
 __all__ = [
     "RECOVERY_MODES",
@@ -53,6 +53,7 @@ def nmse(h, h_hat):
 
 def degrees_of_freedom(n_r, n_t, paths):
     """Parameter count of a rank-``paths`` n_r x n_t matrix."""
+    n_r, n_t, paths = map(as_integer, (n_r, n_t, paths), ("n_r", "n_t", "paths"))
     if not 1 <= paths <= min(n_r, n_t):
         raise ValueError("paths must be in [1, min(n_r, n_t)]")
     return paths * (n_r + n_t - paths)
@@ -67,11 +68,13 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     (``ideal`` mode sounds with the estimated basis itself) and recovers each
     remaining column in one channel use. The estimate stacks the denoised
     block and the recovered block in original column order.
-    Deterministic given (cfg, m, sigma2, rng).
+    Deterministic given (cfg, m, sigma2, rng). The channel is checked once,
+    here; the stages below run unchecked on the arrays this function builds.
     """
     if real.h.shape != (cfg.n_rx, cfg.n_tx):
         raise ValueError(f"channel shape {real.h.shape} does not match the "
                          f"{cfg.n_rx} x {cfg.n_tx} scenario")
+    h = as_complex_matrix(real.h, "channel")
     m = as_integer(m, "m")
     if not cfg.paths <= m <= cfg.n_tx:
         raise ValueError(f"m={m} must satisfy {cfg.paths} <= m <= {cfg.n_tx}")
@@ -79,18 +82,16 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
         raise ValueError(f"unknown recovery mode {mode!r}")
     # the sampler rejects a negative or non-finite sigma2 before any draw
     noise = sample_complex_gaussian(rng, cfg.n_rx, m, sigma2)
-    y_tilde = sound_and_invert_block(real.h[:, :m], dft_combiner(cfg.n_rx), noise)
-    est = estimate_stage1(y_tilde, cfg.paths)
+    est = _pca(_invert_block(h[:, :m], dft_combiner(cfg.n_rx), noise), cfg.paths)
     h_hat = est.denoised
     if m < cfg.n_tx:
         if mode == "ideal":
             sounder, column_mode = est.basis, "pseudo-inverse"
         else:
             atoms = build_dictionary(cfg.n_rx, cfg.grid_size)
-            sounder = design_sounder_omp(est.basis, atoms, cfg.n_rf).product
+            sounder = _design_omp(est.basis, atoms, cfg.n_rf).product
             column_mode = mode
-        h_rest = sound_and_recover_block(real.h[:, m:], sounder, sigma2, rng,
-                                         column_mode)
+        h_rest = _recover_block(h[:, m:], sounder, sigma2, rng, column_mode)
         h_hat = np.hstack([h_hat, h_rest])
     return _report(real, h_hat, est.basis, m * math.ceil(cfg.n_rx / cfg.n_rf),
                    cfg.n_tx - m, mode)
@@ -103,17 +104,22 @@ def full_observation_baseline(real, sigma2, rng):
     not comparable with the sounding budget of the two-stage estimator; rows
     carry the ``full-observation`` tag to keep that explicit.
     """
-    noise = sample_complex_gaussian(rng, *real.h.shape, sigma2)
-    est = estimate_stage1(real.h + noise, real.paths)
+    h = as_complex_matrix(real.h, "channel")
+    noise = sample_complex_gaussian(rng, *h.shape, sigma2)
+    est = _pca(h + noise, real.paths)
     return _report(real, est.denoised, est.basis, real.h.size, 0, "full-observation")
 
 
 def _report(real, h_hat, basis, uses_stage1, uses_stage2, mode):
-    """Score an estimate and its column basis against the realization."""
+    """Score an estimate and its column basis against the realization.
+
+    Both bases come orthonormal from a QR, an ``eigh`` or an SVD, so the
+    distance skips that check; ``nmse`` still rejects a non-finite estimate.
+    """
     return EstimateReport(
         h_hat=h_hat,
         nmse=nmse(real.h, h_hat),
-        subspace_dist=subspace_distance(real.basis, basis),
+        subspace_dist=_sine2(real.basis, basis),
         channel_uses_stage1=uses_stage1,
         channel_uses_stage2=uses_stage2,
         channel_uses_total=uses_stage1 + uses_stage2,

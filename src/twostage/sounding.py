@@ -46,9 +46,13 @@ def sound_and_invert_block(h_s, bank, noise):
     Keeping the noise argument explicit lets oracle tests replay the same
     noise through different banks.
     """
-    h_s = as_complex_matrix(h_s, "column block")
-    bank = as_complex_matrix(bank, "combiner bank")
-    noise = as_complex_matrix(noise, "noise")
+    return _invert_block(as_complex_matrix(h_s, "column block"),
+                         as_complex_matrix(bank, "combiner bank"),
+                         as_complex_matrix(noise, "noise"))
+
+
+def _invert_block(h_s, bank, noise):
+    """``sound_and_invert_block`` on finite 2-D complex arrays, unchecked."""
     if bank.shape[0] != bank.shape[1]:
         raise ValueError(f"combiner bank must be square, got {bank.shape}")
     if bank.shape[0] != h_s.shape[0]:

@@ -74,8 +74,12 @@ def design_sounder_omp(u_hat, atoms, n_rf):
     per step, so it never increases. Atoms are never reused. The digital
     matrix is one least-squares fit over all picked atoms, at the end.
     """
-    target = as_complex_matrix(u_hat, "target combiner")
-    atoms = as_complex_matrix(atoms, "dictionary atoms")
+    return _design_omp(as_complex_matrix(u_hat, "target combiner"),
+                       as_complex_matrix(atoms, "dictionary atoms"), n_rf)
+
+
+def _design_omp(target, atoms, n_rf):
+    """``design_sounder_omp`` on finite 2-D complex arrays, unchecked."""
     n_rf = as_integer(n_rf, "n_rf")
     if atoms.shape[0] != target.shape[0]:
         raise ValueError("dictionary atoms must match the target row count")
@@ -134,10 +138,14 @@ def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
     ``paper-literal`` returns W Y, which agrees only when W has orthonormal
     columns.
     """
+    w = as_complex_matrix(combiner, "combiner")
+    return _recover_block(as_complex_matrix(h, "channel"), w, sigma2, rng, mode)
+
+
+def _recover_block(h, w, sigma2, rng, mode):
+    """``sound_and_recover_block`` on finite 2-D complex arrays, unchecked."""
     if mode not in COLUMN_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    w = as_complex_matrix(combiner, "combiner")
-    h = as_complex_matrix(h, "channel")
     if w.shape[0] != h.shape[0]:
         raise ValueError("combiner rows must match the array size")
     if not math.isfinite(sigma2) or sigma2 < 0:

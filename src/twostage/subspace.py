@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,11 @@ def estimate_stage1(y_tilde, rank):
     eigendecomposition of its Gram matrix ``Y Y^H``, which there is cheaper
     than the SVD that a tall block takes.
     """
-    y = as_complex_matrix(y_tilde, "recovered block")
+    return _pca(as_complex_matrix(y_tilde, "recovered block"), rank)
+
+
+def _pca(y, rank):
+    """``estimate_stage1`` on a finite 2-D complex array, unchecked."""
     rank = as_integer(rank, "rank")
     if not 1 <= rank <= min(y.shape):
         raise ValueError(f"rank must be in [1, {min(y.shape)}], got {rank}")
@@ -73,10 +78,15 @@ def subspace_distance(u, u_hat):
     """
     u = as_complex_matrix(u, "reference basis")
     u_hat = as_complex_matrix(u_hat, "estimated basis")
-    if u.shape != u_hat.shape:
-        raise ValueError(f"basis shapes differ: {u.shape} vs {u_hat.shape}")
     _require_orthonormal(u, "reference basis")
     _require_orthonormal(u_hat, "estimated basis")
+    return _sine2(u, u_hat)
+
+
+def _sine2(u, u_hat):
+    """``subspace_distance`` on finite orthonormal complex bases, unchecked."""
+    if u.shape != u_hat.shape:
+        raise ValueError(f"basis shapes differ: {u.shape} vs {u_hat.shape}")
     outside = u_hat - u @ (u.conj().T @ u_hat)
     sine2 = float(np.linalg.eigvalsh(outside.conj().T @ outside)[-1])
     # for nearly equal spans the largest eigenvalue can round below zero
@@ -91,10 +101,12 @@ def perturbation_bound(sigma_l, sigma2, n_r, m):
     The leading constant is 1; the bound saturates at 1 because the distance
     itself cannot exceed 1.
     """
-    if sigma_l <= 0:
-        raise ValueError("smallest retained singular value must be positive")
-    if sigma2 < 0:
-        raise ValueError("noise variance must be non-negative")
+    if not math.isfinite(sigma_l) or sigma_l <= 0:
+        raise ValueError("smallest retained singular value must be finite and "
+                         f"positive, got {sigma_l}")
+    if not math.isfinite(sigma2) or sigma2 < 0:
+        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
+    n_r, m = as_integer(n_r, "n_r"), as_integer(m, "m")
     if n_r < 1 or m < 1:
         raise ValueError("dimensions must be positive")
     raw = n_r * (sigma_l**2 * sigma2 + m * sigma2**2) / sigma_l**4

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twostage import cli, harness
+from twostage import cli, harness, pipeline
 from twostage.channel import SystemConfig, generate_channel
 from twostage.cli import _config_argv, build_parser, main
 from twostage.harness import (
@@ -154,6 +154,26 @@ def test_failed_trials_become_tagged_rows_not_drops(monkeypatch):
     assert all(r.mode == "pseudo-inverse#error:ValueError" for r in rows)
     assert all(math.isnan(r.nmse) and math.isnan(r.subspace_dist) for r in rows)
     assert all(r.channel_uses == 0 for r in rows)
+
+
+def test_a_non_finite_stage_body_output_becomes_a_tagged_row(monkeypatch):
+    # the stage bodies run unchecked inside a trial; the estimate's own check
+    # in nmse turns a NaN column into an error row, not an untagged NaN row
+    recover = pipeline._recover_block
+
+    def nan_column(*args, **kwargs):
+        out = recover(*args, **kwargs)
+        out[:, 2] = np.nan
+        return out
+
+    monkeypatch.setattr(pipeline, "_recover_block", nan_column)
+    spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=1,
+                       modes=("pseudo-inverse",))
+    error, baseline = harness._trial_rows(spec, 0, 0, 0)
+    assert error.mode == "pseudo-inverse#error:ValueError"
+    assert math.isnan(error.nmse) and math.isnan(error.subspace_dist)
+    assert error.channel_uses == 0
+    assert baseline.mode == "full-observation" and math.isfinite(baseline.nmse)
 
 
 @pytest.mark.parametrize("name, exc_type", [

@@ -1,12 +1,16 @@
+import copy
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twostage import numkit, subspace
 from twostage.channel import SystemConfig, generate_channel
+from twostage.harness import SweepSpec, _trial_rows
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import (
     RECOVERY_MODES,
@@ -36,6 +40,12 @@ def test_nmse_examples():
         nmse(np.zeros_like(h), h)
     with pytest.raises(ValueError, match="shape"):
         nmse(h, np.eye(4, dtype=complex))
+    bad = h.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(ValueError, match="true channel contains 1 non-finite"):
+        nmse(bad, h)
+    with pytest.raises(ValueError, match="estimate contains 1 non-finite"):
+        nmse(h, bad)
 
 
 def test_degrees_of_freedom_examples():
@@ -47,6 +57,10 @@ def test_degrees_of_freedom_examples():
         degrees_of_freedom(4, 4, 0)
     with pytest.raises(ValueError):
         degrees_of_freedom(4, 4, 5)
+    for counts in ((32, 128, 4.5), (32.0, 128, 4), (32, 128.0, 4), (32, 128, 4.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            degrees_of_freedom(*counts)
+    assert degrees_of_freedom(np.int64(32), 128, np.int32(4)) == 624
 
 
 # ----------------------------------------------------------- exact regimes
@@ -116,6 +130,29 @@ def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, exp
     real.basis  # the realization's own QR, cached before the count
     two_stage_estimate(real, cfg, m, 0.1, RngState(3))
     assert calls == expected
+
+
+def test_a_reference_trial_checks_each_array_once(monkeypatch):
+    # each estimator checks the channel once and each nmse its two arguments;
+    # the stage bodies, and the distance between the bases the pipeline built,
+    # check nothing again
+    calls = {"as_complex_matrix": 0, "_require_orthonormal": 0}
+    modules = [mod for key, mod in sys.modules.items() if key.startswith("twostage.")]
+    for defining, name in ((numkit, "as_complex_matrix"),
+                           (subspace, "_require_orthonormal")):
+        original = getattr(defining, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:  # patched under every name it is bound to
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    spec = SweepSpec(SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6), trials=1)
+    rows = _trial_rows(spec, 4, 1, 0)
+    assert [row.mode for row in rows] == ["pseudo-inverse", "full-observation"]
+    assert calls == {"as_complex_matrix": 6, "_require_orthonormal": 0}
 
 
 # ------------------------------------------------------------------- budget
@@ -226,6 +263,22 @@ def test_estimate_rejects_a_realization_of_another_shape():
     for h in (real.h[:, :3], real.h[:4]):
         with pytest.raises(ValueError, match="does not match"):
             two_stage_estimate(dataclasses.replace(real, h=h), cfg, 2, 0.0, RngState(0))
+
+
+@pytest.mark.parametrize("column", [3, 12], ids=["sounded", "remaining"])
+def test_a_non_finite_channel_is_rejected_before_any_draw(column):
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
+    real = generate_channel(cfg, RngState(47))
+    h = real.h.copy()
+    h[5, column] = np.nan
+    real = dataclasses.replace(real, h=h)
+    for estimate in (lambda rng: two_stage_estimate(real, cfg, 4, 0.1, rng),
+                     lambda rng: full_observation_baseline(real, 0.1, rng)):
+        rng = RngState(0)
+        before = copy.deepcopy(rng.generator.bit_generator.state)
+        with pytest.raises(ValueError, match="channel contains 1 non-finite"):
+            estimate(rng)
+        np.testing.assert_equal(rng.generator.bit_generator.state, before)
 
 
 # ----------------------------------------------------------------- baseline

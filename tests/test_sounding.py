@@ -131,10 +131,14 @@ def test_singular_bank_is_rejected_with_condition_diagnostic():
     # a list bank is coerced like any other array argument
     recovered = sound_and_invert_block(real.h[:, :4], np.eye(8).tolist(), noise)
     np.testing.assert_allclose(recovered, real.h[:, :4], atol=1e-12)
-    nan_bank = dft_combiner(8).copy()
-    nan_bank[2, 5] = np.nan
-    with pytest.raises(ValueError, match="combiner bank contains 1 non-finite"):
-        sound_and_invert_block(real.h[:, :4], nan_bank, noise)
+    args = {"column block": real.h[:, :4], "combiner bank": dft_combiner(8),
+            "noise": noise}
+    for name in args:
+        bad = dict(args)
+        bad[name] = args[name].copy()
+        bad[name][2, 3] = np.nan
+        with pytest.raises(ValueError, match=f"{name} contains 1 non-finite"):
+            sound_and_invert_block(*bad.values())
 
 
 def test_stage1_through_the_dft_bank_skips_the_condition_check(monkeypatch):

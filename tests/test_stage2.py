@@ -120,8 +120,12 @@ def test_design_rejects_impossible_requests():
         design_sounder_omp(np.ones((8, 1)), atoms, 1)
     bad = atoms.copy()
     bad[3, 7] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="dictionary atoms contains 1 non-finite"):
         design_sounder_omp(target, bad, 4)
+    bad = target.copy()
+    bad[3, 1] = np.nan
+    with pytest.raises(ValueError, match="target combiner contains 1 non-finite"):
+        design_sounder_omp(bad, atoms, 4)
 
 
 def test_doubling_the_grid_never_hurts_a_single_steering_target():
@@ -321,6 +325,11 @@ def test_column_recovery_argument_errors():
         sound_and_recover_block(h, w[:5], 0.1, RngState(0))
     with pytest.raises(ValueError, match="at least one"):
         sound_and_recover_block(h[:, :0], w, 0.1, RngState(0))
+    for position, name in enumerate(("channel", "combiner")):
+        args = [h.copy(), w.copy()]
+        args[position][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"{name} contains 1 non-finite"):
+            sound_and_recover_block(*args, 0.1, RngState(0))
 
 
 def test_designed_sounder_product_recovers_an_in_dictionary_column():

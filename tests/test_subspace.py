@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,13 @@ def test_rank_bounds_are_enforced():
         estimate_stage1(y, 0)
     with pytest.raises(ValueError, match="rank"):
         estimate_stage1(y, 6)
+
+
+def test_stage1_rejects_a_non_finite_block():
+    y = sample_complex_gaussian(RngState(3), 5, 7, 1.0)
+    y[2, 4] = np.inf
+    with pytest.raises(ValueError, match="recovered block contains 1 non-finite"):
+        estimate_stage1(y, 2)
 
 
 def test_stage1_basis_projector_matches_numpy():
@@ -211,6 +220,12 @@ def test_distance_rejects_bad_bases():
         subspace_distance(e1, 2.0 * e1)
     with pytest.raises(ValueError, match="shapes"):
         subspace_distance(e1, np.eye(3, dtype=complex)[:, :2])
+    bad = e1.copy()
+    bad[1, 0] = np.nan
+    with pytest.raises(ValueError, match="reference basis contains 1 non-finite"):
+        subspace_distance(bad, e1)
+    with pytest.raises(ValueError, match="estimated basis contains 1 non-finite"):
+        subspace_distance(e1, bad)
 
 
 # --------------------------------------------------------------------- bound
@@ -234,6 +249,14 @@ def test_bound_rejects_bad_arguments():
         perturbation_bound(1.0, -0.1, 4, 4)
     with pytest.raises(ValueError):
         perturbation_bound(1.0, 0.1, 0, 4)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            perturbation_bound(bad, 0.1, 32, 8)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            perturbation_bound(1.0, bad, 32, 8)
+    for n_r, m in ((32.0, 8), (32, 8.5)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            perturbation_bound(1.0, 0.1, n_r, m)
 
 
 # --------------------------------------------------------------- interlacing
