@@ -175,25 +175,29 @@ def _trial_rows(spec, si, mi, trial):
 
 
 def _trial_rows_star(args):
-    return _trial_rows(*args)
+    """All rows for one ``(spec, keys)`` slice of ``(si, mi, trial)`` keys."""
+    spec, keys = args
+    return [row for si, mi, trial in keys for row in _trial_rows(spec, si, mi, trial)]
 
 
 def run_sweep(spec):
-    """Run every (snr, m, trial) task and return rows sorted canonically."""
-    tasks = [
-        (spec, si, mi, trial)
-        for si in range(len(spec.snr_db_list))
-        for mi in range(len(spec.m_list))
-        for trial in range(spec.trials)
-    ]
-    if spec.workers == 1:
-        groups = map(_trial_rows_star, tasks)
-        rows = [row for group in groups for row in group]
+    """Run every (snr, m, trial) task and return rows sorted canonically.
+
+    The keys are dealt into ``min(workers, len(keys))`` strided slices, one
+    per worker process; a single slice runs in this process.
+    """
+    keys = [(si, mi, trial)
+            for si in range(len(spec.snr_db_list))
+            for mi in range(len(spec.m_list))
+            for trial in range(spec.trials)]
+    workers = min(spec.workers, len(keys))
+    slices = [(spec, keys[k::workers]) for k in range(workers)]
+    if workers == 1:
+        rows = _trial_rows_star(slices[0])
     else:
-        chunk = max(1, len(tasks) // (spec.workers * 8))
-        with concurrent.futures.ProcessPoolExecutor(spec.workers) as pool:
-            rows = [row for group in pool.map(_trial_rows_star, tasks, chunksize=chunk)
-                    for row in group]
+        import numpy.random  # noqa: F401  lazy in numpy; forked workers inherit it
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
+            rows = [row for group in pool.map(_trial_rows_star, slices) for row in group]
     rows.sort(key=_ROW_ORDER)
     return rows
 

@@ -1,7 +1,13 @@
+import concurrent.futures
 import io
+import json
 import math
+import os
 import re
 import shlex
+import sys
+import uuid
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -189,15 +195,59 @@ def test_programming_errors_stop_the_sweep(monkeypatch, name, exc_type):
 
 
 def test_sweeps_are_reproducible_and_schedule_independent():
-    spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=4,
-                       modes=("pseudo-inverse",), baseline=False)
-    serial = run_sweep(spec)
-    again = run_sweep(spec)
-    parallel = run_sweep(_small_spec(snr_db_list=(10.0,), m_list=(4,), trials=4,
-                                     modes=("pseudo-inverse",), baseline=False,
-                                     workers=2))
-    assert serial == again
-    assert rows_to_csv(serial) == rows_to_csv(parallel)
+    # 5 trials per cell split unevenly over 2 and 3 workers
+    spec = _small_spec(trials=5, modes=pipeline.RECOVERY_MODES)
+    serial = rows_to_csv(run_sweep(spec))
+    assert rows_to_csv(run_sweep(spec)) == serial
+    for workers in (2, 3):
+        assert rows_to_csv(run_sweep(replace(spec, workers=workers))) == serial
+
+
+def test_sweeps_fork_no_more_workers_than_trials(monkeypatch):
+    pools = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    one_cell = dict(snr_db_list=(10.0,), m_list=(4,), modes=("ideal",), workers=4)
+    assert len(run_sweep(_small_spec(trials=2, **one_cell))) == 4
+    assert pools == [2]
+    assert len(run_sweep(_small_spec(trials=1, **one_cell))) == 2
+    assert pools == [2]  # a single trial runs in this process
+
+
+_WORKER_PROBE = {}
+
+
+def _slice_recording_imports(args):
+    """Stand-in for ``harness._trial_rows_star``: records the modules a slice loads."""
+    before = set(sys.modules)
+    rows = _WORKER_PROBE["task"](args)
+    record = {"pid": os.getpid(), "grown": sorted(set(sys.modules) - before)}
+    (_WORKER_PROBE["dir"] / f"slice-{uuid.uuid4().hex}.json").write_text(json.dumps(record))
+    return rows
+
+
+def test_forked_workers_import_nothing_while_they_run_trials(tmp_path, monkeypatch):
+    # hide any numpy.random that earlier tests loaded, so this process is as
+    # cold as a fresh `twostage sweep`; monkeypatch puts it back afterwards.
+    # vars() because reading np.random would import it
+    if "random" in vars(np):
+        monkeypatch.delattr(np, "random")
+    for name in [n for n in sys.modules if n.split(".")[:2] == ["numpy", "random"]]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setitem(_WORKER_PROBE, "task", harness._trial_rows_star)
+    monkeypatch.setitem(_WORKER_PROBE, "dir", tmp_path)
+    monkeypatch.setattr(harness, "_trial_rows_star", _slice_recording_imports)
+    run_sweep(_small_spec(snr_db_list=(10.0,), m_list=(4,), trials=2, workers=2))
+    records = [json.loads(path.read_text()) for path in sorted(tmp_path.glob("slice-*"))]
+    assert len(records) == 2
+    for record in records:
+        assert record["pid"] != os.getpid()  # ran in a forked worker
+        assert record["grown"] == []
 
 
 # ------------------------------------------------------------------- summary

@@ -8,6 +8,7 @@ from twostage.harness import noise_var_from_snr_db
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.sounding import dft_combiner, sound_and_invert_block
 from twostage.subspace import (
+    _sine2,
     estimate_stage1,
     interlacing_check,
     perturbation_bound,
@@ -226,6 +227,9 @@ def test_distance_rejects_bad_bases():
         subspace_distance(bad, e1)
     with pytest.raises(ValueError, match="estimated basis contains 1 non-finite"):
         subspace_distance(e1, bad)
+    # the unchecked body a trial calls: a NaN distance is an error, not a clamped 0.0
+    with pytest.raises(ValueError, match="not finite"):
+        _sine2(e1, bad)
 
 
 # --------------------------------------------------------------------- bound
