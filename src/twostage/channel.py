@@ -132,8 +132,8 @@ def _draw_distinct_angles(generator, count):
         angles = generator.uniform(0.0, 2.0 * np.pi, size=count)
         if count == 1:
             return angles
-        s = np.sort(np.sin(angles))
-        if np.min(np.diff(s)) >= MIN_SIN_GAP:
+        s = sorted(np.sin(angles).tolist())
+        if min(b - a for a, b in zip(s, s[1:])) >= MIN_SIN_GAP:
             return angles
     raise RuntimeError("could not draw distinct path angles")  # pragma: no cover
 

@@ -31,8 +31,12 @@ def _config_argv(path, parser):
     flags = {a.option_strings[0][2:].replace("-", "_"): a
              for a in commands.choices["sweep"]._actions
              if a.dest not in ("help", "config")}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # a missing file or a directory is a rejected setting
+        raise ValueError(f"--config {path}: {exc.strerror or exc}") from None
     argv, seen = ["sweep"], set()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
 
@@ -125,6 +125,8 @@ class SweepRow:
 
 
 CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
+# a row's values in CSV column order
+_ROW_VALUES = attrgetter(*(f.name for f in fields(SweepRow)))
 # the canonical row order, shared by the sweep and the CSV
 _ROW_ORDER = attrgetter("snr_db", "m", "trial", "mode")
 
@@ -202,14 +204,6 @@ def run_sweep(spec):
     return rows
 
 
-def _mean_stderr(values):
-    arr = np.asarray(values, dtype=float)
-    mean = float(np.mean(arr))
-    if arr.size == 1:
-        return mean, 0.0
-    return mean, float(np.std(arr, ddof=1) / math.sqrt(arr.size))
-
-
 def summarize(rows):
     """Group rows by (snr, m, mode); mean and standard error of both metrics."""
     if not rows:
@@ -220,10 +214,14 @@ def summarize(rows):
     out = []
     for key in sorted(groups):
         members = groups[key]
-        nmse_mean, nmse_se = _mean_stderr([r.nmse for r in members])
-        dist_mean, dist_se = _mean_stderr([r.subspace_dist for r in members])
-        out.append(SummaryRow(key[0], key[1], key[2], len(members),
-                              nmse_mean, nmse_se, dist_mean, dist_se))
+        n = len(members)
+        # one array row per metric: each reduction runs over contiguous memory
+        metrics = np.array([[r.nmse for r in members],
+                            [r.subspace_dist for r in members]])
+        means = metrics.mean(axis=1).tolist()
+        errors = ([0.0, 0.0] if n == 1
+                  else (metrics.std(axis=1, ddof=1) / math.sqrt(n)).tolist())
+        out.append(SummaryRow(*key, n, means[0], errors[0], means[1], errors[1]))
     return out
 
 
@@ -235,7 +233,7 @@ def _fmt(value):
 def rows_to_csv(rows):
     lines = [CSV_HEADER]
     for r in sorted(rows, key=_ROW_ORDER):
-        lines.append(",".join(_fmt(value) for value in astuple(r)))
+        lines.append(",".join(map(_fmt, _ROW_VALUES(r))))
     return "\n".join(lines) + "\n"
 
 

@@ -32,7 +32,7 @@ def as_complex_matrix(a, name="matrix"):
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if out.shape[0] < 1 or out.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and one column")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         bad = int(np.count_nonzero(~np.isfinite(out.real) | ~np.isfinite(out.imag)))
         raise ValueError(f"{name} contains {bad} non-finite entries")
     return out
@@ -41,7 +41,7 @@ def as_complex_matrix(a, name="matrix"):
 def as_integer(value, name):
     """``value`` as an int; a Python or numpy integer passes, anything else
     (a float, even 4.0, included) is a ValueError."""
-    if not isinstance(value, numbers.Integral):
+    if type(value) is not int and not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -85,7 +85,10 @@ class RngState:
         self.seed = seed
         self.key = key
         self._sequence = np.random.SeedSequence(seed, spawn_key=key)
-        self.generator = np.random.Generator(np.random.Philox(self._sequence))
+
+    @functools.cached_property  # a stream that only splits and names costs a hash
+    def generator(self):
+        return np.random.Generator(np.random.Philox(self._sequence))
 
     def split(self, *key):
         """Child stream keyed by extra integers, independent of the parent position."""

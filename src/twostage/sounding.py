@@ -2,7 +2,7 @@
 
 Each sampled column is excited with a canonical (unit-power) transmit vector
 while the receiver cycles a fixed square combiner bank, n_rf columns per
-channel use. Stacking the uses gives Y = M^H H_S + M^H N, which any full-rank
+channel use. Stacking the uses gives Y = M^H (H_S + N), which any full-rank
 bank inverts back to H_S + N, independent of the particular bank.
 """
 
@@ -40,7 +40,7 @@ def dft_combiner(n):
 def sound_and_invert_block(h_s, bank, noise):
     """Sound a column block through the bank and undo the bank: H_S + N back.
 
-    The stacked combiner outputs are Y = M^H H_S + M^H N; solving M^H X = Y
+    The stacked combiner outputs are Y = M^H (H_S + N); solving M^H X = Y
     returns H_S + N exactly for any full-rank bank. The cached DFT bank is
     unitary, so for it X = M Y, with no condition check and no factorization.
     Keeping the noise argument explicit lets oracle tests replay the same
@@ -60,7 +60,7 @@ def _invert_block(h_s, bank, noise):
     if noise.shape != h_s.shape:
         raise ValueError("noise must match the column block shape")
     mh = bank.conj().T
-    y = mh @ h_s + mh @ noise
+    y = mh @ (h_s + noise)
     if bank is dft_combiner(len(bank)):
         return bank @ y
     cond = np.linalg.cond(bank)

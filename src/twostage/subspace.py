@@ -50,7 +50,8 @@ def _pca(y, rank):
         raise ValueError(f"rank must be in [1, {min(y.shape)}], got {rank}")
     if y.shape[1] >= y.shape[0]:
         evals, evecs = np.linalg.eigh(y @ y.conj().T)
-        u = evecs[:, ::-1][:, :rank]  # eigh sorts ascending
+        # eigh sorts ascending; copied, as numpy's matmul skips BLAS on a negative stride
+        u = evecs[:, ::-1][:, :rank].copy()
         s = np.sqrt(np.maximum(evals[::-1][:rank], 0.0))
         return SubspaceEstimate(basis=u, singular_values=s, denoised=u @ (u.conj().T @ y))
     u, s, vh = np.linalg.svd(y, full_matrices=False)

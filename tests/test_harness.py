@@ -1,3 +1,4 @@
+import ast
 import concurrent.futures
 import io
 import json
@@ -144,6 +145,33 @@ def test_every_row_replays_from_its_grid_indices_and_the_stream_keys():
         assert (rep.nmse, rep.subspace_dist) == (row.nmse, row.subspace_dist)
 
 
+def test_a_trial_builds_one_generator_per_drawing_stream_and_none_for_the_root(
+        monkeypatch):
+    # the root stream only names the trial and splits; each child draws
+    made, philox = [], np.random.Philox
+
+    def counting_philox(sequence):
+        made.append(sequence.spawn_key)
+        return philox(sequence)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    spec = _small_spec(scenario=replace(_small_scenario(), seed=4), trials=3,
+                       modes=pipeline.RECOVERY_MODES)
+    rows = harness._trial_rows(spec, 1, 0, 2)
+    children = [0, 1, 2, 3, 999]  # channel, one per mode, baseline
+    assert made == [(1, 0, 2, key) for key in children]
+    assert len(made) == 2 + len(spec.modes)
+    assert {row.seed for row in rows} == {1994087735}  # the CSV seed column, pinned
+    assert RngState(4, (1, 0, 2)).state_id() == 1994087735
+    monkeypatch.setattr(np.random, "Philox", philox)
+    root = RngState(4, (1, 0, 2))
+    for key in children:
+        direct = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(4, spawn_key=(1, 0, 2, key))))
+        np.testing.assert_array_equal(root.split(key).generator.standard_normal(16),
+                                      direct.standard_normal(16))
+
+
 def _raise(exc_type):
     def estimator(*args, **kwargs):
         raise exc_type("injected")
@@ -263,6 +291,28 @@ def test_summary_mean_and_stderr_are_textbook():
     np.testing.assert_allclose(s.nmse_stderr, 0.1, rtol=1e-12)
     np.testing.assert_allclose(s.subspace_dist_mean, 0.4, rtol=1e-15)
     assert s.count == 2
+    # five rows, a group of one and a failed group, next to numpy's own figures
+    nmse = [0.31, 0.017, 0.2, 1e-3, 0.08]
+    dist = [0.5, 0.25, 0.125, 0.3, 0.7]
+    rows = [SweepRow(0.0, 4, t, "ideal", a, b, 44, t)
+            for t, (a, b) in enumerate(zip(nmse, dist))]
+    rows.append(SweepRow(0.0, 8, 0, "ideal", 0.4, 0.6, 48, 9))
+    rows += [SweepRow(0.0, 4, t, "ideal#error:ValueError", math.nan, math.nan, 0, t)
+             for t in (5, 6)]
+    five, failed, single = summarize(rows)
+    assert (five.m, five.mode, five.count) == (4, "ideal", 5)
+    for mean, stderr, values in ((five.nmse_mean, five.nmse_stderr, nmse),
+                                 (five.subspace_dist_mean, five.subspace_dist_stderr,
+                                  dist)):
+        assert mean == pytest.approx(np.mean(values), rel=1e-15)
+        assert stderr == pytest.approx(np.std(values, ddof=1) / math.sqrt(5), rel=1e-15)
+    assert (single.m, single.count) == (8, 1)
+    assert (single.nmse_mean, single.subspace_dist_mean) == (0.4, 0.6)
+    assert single.nmse_stderr == single.subspace_dist_stderr == 0.0
+    assert (failed.mode, failed.count) == ("ideal#error:ValueError", 2)
+    assert all(math.isnan(v) for v in (failed.nmse_mean, failed.nmse_stderr,
+                                       failed.subspace_dist_mean,
+                                       failed.subspace_dist_stderr))
 
 
 def test_summary_single_row_has_zero_stderr():
@@ -294,12 +344,19 @@ def test_summary_groups_failures_separately_and_rejects_emptiness():
 
 
 def test_csv_layout_and_float_format():
-    row = SweepRow(10.0, 4, 0, "ideal", 1 / 3, 0.5, 44, 7)
-    text = rows_to_csv([row])
+    rows = [SweepRow(10.0, 4, 0, "ideal", 1 / 3, 0.5, 44, 7),
+            SweepRow(-10.0, 8, 3, "pseudo-inverse#error:ValueError", math.nan, math.nan,
+                     0, 12),
+            SweepRow(-10.0, 8, 2, "ideal", 0.1 + 0.2, 2.0**-60, 40, 4294967295)]
+    text = rows_to_csv(rows)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[0] == "snr_db,m,trial,mode,nmse,subspace_dist,channel_uses,seed"
-    assert lines[1] == "10,4,0,ideal,0.33333333333333331,0.5,44,7"
+    assert lines[1:] == [
+        "-10,8,2,ideal,0.30000000000000004,8.6736173798840355e-19,40,4294967295",
+        "-10,8,3,pseudo-inverse#error:ValueError,nan,nan,0,12",
+        "10,4,0,ideal,0.33333333333333331,0.5,44,7",
+    ]
     assert text.endswith("\n")
 
 
@@ -423,6 +480,14 @@ def test_cli_sweep_rejects_unknown_config_keys(tmp_path, monkeypatch, capsys):
         cfg.write_text(text)
         _usage_error(capsys, ["sweep", "--config", str(cfg)],
                      re.escape(f"{cfg}:2: repeated key '{key}'"))
+
+
+def test_cli_sweep_rejects_a_config_path_it_cannot_read(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_sweep", _raise(AssertionError))
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        captured = _usage_error(capsys, ["sweep", "--config", str(path)],
+                                re.escape(f"--config {path}: "))
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_sweep_rejects_repeated_grid_values_before_the_first_trial(monkeypatch,
@@ -604,6 +669,14 @@ def test_readme_commands_parse_and_resolve(monkeypatch):
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
         if args.command == "sweep":
             _captured_spec(monkeypatch, argv[1:])
+
+
+def test_sources_parse_under_the_oldest_supported_python():
+    # pyproject.toml requires Python >= 3.10; reject syntax that 3.10 lacks
+    sources = sorted((ROOT / "src" / "twostage").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_readme_layout_states_the_source_line_count():

@@ -57,19 +57,19 @@ def _sound(h, m, sigma2, rng):
 
 def test_inversion_solves_the_combined_signal_plus_combined_noise():
     # bitwise oracles: the unitary DFT bank is undone by its adjoint,
-    # M (M^H H + M^H N), any other bank by solve(M^H, M^H H + M^H N)
+    # M (M^H (H + N)), any other bank by solve(M^H, M^H (H + N))
     _, real = _channel(3)
     h_s = real.h[:, :4]
     noise = sample_complex_gaussian(RngState(3).split(1), 8, 4, 0.1)
     gaussian = sample_complex_gaussian(RngState(3).split(2), 8, 8, 1.0)
     for bank in (dft_combiner(8), gaussian):
         mh = bank.conj().T
-        solved = np.linalg.solve(mh, mh @ h_s + mh @ noise)
+        solved = np.linalg.solve(mh, mh @ (h_s + noise))
         recovered = sound_and_invert_block(h_s, bank, noise)
         if bank is gaussian:
             np.testing.assert_array_equal(recovered, solved)
         else:
-            np.testing.assert_array_equal(recovered, bank @ (mh @ h_s + mh @ noise))
+            np.testing.assert_array_equal(recovered, bank @ (mh @ (h_s + noise)))
             assert np.max(np.abs(recovered - solved)) <= 1e-13
 
 
