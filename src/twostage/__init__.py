@@ -22,7 +22,6 @@ from .channel import (
     ChannelRealization,
     SystemConfig,
     generate_channel,
-    steering_vector,
 )
 from .harness import (
     SweepRow,

@@ -24,7 +24,6 @@ __all__ = [
     "SystemConfig",
     "ChannelRealization",
     "ula_response",
-    "steering_vector",
     "generate_channel",
 ]
 
@@ -115,15 +114,6 @@ def ula_response(sines, n):
     """
     k = np.arange(as_integer(n, "antenna count"))[:, None]
     return np.exp(-1j * np.pi * k * np.atleast_1d(sines)) / math.sqrt(n)
-
-
-def steering_vector(theta, n):
-    """Array response of an n-element half-wavelength ULA toward angle ``theta``."""
-    if n < 1:
-        raise ValueError("antenna count must be positive")
-    if not np.isfinite(theta):
-        raise ValueError("angle must be finite")
-    return ula_response(math.sin(theta), n)[:, 0]
 
 
 def _draw_distinct_angles(generator, count):

@@ -9,11 +9,11 @@ import time
 from pathlib import Path
 
 from .channel import SystemConfig, generate_channel
-from .harness import (_KEY_BASELINE, _KEY_CHANNEL, _KEY_MODE0, SweepSpec,
+from .harness import (_KEY_CHANNEL, SweepSpec, _trial_estimators,
                       noise_var_from_snr_db, run_checks, run_sweep, summarize,
                       write_rows)
 from .numkit import RngState
-from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
+from .pipeline import RECOVERY_MODES
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
@@ -126,13 +126,9 @@ def _cmd_estimate(args, out):
     # a sweep trial's stream keys, under the root stream RngState(seed)
     rng = RngState(cfg.seed)
     real = generate_channel(cfg, rng.split(_KEY_CHANNEL))
-    rep = two_stage_estimate(real, cfg, args.m, sigma2, rng.split(_KEY_MODE0),
-                             mode=args.mode)
-    _print_report(rep, cfg.seed, out)
-    if args.baseline:
-        floor = full_observation_baseline(real, sigma2, rng.split(_KEY_BASELINE))
-        out.write("\n")
-        _print_report(floor, cfg.seed, out)
+    for i, (_, key, estimate) in enumerate(_trial_estimators([args.mode], args.baseline)):
+        out.write("\n" if i else "")
+        _print_report(estimate(real, cfg, args.m, sigma2, rng.split(key)), cfg.seed, out)
     return 0
 
 

@@ -42,10 +42,8 @@ __all__ = [
     "check_noiseless_exactness",
 ]
 
-# sub-stream keys inside one trial
+# the channel's sub-stream key in a trial; _trial_estimators keys the estimates
 _KEY_CHANNEL = 0
-_KEY_MODE0 = 1
-_KEY_BASELINE = 999
 
 # what the estimator and the baseline raise on a bad draw or a bad spec
 _NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError)
@@ -145,6 +143,22 @@ class SummaryRow:
     subspace_dist_stderr: float
 
 
+def _trial_estimators(modes, baseline):
+    """A trial's estimates in draw order: (row label, stream key, estimator).
+
+    Mode k draws on stream key 1 + k and the full-observation floor, when
+    enabled, on key 999, each a child of the trial's root stream. Every
+    estimator takes (real, cfg, m, sigma2, rng) and returns an EstimateReport.
+    """
+    table = [(mode, 1 + k, lambda real, cfg, m, sigma2, rng, mode=mode:
+              two_stage_estimate(real, cfg, m, sigma2, rng, mode=mode))
+             for k, mode in enumerate(modes)]
+    if baseline:
+        table.append(("full-observation", 999, lambda real, cfg, m, sigma2, rng:
+                      full_observation_baseline(real, sigma2, rng)))
+    return table
+
+
 def _trial_rows(spec, si, mi, trial):
     """All rows for one trial at one grid point; numerical failures become tagged rows."""
     snr_db = spec.snr_db_list[si]
@@ -155,24 +169,13 @@ def _trial_rows(spec, si, mi, trial):
     trial_seed = root.state_id()
     rows = []
     real = generate_channel(cfg, root.split(_KEY_CHANNEL))
-    for k, mode in enumerate(spec.modes):
+    for label, key, estimate in _trial_estimators(spec.modes, spec.baseline):
         try:
-            rep = two_stage_estimate(real, cfg, m, sigma2, root.split(_KEY_MODE0 + k),
-                                     mode=mode)
-            rows.append(SweepRow(snr_db, m, trial, mode, rep.nmse, rep.subspace_dist,
-                                 rep.channel_uses_total, trial_seed))
+            rep = estimate(real, cfg, m, sigma2, root.split(key))
+            outcome = (label, rep.nmse, rep.subspace_dist, rep.channel_uses_total)
         except _NUMERICAL_ERRORS as exc:
-            rows.append(SweepRow(snr_db, m, trial, f"{mode}#error:{type(exc).__name__}",
-                                 math.nan, math.nan, 0, trial_seed))
-    if spec.baseline:
-        try:
-            rep = full_observation_baseline(real, sigma2, root.split(_KEY_BASELINE))
-            rows.append(SweepRow(snr_db, m, trial, rep.mode, rep.nmse,
-                                 rep.subspace_dist, rep.channel_uses_total, trial_seed))
-        except _NUMERICAL_ERRORS as exc:
-            rows.append(SweepRow(snr_db, m, trial,
-                                 f"full-observation#error:{type(exc).__name__}",
-                                 math.nan, math.nan, 0, trial_seed))
+            outcome = (f"{label}#error:{type(exc).__name__}", math.nan, math.nan, 0)
+        rows.append(SweepRow(snr_db, m, trial, *outcome, trial_seed))
     return rows
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage.channel import SystemConfig, generate_channel, steering_vector, ula_response
+from twostage.channel import SystemConfig, generate_channel, ula_response
 from twostage.numkit import (
     RngState,
     as_complex_matrix,
@@ -213,7 +213,6 @@ _BLOCK = sample_complex_gaussian(RngState(5), 8, 4, 1.0)
     lambda: build_dictionary(32, 64.5),
     lambda: build_dictionary(32.0, 64),
     lambda: dft_combiner(32.5),
-    lambda: steering_vector(0.3, 4.5),
     lambda: ula_response([0.1, 0.2], 4.0),
     lambda: two_stage_estimate(generate_channel(_CFG, RngState(0)), _CFG, 8.0, 0.1,
                                RngState(1)),
@@ -222,7 +221,7 @@ _BLOCK = sample_complex_gaussian(RngState(5), 8, 4, 1.0)
     lambda: design_sounder_omp(_BLOCK[:, :1], build_dictionary(8, 16), 6.0),
     lambda: sample_complex_gaussian(RngState(0), 2.5, 3, 1.0),
     lambda: sample_complex_gaussian(RngState(0), 2, 3.0, 1.0),
-], ids=["dictionary-grid", "dictionary-array", "dft-bank", "steering", "ula",
+], ids=["dictionary-grid", "dictionary-array", "dft-bank", "ula",
         "two-stage-m", "pca-rank", "interlacing-rank", "omp-n_rf", "gaussian-rows",
         "gaussian-cols"])
 def test_primitives_reject_non_integer_counts(call):
