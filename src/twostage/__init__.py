@@ -53,7 +53,6 @@ from .subspace import (
     SubspaceEstimate,
     estimate_stage1,
     interlacing_check,
-    perturbation_bound,
     subspace_distance,
 )
 

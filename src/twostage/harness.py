@@ -45,8 +45,9 @@ __all__ = [
 # the channel's sub-stream key in a trial; _trial_estimators keys the estimates
 _KEY_CHANNEL = 0
 
-# what the estimator and the baseline raise on a bad draw or a bad spec
-_NUMERICAL_ERRORS = (ValueError, np.linalg.LinAlgError)
+# what the estimator and the baseline raise on a bad draw or a bad spec;
+# np.linalg.LinAlgError derives from ValueError, so this catches it too
+_NUMERICAL_ERRORS = ValueError
 
 
 def noise_var_from_snr_db(snr_db):

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import as_complex_matrix, as_integer, sample_complex_gaussian
-from .sounding import _invert_block, dft_combiner
 from .stage2 import _design_omp, _recover_block, build_dictionary
 from .subspace import _pca, _sine2
 
@@ -62,12 +61,13 @@ def degrees_of_freedom(n_r, n_t, paths):
 def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     """Sound m columns at noise variance sigma2, learn the subspace, recover the rest.
 
-    Stage 1 observes the first m columns through the DFT bank, n_rf rows per
-    channel use, inverts the bank and keeps the dominant rank-``paths`` part
-    of the recovered block. Stage 2 designs the subspace-matched sounder
-    (``ideal`` mode sounds with the estimated basis itself) and recovers each
-    remaining column in one channel use. The estimate stacks the denoised
-    block and the recovered block in original column order.
+    Stage 1 sounds the first m columns through a full-rank combiner bank,
+    n_rf rows per channel use; inverting any such bank returns H_S + N
+    (``sound_and_invert_block``), so the estimate forms H_S + N directly and
+    keeps its dominant rank-``paths`` part. Stage 2 designs the
+    subspace-matched sounder (``ideal`` mode sounds with the estimated basis
+    itself) and recovers each remaining column in one channel use. The
+    estimate stacks the denoised and the recovered block in original column order.
     Deterministic given (cfg, m, sigma2, rng). The channel is checked once,
     here; the stages below run unchecked on the arrays this function builds.
     """
@@ -81,8 +81,7 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     if mode not in RECOVERY_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
     # the sampler rejects a negative or non-finite sigma2 before any draw
-    noise = sample_complex_gaussian(rng, cfg.n_rx, m, sigma2)
-    est = _pca(_invert_block(h[:, :m], dft_combiner(cfg.n_rx), noise), cfg.paths)
+    est = _noisy_pca(h[:, :m], sigma2, rng, cfg.paths)
     h_hat = est.denoised
     if m < cfg.n_tx:
         if mode == "ideal":
@@ -104,10 +103,13 @@ def full_observation_baseline(real, sigma2, rng):
     not comparable with the sounding budget of the two-stage estimator; rows
     carry the ``full-observation`` tag to keep that explicit.
     """
-    h = as_complex_matrix(real.h, "channel")
-    noise = sample_complex_gaussian(rng, *h.shape, sigma2)
-    est = _pca(h + noise, real.paths)
+    est = _noisy_pca(as_complex_matrix(real.h, "channel"), sigma2, rng, real.paths)
     return _report(real, est.denoised, est.basis, real.h.size, 0, "full-observation")
+
+
+def _noisy_pca(block, sigma2, rng, rank):
+    """Rank-``rank`` PCA of the block plus one noise draw of its shape."""
+    return _pca(block + sample_complex_gaussian(rng, *block.shape, sigma2), rank)
 
 
 def _report(real, h_hat, basis, uses_stage1, uses_stage2, mode):

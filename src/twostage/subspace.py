@@ -13,7 +13,6 @@ __all__ = [
     "SubspaceEstimate",
     "estimate_stage1",
     "subspace_distance",
-    "perturbation_bound",
     "interlacing_check",
 ]
 
@@ -94,26 +93,6 @@ def _sine2(u, u_hat):
         raise ValueError(f"subspace distance is not finite ({sine2})")
     # for nearly equal spans the largest eigenvalue can round below zero
     return min(1.0, max(0.0, sine2))
-
-
-def perturbation_bound(sigma_l, sigma2, n_r, m):
-    """Order-wise cap on the subspace distance after rank-limited PCA.
-
-    ``sigma_l`` is the smallest retained singular value of the clean block,
-    ``sigma2`` the per-entry noise variance, ``m`` the sounded column count.
-    The leading constant is 1; the bound saturates at 1 because the distance
-    itself cannot exceed 1.
-    """
-    if not math.isfinite(sigma_l) or sigma_l <= 0:
-        raise ValueError("smallest retained singular value must be finite and "
-                         f"positive, got {sigma_l}")
-    if not math.isfinite(sigma2) or sigma2 < 0:
-        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
-    n_r, m = as_integer(n_r, "n_r"), as_integer(m, "m")
-    if n_r < 1 or m < 1:
-        raise ValueError("dimensions must be positive")
-    raw = n_r * (sigma_l**2 * sigma2 + m * sigma2**2) / sigma_l**4
-    return min(1.0, float(raw))
 
 
 def interlacing_check(h_s, h_new, rank):

@@ -701,4 +701,4 @@ def test_readme_layout_states_the_source_line_count():
     lines = sum(len(path.read_text().splitlines())
                 for path in (ROOT / "src" / "twostage").glob("*.py"))
     assert int(stated.group(1).replace(",", "")) == lines
-    assert lines < 1390  # the line budget in ROADMAP.md
+    assert lines < 1362  # the line budget in ROADMAP.md

@@ -19,6 +19,8 @@ from twostage.pipeline import (
     nmse,
     two_stage_estimate,
 )
+from twostage.sounding import dft_combiner, sound_and_invert_block
+from twostage.subspace import estimate_stage1
 
 
 def _run(seed, mode="pseudo-inverse", sigma2=0.1):
@@ -74,6 +76,22 @@ def test_noiseless_ideal_run_is_exact_to_machine_precision():
     assert report.subspace_dist <= 1e-18
 
 
+@pytest.mark.parametrize("m", [4, 32, 128])
+def test_stage1_equals_sounding_and_inverting_through_any_bank(m):
+    # the estimate forms H_S + N directly; sounding the same noise through
+    # the DFT bank or a Gaussian bank and inverting gives the same stage 1
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, seed=6)
+    real = generate_channel(cfg, RngState(6))
+    report = two_stage_estimate(real, cfg, m, 0.1, RngState(6, (1,)))
+    noise = sample_complex_gaussian(RngState(6, (1,)), 32, m, 0.1)  # replayed
+    gaussian = sample_complex_gaussian(RngState(6, (2,)), 32, 32, 1.0)
+    for bank in (dft_combiner(32), gaussian):
+        block = sound_and_invert_block(real.h[:, :m], bank, noise)
+        expected = estimate_stage1(block, cfg.paths).denoised
+        error = np.linalg.norm(report.h_hat[:, :m] - expected)
+        assert error <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_sounded_block_passes_through_unchanged_without_noise():
     _, real, report = _run(7, sigma2=0.0, mode="ideal")
     np.testing.assert_allclose(report.h_hat[:, :4], real.h[:, :4], atol=1e-10)
@@ -116,7 +134,7 @@ def test_noiseless_pseudo_inverse_floor_is_the_grid_mismatch():
     (32, {"lstsq": 1, "eigh": 2, "eigvalsh": 1}),
 ])
 def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, expected):
-    # stage 1 undoes the DFT bank by its adjoint, the PCA takes one SVD (tall
+    # stage 1 forms H_S + N with no bank, the PCA takes one SVD (tall
     # block) or one eigh (square), OMP one lstsq, stage 2 one eigh and the
     # subspace distance one eigvalsh; no cond and no solve anywhere
     calls = {}

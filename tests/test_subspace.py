@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from twostage.subspace import (
     _sine2,
     estimate_stage1,
     interlacing_check,
-    perturbation_bound,
     subspace_distance,
 )
 
@@ -230,37 +227,6 @@ def test_distance_rejects_bad_bases():
     # the unchecked body a trial calls: a NaN distance is an error, not a clamped 0.0
     with pytest.raises(ValueError, match="not finite"):
         _sine2(e1, bad)
-
-
-# --------------------------------------------------------------------- bound
-
-
-def test_bound_is_zero_without_noise_and_saturates_at_one():
-    assert perturbation_bound(2.0, 0.0, 4, 4) == 0.0
-    assert perturbation_bound(2.0, 1e6, 4, 4) == 1.0
-
-
-def test_bound_frozen_example():
-    # 1 * 4 * (4 * 0.1 + 4 * 0.01) / 16
-    np.testing.assert_allclose(perturbation_bound(2.0, 0.1, 4, 4), 0.11,
-                               rtol=1e-12)
-
-
-def test_bound_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        perturbation_bound(0.0, 0.1, 4, 4)
-    with pytest.raises(ValueError):
-        perturbation_bound(1.0, -0.1, 4, 4)
-    with pytest.raises(ValueError):
-        perturbation_bound(1.0, 0.1, 0, 4)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and positive"):
-            perturbation_bound(bad, 0.1, 32, 8)
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            perturbation_bound(1.0, bad, 32, 8)
-    for n_r, m in ((32.0, 8), (32, 8.5)):
-        with pytest.raises(ValueError, match="must be an integer"):
-            perturbation_bound(1.0, 0.1, n_r, m)
 
 
 # --------------------------------------------------------------- interlacing
