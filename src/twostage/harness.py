@@ -8,8 +8,11 @@ rather than dropped.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -190,7 +193,7 @@ def run_sweep(spec):
     """Run every (snr, m, trial) task and return rows sorted canonically.
 
     The keys are dealt into ``min(workers, len(keys))`` strided slices, one
-    per worker process; a single slice runs in this process.
+    per forked child; a single slice runs in this process.
     """
     keys = [(si, mi, trial)
             for si in range(len(spec.snr_db_list))
@@ -199,13 +202,37 @@ def run_sweep(spec):
     workers = min(spec.workers, len(keys))
     slices = [(spec, keys[k::workers]) for k in range(workers)]
     if workers == 1:
-        rows = _trial_rows_star(slices[0])
-    else:
-        import numpy.random  # noqa: F401  lazy in numpy; forked workers inherit it
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            rows = [row for group in pool.map(_trial_rows_star, slices) for row in group]
-    rows.sort(key=_ROW_ORDER)
-    return rows
+        return sorted(_trial_rows_star(slices[0]), key=_ROW_ORDER)
+    import numpy.random  # noqa: F401  lazy in numpy; forked children inherit it
+    children, payloads, statuses = {}, None, []  # children: pid -> read end of its pipe
+    try:
+        for args in slices:
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:  # the child reports its slice, then os._exit
+                try:
+                    os.write(write_fd, pickle.dumps((_trial_rows_star(args), None)))
+                except Exception as exc:
+                    os.write(write_fd, pickle.dumps((exc, traceback.format_exc())))
+                finally:
+                    os._exit(0)
+            os.close(write_fd)  # before the next fork: EOF comes when this child ends
+            children[pid] = open(read_fd, "rb")
+        payloads = [pipe.read() for pipe in children.values()]
+    finally:  # every child is reaped, so RUSAGE_CHILDREN counts it; none outlives this
+        for pid, pipe in children.items():
+            pipe.close()
+            if payloads is None:
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    rows = []
+    for pid, status, payload in zip(children, statuses, payloads):
+        if status or not payload:
+            raise RuntimeError(f"sweep child {pid} reported nothing, exit status {status}")
+        result, trace = pickle.loads(payload)
+        if trace is not None:  # the child's formatted traceback becomes the cause
+            raise result from RuntimeError(trace)
+        rows += result
+    return sorted(rows, key=_ROW_ORDER)
 
 
 def summarize(rows):

@@ -9,13 +9,14 @@ product approximates the estimated subspace basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import ula_response
-from .numkit import as_complex_matrix, as_integer, cached_by_size
+from .numkit import as_complex_matrix, as_integer
 
 __all__ = [
     "HybridSounder",
@@ -46,15 +47,19 @@ class HybridSounder:
     selected: tuple = ()  # chosen grid indices in selection order
 
 
-@cached_by_size("array size", "grid size")
 def build_dictionary(n_r, grid_size):
     """The n_r x grid_size steering atoms, column k at the sine -1 + 2k / grid_size.
 
     The grid samples the sine domain [-1, 1) uniformly; the default size
     (twice the array size) is twice the critical resolution. Entries inherit
     the 1/sqrt(n_r) modulus of the steering vectors. Built once per size pair
-    and shared: the returned array is read-only.
+    and shared read-only; the sizes are checked first, as 64.0 hashes like 64.
     """
+    return _build_atoms(as_integer(n_r, "array size"), as_integer(grid_size, "grid size"))
+
+
+@functools.lru_cache
+def _build_atoms(n_r, grid_size):
     if n_r < 1:
         raise ValueError("array size must be positive")
     if grid_size < 1:

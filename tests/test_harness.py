@@ -1,12 +1,13 @@
 import ast
-import concurrent.futures
 import io
 import json
 import math
 import os
 import re
 import shlex
+import signal
 import sys
+import time
 import uuid
 from dataclasses import replace
 from pathlib import Path
@@ -247,19 +248,60 @@ def test_sweeps_are_reproducible_and_schedule_independent():
 
 
 def test_sweeps_fork_no_more_workers_than_trials(monkeypatch):
-    pools = []
+    forks = []
+    fork = os.fork
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def counting_fork():
+        forks.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     one_cell = dict(snr_db_list=(10.0,), m_list=(4,), modes=("ideal",), workers=4)
     assert len(run_sweep(_small_spec(trials=2, **one_cell))) == 4
-    assert pools == [2]
+    assert len(forks) == 2
     assert len(run_sweep(_small_spec(trials=1, **one_cell))) == 2
-    assert pools == [2]  # a single trial runs in this process
+    assert len(forks) == 2  # a single trial runs in this process
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_exception_reaches_the_caller_with_its_traceback(monkeypatch):
+    monkeypatch.setattr(harness, "generate_channel", _raise(RuntimeError))
+    with pytest.raises(RuntimeError, match="injected") as caught:
+        run_sweep(_small_spec(workers=2))
+    # the cause carries the child's formatted traceback
+    assert "generate_channel" in str(caught.value.__cause__)
+    _assert_no_child_left()
+
+
+def test_a_child_that_reports_nothing_is_named_with_its_exit_status(monkeypatch):
+    monkeypatch.setattr(harness, "_trial_rows_star", lambda args: os._exit(3))
+    with pytest.raises(RuntimeError, match=r"sweep child \d+ reported nothing, exit status 3"):
+        run_sweep(_small_spec(workers=2))
+    _assert_no_child_left()
+
+
+def test_an_interrupted_sweep_kills_and_reaps_its_children(monkeypatch):
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    # the children would sleep for a minute; the parent is interrupted while
+    # it waits on their pipes (interval timers do not survive a fork)
+    monkeypatch.setattr(harness, "_trial_rows_star", lambda args: time.sleep(60))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(_small_spec(workers=2))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    _assert_no_child_left()
 
 
 _WORKER_PROBE = {}

@@ -31,6 +31,22 @@ def test_as_complex_matrix_rejects_non_finite():
         as_complex_matrix(bad)
 
 
+def test_as_complex_matrix_counts_nan_and_inf_entries():
+    bad = np.ones((3, 4), dtype=complex)
+    bad[0, 1] = np.nan
+    bad[2, 3] = complex(1.0, np.inf)
+    with pytest.raises(ValueError, match="contains 2 non-finite entries"):
+        as_complex_matrix(bad, "block")
+
+
+def test_as_complex_matrix_passes_finite_entries_whose_energy_overflows():
+    # the energy 4 * (1e200)^2 overflows to inf; pyproject turns a
+    # RuntimeWarning into a failure, so passing also shows none was raised
+    big = np.full((2, 2), 1e200 + 1e200j)
+    assert not math.isfinite(np.vdot(big, big).real)
+    np.testing.assert_array_equal(as_complex_matrix(big), big)
+
+
 def test_as_complex_matrix_rejects_wrong_ndim():
     with pytest.raises(ValueError, match="2-D"):
         as_complex_matrix(np.ones(3))
