@@ -2,8 +2,8 @@
 
 Every trial owns a random sub-stream keyed by (snr index, m index, trial), so
 results do not depend on scheduling and the emitted CSV is byte-identical for
-a given spec, serial or parallel. Failed trials are recorded as tagged rows
-rather than dropped.
+a given spec, serial or parallel. A trial that raises np.linalg.LinAlgError
+becomes a tagged row rather than a drop; any other exception stops the sweep.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ __all__ = [
 
 # the channel's sub-stream key in a trial; _trial_estimators keys the estimates
 _KEY_CHANNEL = 0
-
-# what the estimator and the baseline raise on a bad draw or a bad spec;
-# np.linalg.LinAlgError derives from ValueError, so this catches it too
-_NUMERICAL_ERRORS = ValueError
 
 
 def noise_var_from_snr_db(snr_db):
@@ -164,7 +160,7 @@ def _trial_estimators(modes, baseline):
 
 
 def _trial_rows(spec, si, mi, trial):
-    """All rows for one trial at one grid point; numerical failures become tagged rows."""
+    """All rows for one trial at one grid point; a LinAlgError becomes a tagged row."""
     snr_db = spec.snr_db_list[si]
     m = spec.m_list[mi]
     sigma2 = noise_var_from_snr_db(snr_db)
@@ -177,7 +173,7 @@ def _trial_rows(spec, si, mi, trial):
         try:
             rep = estimate(real, cfg, m, sigma2, root.split(key))
             outcome = (label, rep.nmse, rep.subspace_dist, rep.channel_uses_total)
-        except _NUMERICAL_ERRORS as exc:
+        except np.linalg.LinAlgError as exc:
             outcome = (f"{label}#error:{type(exc).__name__}", math.nan, math.nan, 0)
         rows.append(SweepRow(snr_db, m, trial, *outcome, trial_seed))
     return rows

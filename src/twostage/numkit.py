@@ -25,7 +25,7 @@ __all__ = [
 
 
 def as_complex_matrix(a, name="matrix"):
-    """Coerce to a 2-D complex128 array, rejecting empty or non-finite input."""
+    """Coerce to a 2-D complex128 array; empty input is a ValueError, non-finite a LinAlgError."""
     out = np.asarray(a, dtype=np.complex128)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
@@ -34,7 +34,7 @@ def as_complex_matrix(a, name="matrix"):
     # one pass over the data; a finite matrix whose energy overflows still passes
     if not math.isfinite(np.vdot(out, out).real) and not np.isfinite(out).all():
         bad = int(np.count_nonzero(~np.isfinite(out)))
-        raise ValueError(f"{name} contains {bad} non-finite entries")
+        raise np.linalg.LinAlgError(f"{name} contains {bad} non-finite entries")
     return out
 
 

@@ -38,7 +38,7 @@ class EstimateReport:
 
 
 def nmse(h, h_hat):
-    """Squared Frobenius error of the estimate, normalized by the true energy."""
+    """Squared Frobenius error of the estimate over the true energy; LinAlgError if not finite."""
     h = as_complex_matrix(h, "true channel")
     h_hat = as_complex_matrix(h_hat, "estimate")
     if h.shape != h_hat.shape:
@@ -47,7 +47,9 @@ def nmse(h, h_hat):
     if denom == 0.0:
         raise ValueError("true channel has zero energy")
     error = h - h_hat
-    return float(np.vdot(error, error).real / denom)
+    if not math.isfinite(value := float(np.vdot(error, error).real / denom)):
+        raise np.linalg.LinAlgError(f"NMSE is not finite ({value})")
+    return value
 
 
 def degrees_of_freedom(n_r, n_t, paths):

@@ -167,7 +167,7 @@ def _recover_block(h, w, sigma2, rng, mode):
     low, high = float(evals[0]), float(evals[-1])
     cond = high / low if low > 0 else math.inf
     if not math.isfinite(cond) or cond > MAX_GRAM_COND:
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             f"combiner is rank deficient (Gram condition number {cond:.3e}, "
             f"rank {np.linalg.matrix_rank(w)})"
         )

@@ -90,7 +90,7 @@ def _sine2(u, u_hat):
     outside = u_hat - u @ (u.conj().T @ u_hat)
     sine2 = float(np.linalg.eigvalsh(outside.conj().T @ outside)[-1])
     if not math.isfinite(sine2):  # the clamp below would turn NaN into 0.0
-        raise ValueError(f"subspace distance is not finite ({sine2})")
+        raise np.linalg.LinAlgError(f"subspace distance is not finite ({sine2})")
     # for nearly equal spans the largest eigenvalue can round below zero
     return min(1.0, max(0.0, sine2))
 

@@ -181,12 +181,12 @@ def _raise(exc_type):
 
 def test_failed_trials_become_tagged_rows_not_drops(monkeypatch):
     # a numerical failure inside the estimator must surface as a tagged row
-    monkeypatch.setattr(harness, "two_stage_estimate", _raise(ValueError))
+    monkeypatch.setattr(harness, "two_stage_estimate", _raise(np.linalg.LinAlgError))
     spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=2,
                        modes=("pseudo-inverse",), baseline=False)
     rows = run_sweep(spec)
     assert len(rows) == 2
-    assert all(r.mode == "pseudo-inverse#error:ValueError" for r in rows)
+    assert all(r.mode == "pseudo-inverse#error:LinAlgError" for r in rows)
     assert all(math.isnan(r.nmse) and math.isnan(r.subspace_dist) for r in rows)
     assert all(r.channel_uses == 0 for r in rows)
 
@@ -220,7 +220,7 @@ def test_a_non_finite_stage_body_output_becomes_a_tagged_row(monkeypatch):
     spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=1,
                        modes=("pseudo-inverse",))
     error, baseline = harness._trial_rows(spec, 0, 0, 0)
-    assert error.mode == "pseudo-inverse#error:ValueError"
+    assert error.mode == "pseudo-inverse#error:LinAlgError"
     assert math.isnan(error.nmse) and math.isnan(error.subspace_dist)
     assert error.channel_uses == 0
     assert baseline.mode == "full-observation" and math.isfinite(baseline.nmse)
@@ -228,6 +228,8 @@ def test_a_non_finite_stage_body_output_becomes_a_tagged_row(monkeypatch):
 
 @pytest.mark.parametrize("name, exc_type", [
     pytest.param("two_stage_estimate", TypeError, id="two_stage_estimate"),
+    # a defect's ValueError (a shape or broadcast error) is not a numerical failure
+    pytest.param("two_stage_estimate", ValueError, id="two_stage_estimate-ValueError"),
     pytest.param("full_observation_baseline", TypeError, id="full_observation_baseline"),
     pytest.param("generate_channel", RuntimeError, id="generate_channel"),
 ])
@@ -236,6 +238,19 @@ def test_programming_errors_stop_the_sweep(monkeypatch, name, exc_type):
     spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=1)
     with pytest.raises(exc_type, match="injected"):
         run_sweep(spec)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows it provokes
+def test_an_overflowing_trial_is_finite_or_a_tagged_row():
+    # below about -3060 dB the noise power overflows the float64 products of a
+    # trial; each row is then finite or tagged, never an untagged inf or NaN
+    spec = _small_spec(snr_db_list=(-3070.0,), m_list=(4, 16), trials=3,
+                       modes=pipeline.RECOVERY_MODES)
+    rows = run_sweep(spec)
+    assert len(rows) == 24
+    for r in rows:
+        finite = math.isfinite(r.nmse) and math.isfinite(r.subspace_dist)
+        assert finite or r.mode.endswith("#error:LinAlgError"), r
 
 
 def test_sweeps_are_reproducible_and_schedule_independent():
@@ -726,6 +741,17 @@ def test_readme_commands_parse_and_resolve(monkeypatch):
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
         if args.command == "sweep":
             _captured_spec(monkeypatch, argv[1:])
+
+
+def test_readme_python_examples_run():
+    # one namespace: the second block uses real, cfg and rng from the first
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(block, namespace)
+    assert namespace["report"].channel_uses_total == 168
+    assert namespace["h_rest"].shape == (32, 120)
 
 
 def test_sources_parse_under_the_oldest_supported_python():

@@ -20,6 +20,7 @@ from twostage.pipeline import (
     two_stage_estimate,
 )
 from twostage.sounding import dft_combiner, sound_and_invert_block
+from twostage.stage2 import sound_and_recover_block
 from twostage.subspace import estimate_stage1
 
 
@@ -48,6 +49,22 @@ def test_nmse_examples():
         nmse(bad, h)
     with pytest.raises(ValueError, match="estimate contains 1 non-finite"):
         nmse(h, bad)
+
+
+def test_numerical_rejections_are_linalg_errors():
+    # a sweep turns only np.linalg.LinAlgError into an error row
+    h = np.eye(3, dtype=complex)
+    bad = h.copy()
+    bad[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="estimate contains 1 non-finite"):
+        nmse(h, bad)
+    # an error energy that overflows float64 comes back inf, with no warning
+    with pytest.raises(np.linalg.LinAlgError, match="NMSE is not finite"):
+        nmse(np.ones((4, 6)), 1e200 * np.ones((4, 6)))
+    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+        sound_and_recover_block(np.ones((8, 3)), np.ones((8, 2)), 0.0, RngState(0))
+    with pytest.raises(np.linalg.LinAlgError, match="subspace distance is not finite"):
+        subspace._sine2(h[:, 1:], bad[:, 1:])
 
 
 def test_degrees_of_freedom_examples():

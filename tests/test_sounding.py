@@ -129,7 +129,7 @@ def test_singular_bank_is_rejected_with_condition_diagnostic():
             sound_and_invert_block(*bad.values())
 
 
-def test_stage1_through_the_dft_bank_skips_the_condition_check(monkeypatch):
+def test_no_estimate_mode_calls_cond_or_sound_and_invert_block(monkeypatch):
     # any full-rank bank inverts to H_S + N, so an estimate forms H_S + N with
     # no bank: no condition check and no bank inversion, in every mode
     def forbidden(*args, **kwargs):
