@@ -8,9 +8,8 @@ import sys
 import time
 from pathlib import Path
 
-from .channel import SystemConfig, generate_channel
-from .harness import (_KEY_CHANNEL, SweepSpec, _trial_estimators,
-                      noise_var_from_snr_db, run_checks, run_sweep, summarize,
+from .channel import SystemConfig
+from .harness import (SweepSpec, _trial_estimates, run_checks, run_sweep, summarize,
                       write_rows)
 from .numkit import RngState
 from .pipeline import RECOVERY_MODES
@@ -120,30 +119,33 @@ def _print_report(rep, seed, out):
     out.write(f"seed:            {seed}\n")
 
 
-def _cmd_estimate(args, out):
-    cfg = SystemConfig(**_kwargs(SystemConfig, vars(args)))
-    sigma2 = noise_var_from_snr_db(args.snr_db)
-    # a sweep trial's stream keys, under the root stream RngState(seed)
-    rng = RngState(cfg.seed)
-    real = generate_channel(cfg, rng.split(_KEY_CHANNEL))
-    for i, (_, key, estimate) in enumerate(_trial_estimators([args.mode], args.baseline)):
-        out.write("\n" if i else "")
-        _print_report(estimate(real, cfg, args.m, sigma2, rng.split(key)), cfg.seed, out)
-    return 0
-
-
-def _cmd_sweep(args, out, parser):
+def _resolve(args, parser):
+    """The SweepSpec and ``--out`` path of ``sweep``, or of ``estimate`` as a one-point sweep."""
     # config-file values, overlaid by the flags given; unset ones take the defaults
     settings = {}
-    if args.config is not None:
+    if vars(args).get("config") is not None:
         settings = vars(parser.parse_args(_config_argv(args.config, parser)))
     settings.update((k, v) for k, v in vars(args).items() if v is not None)
+    if args.command == "estimate":
+        settings.update(m_list=[args.m], snr_db_list=[args.snr_db], modes=[args.mode])
     spec = SweepSpec(scenario=SystemConfig(**_kwargs(SystemConfig, settings)),
                      **_kwargs(SweepSpec, settings))
     out_path = settings.get("out")
     if out_path is not None and (Path(out_path).is_dir()
                                  or not Path(out_path).parent.is_dir()):
         raise ValueError(f"--out {out_path} is not a file in an existing directory")
+    return spec, out_path
+
+
+def _cmd_estimate(spec, out):
+    seed = spec.scenario.seed  # a sweep trial under the root stream RngState(seed)
+    for i, (_, estimate) in enumerate(_trial_estimates(spec, 0, 0, RngState(seed))):
+        out.write("\n" if i else "")
+        _print_report(estimate(), seed, out)
+    return 0
+
+
+def _cmd_sweep(spec, out_path, out):
     start = time.monotonic()
     rows = run_sweep(spec)
     elapsed = time.monotonic() - start
@@ -175,16 +177,18 @@ def _cmd_check(args, out):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
-    try:
-        if args.command == "estimate":
-            return _cmd_estimate(args, out)
-        if args.command == "sweep":
-            return _cmd_sweep(args, out, parser)
-        return _cmd_check(args, out)
+    try:  # a rejected setting is a usage error, raised before the first draw
+        if args.command == "check":
+            RngState(args.seed)  # rejects a negative seed
+        else:
+            spec, out_path = _resolve(args, parser)
     except ValueError as exc:
-        # a rejected setting is a usage error: one message, exit status 2
         parser.error(str(exc))
+    if args.command == "check":
+        return _cmd_check(args, sys.stdout)
+    if args.command == "estimate":
+        return _cmd_estimate(spec, sys.stdout)
+    return _cmd_sweep(spec, out_path, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -45,10 +45,6 @@ __all__ = [
     "check_noiseless_exactness",
 ]
 
-# the channel's sub-stream key in a trial; _trial_estimators keys the estimates
-_KEY_CHANNEL = 0
-
-
 def noise_var_from_snr_db(snr_db):
     """Noise variance for the given SNR in dB under unit transmit power.
 
@@ -143,35 +139,32 @@ class SummaryRow:
     subspace_dist_stderr: float
 
 
-def _trial_estimators(modes, baseline):
-    """A trial's estimates in draw order: (row label, stream key, estimator).
+def _trial_estimates(spec, si, mi, root):
+    """One trial of ``spec`` at grid point (si, mi): (row label, estimator) pairs.
 
-    Mode k draws on stream key 1 + k and the full-observation floor, when
-    enabled, on key 999, each a child of the trial's root stream. Every
-    estimator takes (real, cfg, m, sigma2, rng) and returns an EstimateReport.
+    The channel draws on ``root.split(0)``, mode k on ``root.split(1 + k)`` and the
+    floor, if enabled, on ``root.split(999)``; each estimator returns an EstimateReport.
     """
-    table = [(mode, 1 + k, lambda real, cfg, m, sigma2, rng, mode=mode:
+    cfg, m = spec.scenario, spec.m_list[mi]
+    sigma2 = noise_var_from_snr_db(spec.snr_db_list[si])
+    real = generate_channel(cfg, root.split(0))
+    table = [(mode, lambda mode=mode, rng=root.split(1 + k):
               two_stage_estimate(real, cfg, m, sigma2, rng, mode=mode))
-             for k, mode in enumerate(modes)]
-    if baseline:
-        table.append(("full-observation", 999, lambda real, cfg, m, sigma2, rng:
+             for k, mode in enumerate(spec.modes)]
+    if spec.baseline:
+        table.append(("full-observation", lambda rng=root.split(999):
                       full_observation_baseline(real, sigma2, rng)))
     return table
 
 
 def _trial_rows(spec, si, mi, trial):
     """All rows for one trial at one grid point; a LinAlgError becomes a tagged row."""
-    snr_db = spec.snr_db_list[si]
-    m = spec.m_list[mi]
-    sigma2 = noise_var_from_snr_db(snr_db)
-    cfg = spec.scenario
-    root = RngState(cfg.seed, (si, mi, trial))
-    trial_seed = root.state_id()
+    root = RngState(spec.scenario.seed, (si, mi, trial))
+    snr_db, m, trial_seed = spec.snr_db_list[si], spec.m_list[mi], root.state_id()
     rows = []
-    real = generate_channel(cfg, root.split(_KEY_CHANNEL))
-    for label, key, estimate in _trial_estimators(spec.modes, spec.baseline):
+    for label, estimate in _trial_estimates(spec, si, mi, root):
         try:
-            rep = estimate(real, cfg, m, sigma2, root.split(key))
+            rep = estimate()
             outcome = (label, rep.nmse, rep.subspace_dist, rep.channel_uses_total)
         except np.linalg.LinAlgError as exc:
             outcome = (f"{label}#error:{type(exc).__name__}", math.nan, math.nan, 0)
@@ -200,23 +193,26 @@ def run_sweep(spec):
     if workers == 1:
         return sorted(_trial_rows_star(slices[0]), key=_ROW_ORDER)
     import numpy.random  # noqa: F401  lazy in numpy; forked children inherit it
-    children, payloads, statuses = {}, None, []  # children: pid -> read end of its pipe
+    children, pipes, payloads, statuses = [], [], None, []  # pids; read ends, one per slice
     try:
         for args in slices:
             read_fd, write_fd = os.pipe()
-            if (pid := os.fork()) == 0:  # the child reports its slice, then os._exit
-                try:
-                    os.write(write_fd, pickle.dumps((_trial_rows_star(args), None)))
-                except Exception as exc:
-                    os.write(write_fd, pickle.dumps((exc, traceback.format_exc())))
-                finally:
-                    os._exit(0)
-            os.close(write_fd)  # before the next fork: EOF comes when this child ends
-            children[pid] = open(read_fd, "rb")
-        payloads = [pipe.read() for pipe in children.values()]
+            pipes.append(open(read_fd, "rb"))
+            # closed before the next fork, or if this one fails: EOF comes when the child ends
+            with open(write_fd, "wb"):
+                if (pid := os.fork()) == 0:  # the child reports its slice, then os._exit
+                    try:
+                        os.write(write_fd, pickle.dumps((_trial_rows_star(args), None)))
+                    except Exception as exc:
+                        os.write(write_fd, pickle.dumps((exc, traceback.format_exc())))
+                    finally:
+                        os._exit(0)
+            children.append(pid)
+        payloads = [pipe.read() for pipe in pipes]
     finally:  # every child is reaped, so RUSAGE_CHILDREN counts it; none outlives this
-        for pid, pipe in children.items():
+        for pipe in pipes:
             pipe.close()
+        for pid in children:
             if payloads is None:
                 os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))

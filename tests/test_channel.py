@@ -48,6 +48,8 @@ def test_config_rejects_misc_bad_values():
         _small_cfg(seed=-3)
     with pytest.raises(ValueError, match="atoms"):
         _small_cfg(n_rf=4, grid_size=3)
+    with pytest.raises(ValueError, match="array sizes must be positive"):
+        _small_cfg(n_rx=0)
     # a count must be an integer: 8.5 antennas would give grid_size=17.0
     for name, bad in (("n_rx", 8.5), ("n_tx", 16.0), ("paths", 2.5), ("n_rf", 2.0),
                       ("grid_size", 16.5), ("seed", 1.5)):

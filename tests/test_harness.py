@@ -87,6 +87,8 @@ def test_spec_coerces_sequences_and_validates():
         _small_spec(trials=0)
     with pytest.raises(ValueError, match="mode"):
         _small_spec(modes=("genie",))
+    with pytest.raises(ValueError, match="need at least one recovery mode"):
+        _small_spec(modes=())
     with pytest.raises(ValueError, match="worker"):
         _small_spec(workers=0)
     # a non-integral count is rejected, not truncated or kept as a float
@@ -316,6 +318,26 @@ def test_an_interrupted_sweep_kills_and_reaps_its_children(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_earlier_children(monkeypatch):
+    # the second slice's fork fails, as EAGAIN under a process limit would
+    forks, fork = [], os.fork
+
+    def second_fork_fails():
+        forks.append(None)
+        if len(forks) % 2 == 0:
+            raise BlockingIOError("injected")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=2, workers=2)
+    open_fds = len(os.listdir("/dev/fd"))
+    for _ in range(5):
+        with pytest.raises(BlockingIOError, match="injected"):
+            run_sweep(spec)
+    assert len(os.listdir("/dev/fd")) == open_fds
     _assert_no_child_left()
 
 
@@ -610,6 +632,34 @@ def test_cli_estimate_rejects_an_snr_without_finite_noise(monkeypatch, capsys, s
 def test_cli_estimate_rejects_fewer_sounded_columns_than_paths(capsys):
     _usage_error(capsys, ["estimate", "--paths", "4", "--m", "2"],
                  re.escape("m=2 must satisfy 4 <= m <= 128"))
+
+
+def test_cli_estimate_rejects_its_arguments_before_any_draw(monkeypatch, capsys):
+    made, philox = [], np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda seq: made.append(seq) or philox(seq))
+    _usage_error(capsys, ["estimate", "--paths", "4", "--m", "2"],
+                 re.escape("m=2 must satisfy 4 <= m <= 128"))
+    assert made == []
+
+
+def test_cli_check_rejects_a_negative_seed(capsys):
+    _usage_error(capsys, ["check", "--seed", "-1"], "seed must be non-negative")
+
+
+def test_cli_sweep_lets_a_value_error_from_a_trial_reach_the_caller(monkeypatch):
+    # only argument resolution is a usage error; a ValueError raised while the
+    # sweep runs comes from a defect and keeps its traceback, not exit status 2
+    monkeypatch.setattr(harness, "two_stage_estimate", _raise(ValueError))
+    with pytest.raises(ValueError, match="injected"):
+        main(["sweep", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2",
+              "--m", "4", "--snr-db", "10", "--trials", "1"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows it provokes
+def test_cli_estimate_raises_a_numerical_failure_with_its_traceback():
+    # -3060 dB passes the spec, but the 32x128 trial's products overflow float64
+    with pytest.raises(np.linalg.LinAlgError):
+        main(["estimate", "--snr-db", "-3060"])
 
 
 def test_cli_check_reports_all_passes(capsys):

@@ -218,6 +218,8 @@ def test_rng_rejects_bad_seed_and_keys():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and non-negative"):
             sample_complex_gaussian(RngState(1), 3, 3, bad)
+    with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+        sample_complex_gaussian(RngState(1), 0, 3, 1.0)
 
 
 
@@ -253,3 +255,5 @@ def test_cached_builders_check_counts_before_the_cache_lookup():
     assert build_dictionary(np.int64(32), np.int32(64)) is shared
     with pytest.raises(ValueError, match="combiner size must be an integer"):
         dft_combiner(8.0)
+    with pytest.raises(ValueError, match="combiner size must be positive"):
+        dft_combiner(0)

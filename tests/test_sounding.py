@@ -150,3 +150,5 @@ def test_observe_rejects_shape_mismatches():
         sound_and_invert_block(real.h[:, :4], np.ones((8, 4)), noise)
     with pytest.raises(ValueError, match="noise"):
         sound_and_invert_block(real.h[:, :4], dft_combiner(8), noise[:, :3])
+    with pytest.raises(ValueError, match="combiner bank size must match the array size"):
+        sound_and_invert_block(real.h[:, :4], dft_combiner(16), noise)
