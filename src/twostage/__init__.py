@@ -28,7 +28,6 @@ from .harness import (
     SweepSpec,
     SummaryRow,
     noise_var_from_snr_db,
-    run_checks,
     run_sweep,
     summarize,
     write_rows,
@@ -52,7 +51,6 @@ from .stage2 import (
 from .subspace import (
     SubspaceEstimate,
     estimate_stage1,
-    interlacing_check,
     subspace_distance,
 )
 

@@ -1,4 +1,4 @@
-"""Command line front end: single-run estimates, Monte Carlo sweeps, oracle checks."""
+"""Command line front end: single-run estimates and Monte Carlo sweeps."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ import time
 from pathlib import Path
 
 from .channel import SystemConfig
-from .harness import (SweepSpec, _trial_estimates, run_checks, run_sweep, summarize,
-                      write_rows)
+from .harness import SweepSpec, _trial_estimates, run_sweep, summarize, write_rows
 from .numkit import RngState
 from .pipeline import RECOVERY_MODES
 
@@ -103,9 +102,6 @@ def build_parser():
     swp.add_argument("--workers", type=int)
     swp.add_argument("--out", type=str, help="CSV output path")
 
-    chk = sub.add_parser("check", help="run the built-in oracle checks")
-    chk.add_argument("--seed", type=int, default=0)
-
     return parser
 
 
@@ -163,29 +159,13 @@ def _cmd_sweep(spec, out_path, out):
     return 0
 
 
-def _cmd_check(args, out):
-    results = run_checks(seed=args.seed)
-    failed = 0
-    for name, passed, detail in results:
-        tag = "PASS" if passed else "FAIL"
-        out.write(f"{name:<30} {tag}  ({detail})\n")
-        failed += 0 if passed else 1
-    out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
-    return 1 if failed else 0
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:  # a rejected setting is a usage error, raised before the first draw
-        if args.command == "check":
-            RngState(args.seed)  # rejects a negative seed
-        else:
-            spec, out_path = _resolve(args, parser)
+        spec, out_path = _resolve(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.command == "check":
-        return _cmd_check(args, sys.stdout)
     if args.command == "estimate":
         return _cmd_estimate(spec, sys.stdout)
     return _cmd_sweep(spec, out_path, sys.stdout)

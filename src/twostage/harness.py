@@ -20,11 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .channel import SystemConfig, generate_channel
-from .numkit import RngState, as_integer, sample_complex_gaussian
+from .numkit import RngState, as_integer
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
-from .sounding import dft_combiner, sound_and_invert_block
-from .stage2 import build_dictionary, design_sounder_omp
-from .subspace import estimate_stage1, interlacing_check, subspace_distance
 
 __all__ = [
     "CSV_HEADER",
@@ -36,13 +33,6 @@ __all__ = [
     "summarize",
     "rows_to_csv",
     "write_rows",
-    "run_checks",
-    "check_combiner_independence",
-    "check_sampled_column_subspace",
-    "check_appended_column_interlacing",
-    "check_sounder_constraints",
-    "check_channel_uses",
-    "check_noiseless_exactness",
 ]
 
 def noise_var_from_snr_db(snr_db):
@@ -262,112 +252,3 @@ def rows_to_csv(rows):
 
 def write_rows(rows, path):
     Path(path).write_text(rows_to_csv(rows), encoding="ascii")
-
-
-def check_combiner_independence(rng):
-    """Any full-rank combiner bank inverts to the same sounded block plus noise."""
-    cfg = SystemConfig(n_rx=16, n_tx=24, paths=3, n_rf=4)
-    worst = 0.0
-    for i in range(50):
-        h_s = generate_channel(cfg, rng.split(i, 0)).h[:, :6]
-        noise = sample_complex_gaussian(rng.split(i, 1), 16, 6, 0.05)
-        gaussian = sample_complex_gaussian(rng.split(i, 2), 16, 16, 1.0)
-        for bank in (dft_combiner(16), gaussian):
-            y_tilde = sound_and_invert_block(h_s, bank, noise)
-            err = np.max(np.abs(y_tilde - h_s - noise))
-            worst = max(worst, float(err))
-    return worst <= 1e-9, (f"max entrywise deviation {worst:.3e} over 50 instances, "
-                           f"2 banks")
-
-
-def check_sampled_column_subspace(rng):
-    """Without noise, m >= paths sampled columns span the channel's column space."""
-    cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4)
-    worst = 0.0
-    for i in range(100):
-        m = (3, 4, 6)[i % 3]
-        real = generate_channel(cfg, rng.split(i))
-        d = subspace_distance(real.basis, estimate_stage1(real.h[:, :m], 3).basis)
-        worst = max(worst, d)
-    return worst <= 1e-10, (f"max distance {worst:.3e} over 100 noiseless draws, "
-                            f"m in (3, 4, 6)")
-
-
-def check_appended_column_interlacing(rng):
-    """An appended in-span column moves the rank-th singular value inside its cap."""
-    cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4)
-    lo = margin = math.inf
-    for i in range(100):
-        h_s = generate_channel(cfg, rng.split(i, 0)).h[:, :6]
-        coeffs = sample_complex_gaussian(rng.split(i, 1), 6, 1, 1.0)[:, 0]
-        delta, upper = interlacing_check(h_s, h_s @ coeffs, rank=3)
-        lo = min(lo, delta)
-        margin = min(margin, upper - delta)
-    passed = lo >= -1e-9 and margin >= -1e-9
-    return passed, f"100 draws, min delta {lo:.3e}, tightest cap margin {margin:.3e}"
-
-
-def check_sounder_constraints(rng):
-    """Sounders are constant-modulus, residuals never grow, in-dictionary targets fit."""
-    worst_mod = 0.0
-    monotone = True
-    atoms = build_dictionary(16, 32)
-    cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=5)
-    for i in range(20):
-        real = generate_channel(cfg, rng.split(i))
-        sounder = design_sounder_omp(real.basis, atoms, 5)
-        dev = np.max(np.abs(np.abs(sounder.analog) - 1.0 / math.sqrt(16)))
-        worst_mod = max(worst_mod, float(dev))
-        path = sounder.residual_path
-        monotone = monotone and all(b <= a + 1e-12 for a, b in zip(path, path[1:]))
-    target = np.linalg.qr(atoms[:, [5, 20]])[0]
-    exact = design_sounder_omp(target, atoms, 2).residual
-    passed = worst_mod <= 1e-12 and monotone and exact <= 1e-8
-    return passed, (f"max modulus deviation {worst_mod:.3e} over 20 designs, residuals "
-                    f"monotone: {monotone}, exact target residual {exact:.3e}")
-
-
-def check_channel_uses(rng):
-    """The reference-scale budget is exactly 152 / 168 uses, below the 624 parameters."""
-    totals = {}
-    for n_rf in (8, 6):
-        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=n_rf)
-        rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, 8, 0.01,
-                                 rng.split(1))
-        totals[n_rf] = (rep.channel_uses_total, rep.dof)
-    # exact budgets below the exact parameter count
-    passed = totals == {8: (152, 624), 6: (168, 624)}
-    return passed, (f"{totals[8][0]} uses divisible, {totals[6][0]} with a partial use, "
-                    f"parameter counts {totals[8][1]} and {totals[6][1]}")
-
-
-def check_noiseless_exactness(rng):
-    """Without noise, ``ideal`` mode recovers the reference-scale channel exactly."""
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
-    worst = 0.0
-    for i in range(20):
-        real = generate_channel(cfg, rng.split(i, 0))
-        rep = two_stage_estimate(real, cfg, 8, 0.0, rng.split(i, 1), mode="ideal")
-        worst = max(worst, rep.nmse)
-    return worst <= 1e-18, f"max NMSE {worst:.3e} over 20 channels"
-
-
-_CHECKS = (
-    ("combiner-independence", check_combiner_independence),
-    ("sampled-column-subspace", check_sampled_column_subspace),
-    ("appended-column-interlacing", check_appended_column_interlacing),
-    ("sounder-constraints", check_sounder_constraints),
-    ("channel-use-accounting", check_channel_uses),
-    ("noiseless-exactness", check_noiseless_exactness),
-)
-
-
-def run_checks(seed=0):
-    """Deterministic oracle suite behind the ``check`` subcommand.
-
-    Returns (name, passed, detail) triples. Each ``check_*`` function takes an
-    RngState and returns (passed, detail); the acceptance tests call the same
-    functions from their own root seeds.
-    """
-    rng = RngState(seed)
-    return [(name, *check(rng.split(i))) for i, (name, check) in enumerate(_CHECKS)]

@@ -13,7 +13,6 @@ __all__ = [
     "SubspaceEstimate",
     "estimate_stage1",
     "subspace_distance",
-    "interlacing_check",
 ]
 
 
@@ -93,29 +92,3 @@ def _sine2(u, u_hat):
         raise np.linalg.LinAlgError(f"subspace distance is not finite ({sine2})")
     # for nearly equal spans the largest eigenvalue can round below zero
     return min(1.0, max(0.0, sine2))
-
-
-def interlacing_check(h_s, h_new, rank):
-    """Shift of the rank-th squared singular value when a column is appended.
-
-    Returns ``(delta, upper)`` where delta is
-    sigma_rank^2([H_S, h_new]) - sigma_rank^2(H_S) and upper is |a_rank|^2
-    with ``a`` the coefficients of h_new on the dominant left basis of H_S.
-    For columns inside the span of that basis, 0 <= delta <= upper; for a
-    general column only delta >= 0 is guaranteed.
-    """
-    h_s = as_complex_matrix(h_s, "column block")
-    rank = as_integer(rank, "rank")
-    h_new = np.asarray(h_new, dtype=np.complex128).reshape(-1)
-    if h_new.shape[0] != h_s.shape[0]:
-        raise ValueError("appended column length must match the block rows")
-    grown = as_complex_matrix(np.column_stack([h_s, h_new]))
-    u, s, _ = np.linalg.svd(h_s, full_matrices=False)
-    if not 1 <= rank <= len(s):
-        raise ValueError(f"rank must be in [1, {len(s)}], got {rank}")
-    if s[rank - 1] <= 0:
-        raise ValueError(f"rank {rank} reaches past the last positive singular value")
-    upper = float(abs(np.vdot(u[:, rank - 1], h_new)) ** 2)
-    s_grown = np.linalg.svd(grown, compute_uv=False)
-    delta = float(s_grown[rank - 1] ** 2 - s[rank - 1] ** 2)
-    return delta, upper

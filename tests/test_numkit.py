@@ -14,7 +14,9 @@ from twostage.numkit import (
 from twostage.pipeline import two_stage_estimate
 from twostage.sounding import dft_combiner
 from twostage.stage2 import build_dictionary, design_sounder_omp
-from twostage.subspace import estimate_stage1, interlacing_check
+from twostage.subspace import estimate_stage1
+
+from oracles import interlacing_check
 
 
 def _random_matrix(seed, rows, cols):

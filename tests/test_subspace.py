@@ -5,12 +5,9 @@ from twostage.channel import SystemConfig, generate_channel
 from twostage.harness import noise_var_from_snr_db
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.sounding import dft_combiner, sound_and_invert_block
-from twostage.subspace import (
-    _sine2,
-    estimate_stage1,
-    interlacing_check,
-    subspace_distance,
-)
+from twostage.subspace import _sine2, estimate_stage1, subspace_distance
+
+from oracles import interlacing_check
 
 
 def _rank_limited(rng, n, m, rank):
