@@ -63,6 +63,10 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.baseline, (bool, np.bool_)):  # "no" is truthy
+            raise ValueError(f"baseline must be a bool, got {self.baseline!r}")
+        if isinstance(self.modes, str):
+            raise ValueError(f"modes must be a sequence of mode names, not the string {self.modes!r}")
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         object.__setattr__(self, "m_list",
                            tuple(as_integer(m, "m_list entry") for m in self.m_list))

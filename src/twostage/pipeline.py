@@ -67,9 +67,10 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     n_rf rows per channel use; inverting any such bank returns H_S + N
     (``sound_and_invert_block``), so the estimate forms H_S + N directly and
     keeps its dominant rank-``paths`` part. Stage 2 designs the
-    subspace-matched sounder (``ideal`` mode sounds with the estimated basis
-    itself) and recovers each remaining column in one channel use. The
-    estimate stacks the denoised and the recovered block in original column order.
+    subspace-matched sounder and recovers each remaining column in one channel
+    use; ``ideal`` mode sounds with the orthonormal estimated basis itself and
+    recovers by W y, its least-squares fit. The estimate stacks the denoised
+    and the recovered block in original column order.
     Deterministic given (cfg, m, sigma2, rng). The channel is checked once,
     here; the stages below run unchecked on the arrays this function builds.
     """
@@ -87,7 +88,7 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     h_hat = est.denoised
     if m < cfg.n_tx:
         if mode == "ideal":
-            sounder, column_mode = est.basis, "pseudo-inverse"
+            sounder, column_mode = est.basis, "paper-literal"
         else:
             atoms = build_dictionary(cfg.n_rx, cfg.grid_size)
             sounder = _design_omp(est.basis, atoms, cfg.n_rf).product

@@ -4,7 +4,9 @@ one-channel-use recovery of every remaining column, sounded as one block.
 The receive sounder is factored as analog @ digital where the analog part is
 built from constant-modulus steering atoms (phase shifters only) and the
 digital part is an unconstrained least-squares fit, chosen greedily so the
-product approximates the estimated subspace basis.
+product approximates the estimated subspace basis. The greedy pass holds that
+product, so the digital part is fitted only when read, and recovery projects
+the real noise draws by one real product, with no complex noise matrix.
 """
 
 from __future__ import annotations
@@ -40,11 +42,15 @@ class HybridSounder:
     """Greedy factorization of a target combiner into phase shifts and mixing."""
 
     analog: np.ndarray = field(repr=False)  # n_rx x n_rf, |entry| = 1/sqrt(n_rx)
-    digital: np.ndarray = field(repr=False)  # n_rf x rank, unconstrained
     product: np.ndarray = field(repr=False)  # analog @ digital
     residual: float = 0.0  # ||target - product||_F after the last step
     residual_path: tuple = ()  # per-step residuals, non-increasing
     selected: tuple = ()  # chosen grid indices in selection order
+
+    @functools.cached_property
+    def digital(self):
+        """n_rf x rank minimum-norm least-squares fit of the target, made on first read."""
+        return np.linalg.lstsq(self.analog, self.product, rcond=None)[0]
 
 
 def build_dictionary(n_r, grid_size):
@@ -76,8 +82,8 @@ def design_sounder_omp(u_hat, atoms, n_rf):
     correlation row against the current residual and appends the best one.
     The residual is the part of the target outside the span of the picked
     atoms, kept as an orthonormal basis that grows by one Gram-Schmidt vector
-    per step, so it never increases. Atoms are never reused. The digital
-    matrix is one least-squares fit over all picked atoms, at the end.
+    per step, so it never increases. Atoms are never reused. The product is
+    the target minus the last residual, its projection onto the atoms' span.
     """
     return _design_omp(as_complex_matrix(u_hat, "target combiner"),
                        as_complex_matrix(atoms, "dictionary atoms"), n_rf)
@@ -121,12 +127,9 @@ def _design_omp(target, atoms, n_rf):
             residual_mat = residual_mat - q[:, None] * (span_h[rank] @ residual_mat)
             rank += 1
         residual_path.append(math.sqrt(np.vdot(residual_mat, residual_mat).real))
-    analog = atoms[:, selected]
-    digital = np.linalg.lstsq(analog, target, rcond=None)[0]
     return HybridSounder(
-        analog=analog,
-        digital=digital,
-        product=analog @ digital,
+        analog=atoms[:, selected],
+        product=target - residual_mat,
         residual=residual_path[-1],
         residual_path=tuple(residual_path),
         selected=tuple(selected),
@@ -137,11 +140,11 @@ def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
     """Observe every column of ``h`` through the same combiner, one use each.
 
     The uses stack into Y = W^H (H + N), with W the combiner matrix and the
-    noise drawn column by column, real part before imaginary part.
-    ``pseudo-inverse`` returns the minimum-norm least-squares estimate
-    W (W^H W)^-1 Y, inverting the Gram matrix through its eigendecomposition;
-    ``paper-literal`` returns W Y, which agrees only when W has orthonormal
-    columns.
+    noise drawn column by column, real part before imaginary part (W^H N is
+    one real product of the draws). ``pseudo-inverse`` returns the minimum-norm
+    least-squares estimate W (W^H W)^-1 Y, inverting the Gram matrix through its
+    eigendecomposition; ``paper-literal`` returns W Y, which agrees only when W
+    has orthonormal columns.
     """
     w = as_complex_matrix(combiner, "combiner")
     return _recover_block(as_complex_matrix(h, "channel"), w, sigma2, rng, mode)
@@ -155,10 +158,11 @@ def _recover_block(h, w, sigma2, rng, mode):
         raise ValueError("combiner rows must match the array size")
     if not math.isfinite(sigma2) or sigma2 < 0:
         raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
-    draws = rng.generator.standard_normal((h.shape[1], 2, h.shape[0]))
-    noise = math.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1]).T
+    draws = rng.generator.standard_normal((h.shape[1], 2 * h.shape[0]))
+    # row j, [Re n_j, Im n_j], against [conj W; i conj W] as reals is n_j^T conj W as complex
     wh = w.conj().T
-    y = wh @ (h + noise)
+    mix = math.sqrt(sigma2 / 2.0) * np.vstack([wh.T, 1j * wh.T]).view(np.float64)
+    y = wh @ h + (draws @ mix).view(np.complex128).T
     if mode == "paper-literal":
         return w @ y
     # one eigendecomposition of the Hermitian Gram matrix gives both its

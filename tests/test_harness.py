@@ -105,6 +105,20 @@ def test_spec_coerces_sequences_and_validates():
             _small_spec(**{field: values})
 
 
+@pytest.mark.parametrize("bad", ["no", 0, None])
+def test_spec_rejects_a_baseline_that_is_not_a_bool(bad):
+    # any truthy value would run the baseline, "no" among them
+    with pytest.raises(ValueError, match="baseline must be a bool"):
+        _small_spec(baseline=bad)
+    assert _small_spec(baseline=np.bool_(False)).baseline == np.False_
+
+
+def test_spec_rejects_a_bare_string_of_modes():
+    # a string would be read one letter at a time, as mode 'i'
+    with pytest.raises(ValueError, match="modes must be a sequence"):
+        _small_spec(modes="ideal")
+
+
 # --------------------------------------------------------------------- sweep
 
 

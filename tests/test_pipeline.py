@@ -146,14 +146,7 @@ def test_noiseless_pseudo_inverse_floor_is_the_grid_mismatch():
 # --------------------------------------------------------------------- cost
 
 
-@pytest.mark.parametrize("m, expected", [
-    (8, {"svd": 1, "lstsq": 1, "eigh": 1, "eigvalsh": 1}),
-    (32, {"lstsq": 1, "eigh": 2, "eigvalsh": 1}),
-])
-def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, expected):
-    # stage 1 forms H_S + N with no bank, the PCA takes one SVD (tall
-    # block) or one eigh (square), OMP one lstsq, stage 2 one eigh and the
-    # subspace distance one eigvalsh; no cond and no solve anywhere
+def _factorizations_of_one_estimate(monkeypatch, m, mode):
     calls = {}
     for name in ("svd", "eigh", "eigvalsh", "lstsq", "cond", "solve"):
         def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
@@ -163,8 +156,26 @@ def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, exp
     cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     real = generate_channel(cfg, RngState(2))
     real.basis  # the realization's own QR, cached before the count
-    two_stage_estimate(real, cfg, m, 0.1, RngState(3))
-    assert calls == expected
+    two_stage_estimate(real, cfg, m, 0.1, RngState(3), mode=mode)
+    return calls
+
+
+@pytest.mark.parametrize("m, expected", [
+    (8, {"svd": 1, "eigh": 1, "eigvalsh": 1}),
+    (32, {"eigh": 2, "eigvalsh": 1}),
+])
+def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, expected):
+    # stage 1 forms H_S + N with no bank, the PCA takes one SVD (tall
+    # block) or one eigh (square), stage 2 one eigh and the subspace
+    # distance one eigvalsh; OMP holds its product, so no lstsq refit, and
+    # no cond and no solve anywhere
+    assert _factorizations_of_one_estimate(monkeypatch, m, "pseudo-inverse") == expected
+
+
+def test_ideal_recovery_takes_no_stage2_factorization(monkeypatch):
+    # the orthonormal PCA basis is its own least-squares recovery: no Gram eigh
+    calls = _factorizations_of_one_estimate(monkeypatch, 8, "ideal")
+    assert calls == {"svd": 1, "eigvalsh": 1}
 
 
 def test_a_reference_trial_checks_each_array_once(monkeypatch):

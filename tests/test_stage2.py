@@ -187,7 +187,7 @@ def test_projection_updated_design_matches_the_refit_every_step_loop():
                 s = design_sounder_omp(basis, atoms, cfg.n_rf)
                 selected, product, path = _omp_refit_every_step(basis, atoms, cfg.n_rf)
                 assert s.selected == selected
-                np.testing.assert_array_equal(s.product, product)
+                np.testing.assert_allclose(s.product, product, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(s.residual_path, path, rtol=0, atol=1e-12)
 
 
@@ -205,6 +205,11 @@ def test_atoms_past_the_array_size_add_nothing_to_the_span():
     assert s.residual <= 1e-14
     np.testing.assert_allclose(s.product, product, rtol=0, atol=1e-12)
     np.testing.assert_allclose(s.product, target, rtol=0, atol=1e-12)
+    # the 4 x 7 analog part is rank deficient; digital is the minimum-norm fit
+    assert np.linalg.matrix_rank(s.analog) == 4
+    np.testing.assert_allclose(s.analog @ s.digital, s.product, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(s.digital, np.linalg.pinv(s.analog) @ target,
+                               rtol=0, atol=1e-12)
 
 
 def test_nearly_dependent_and_zero_atoms_keep_the_residual_exact():
@@ -333,6 +338,23 @@ def test_column_recovery_argument_errors():
             sound_and_recover_block(*args, 0.1, RngState(0))
 
 
+@pytest.mark.parametrize("rows, cols, rank", [(32, 120, 6), (5, 3, 2)])
+def test_observation_is_the_combined_channel_plus_the_drawn_noise(rows, cols, rank):
+    # the real projection of the draws must equal W^H (H + N) with N built
+    # from the same draws, per column real part before imaginary part; W y
+    # shows y, as W has full column rank
+    rng = RngState(64)
+    h = sample_complex_gaussian(rng.split(0), rows, cols, 1.0)
+    w = sample_complex_gaussian(rng.split(1), rows, rank, 1.0)  # not orthonormal
+    sigma2 = 0.3
+    observed = sound_and_recover_block(h, w, sigma2, rng.split(2), "paper-literal")
+    draws = rng.split(2).generator.standard_normal((cols, 2, rows))
+    noise = math.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1]).T
+    expected = w @ (w.conj().T @ (h + noise))
+    np.testing.assert_allclose(observed, expected, rtol=0,
+                               atol=1e-13 * np.abs(expected).max())
+
+
 def test_designed_sounder_product_recovers_an_in_dictionary_column():
     atoms = build_dictionary(8, 16)
     s = design_sounder_omp(atoms[:, 3:4], atoms, 1)
@@ -378,6 +400,7 @@ def test_remaining_columns_match_a_per_column_loop(mode):
     y_tilde = sound_and_invert_block(real.h[:, :8], dft_combiner(32), noise)
     basis = estimate_stage1(y_tilde, 4).basis
     if mode == "ideal":
+        # ideal recovers by W y; for its orthonormal basis that is W (W^H W)^-1 y
         w, column_mode = basis, "pseudo-inverse"
     else:
         w = design_sounder_omp(basis, build_dictionary(32, cfg.grid_size), 6).product
