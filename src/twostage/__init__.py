@@ -41,7 +41,6 @@ from .pipeline import (
     nmse,
     two_stage_estimate,
 )
-from .sounding import dft_combiner, sound_and_invert_block
 from .stage2 import (
     HybridSounder,
     build_dictionary,

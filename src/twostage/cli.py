@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from pathlib import Path
@@ -166,9 +167,14 @@ def main(argv=None):
         spec, out_path = _resolve(args, parser)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.command == "estimate":
-        return _cmd_estimate(spec, sys.stdout)
-    return _cmd_sweep(spec, out_path, sys.stdout)
+    try:  # flushed here, so a reader that closed the pipe early is seen here
+        status = (_cmd_estimate(spec, sys.stdout) if args.command == "estimate"
+                  else _cmd_sweep(spec, out_path, sys.stdout))
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # stdout to devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

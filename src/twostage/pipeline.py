@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, as_integer, sample_complex_gaussian
+from .numkit import as_complex_matrix, as_integer
+from .sounding import _observe
 from .stage2 import _design_omp, _recover_block, build_dictionary
 from .subspace import _pca, _sine2
 
@@ -64,13 +65,13 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     """Sound m columns at noise variance sigma2, learn the subspace, recover the rest.
 
     Stage 1 sounds the first m columns through a full-rank combiner bank,
-    n_rf rows per channel use; inverting any such bank returns H_S + N
-    (``sound_and_invert_block``), so the estimate forms H_S + N directly and
-    keeps its dominant rank-``paths`` part. Stage 2 designs the
-    subspace-matched sounder and recovers each remaining column in one channel
-    use; ``ideal`` mode sounds with the orthonormal estimated basis itself and
-    recovers by W y, its least-squares fit. The estimate stacks the denoised
-    and the recovered block in original column order.
+    n_rf rows per channel use; inverting any such bank returns H_S + N (see
+    ``sounding``), so the estimate observes H_S + N directly and keeps its
+    dominant rank-``paths`` part. Stage 2 designs the subspace-matched
+    sounder and recovers each remaining column in one channel use; ``ideal``
+    mode sounds with the orthonormal estimated basis itself and recovers by
+    W y, its least-squares fit. The estimate stacks the denoised and the
+    recovered block in original column order.
     Deterministic given (cfg, m, sigma2, rng). The channel is checked once,
     here; the stages below run unchecked on the arrays this function builds.
     """
@@ -84,7 +85,7 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     if mode not in RECOVERY_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
     # the sampler rejects a negative or non-finite sigma2 before any draw
-    est = _noisy_pca(h[:, :m], sigma2, rng, cfg.paths)
+    est = _pca(_observe(h[:, :m], sigma2, rng), cfg.paths)
     h_hat = est.denoised
     if m < cfg.n_tx:
         if mode == "ideal":
@@ -106,13 +107,8 @@ def full_observation_baseline(real, sigma2, rng):
     not comparable with the sounding budget of the two-stage estimator; rows
     carry the ``full-observation`` tag to keep that explicit.
     """
-    est = _noisy_pca(as_complex_matrix(real.h, "channel"), sigma2, rng, real.paths)
+    est = _pca(_observe(as_complex_matrix(real.h, "channel"), sigma2, rng), real.paths)
     return _report(real, est.denoised, est.basis, real.h.size, 0, "full-observation")
-
-
-def _noisy_pca(block, sigma2, rng, rank):
-    """Rank-``rank`` PCA of the block plus one noise draw of its shape."""
-    return _pca(block + sample_complex_gaussian(rng, *block.shape, sigma2), rank)
 
 
 def _report(real, h_hat, basis, uses_stage1, uses_stage2, mode):

@@ -19,11 +19,10 @@ from twostage.channel import SystemConfig, generate_channel
 from twostage.harness import SweepSpec, rows_to_csv, run_sweep, summarize
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import two_stage_estimate
-from twostage.sounding import dft_combiner, sound_and_invert_block
 from twostage.stage2 import build_dictionary, design_sounder_omp
 from twostage.subspace import estimate_stage1, subspace_distance
 
-from oracles import interlacing_check
+from oracles import dft_combiner, interlacing_check, sound_and_invert_block
 
 
 def _ok(name, detail):

@@ -12,11 +12,10 @@ from twostage.numkit import (
     sample_complex_gaussian,
 )
 from twostage.pipeline import two_stage_estimate
-from twostage.sounding import dft_combiner
 from twostage.stage2 import build_dictionary, design_sounder_omp
 from twostage.subspace import estimate_stage1
 
-from oracles import interlacing_check
+from oracles import dft_combiner, interlacing_check
 
 
 def _random_matrix(seed, rows, cols):

@@ -19,9 +19,10 @@ from twostage.pipeline import (
     nmse,
     two_stage_estimate,
 )
-from twostage.sounding import dft_combiner, sound_and_invert_block
 from twostage.stage2 import sound_and_recover_block
 from twostage.subspace import estimate_stage1
+
+from oracles import dft_combiner, sound_and_invert_block
 
 
 def _run(seed, mode="pseudo-inverse", sigma2=0.1):

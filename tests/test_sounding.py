@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage import sounding
 from twostage.channel import SystemConfig, generate_channel
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import RECOVERY_MODES, two_stage_estimate
-from twostage.sounding import dft_combiner, sound_and_invert_block
+
+from oracles import dft_combiner, sound_and_invert_block
 
 
 def _channel(seed=0, **kw):
@@ -131,12 +131,13 @@ def test_singular_bank_is_rejected_with_condition_diagnostic():
 
 def test_no_estimate_mode_calls_cond_or_sound_and_invert_block(monkeypatch):
     # any full-rank bank inverts to H_S + N, so an estimate forms H_S + N with
-    # no bank: no condition check and no bank inversion, in every mode
+    # no bank: no condition check and no bank inversion (the oracle's only
+    # factorization is a solve), in every mode
     def forbidden(*args, **kwargs):
         raise AssertionError("stage 1 inverted a combiner bank")
 
     monkeypatch.setattr(np.linalg, "cond", forbidden)
-    monkeypatch.setattr(sounding, "sound_and_invert_block", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
     cfg, real = _channel(13)
     for mode in RECOVERY_MODES:
         rep = two_stage_estimate(real, cfg, 4, 0.1, RngState(13), mode)

@@ -8,13 +8,14 @@ from twostage import stage2
 from twostage.channel import SystemConfig, generate_channel, ula_response
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import two_stage_estimate
-from twostage.sounding import dft_combiner, sound_and_invert_block
 from twostage.stage2 import (
     build_dictionary,
     design_sounder_omp,
     sound_and_recover_block,
 )
 from twostage.subspace import estimate_stage1
+
+from oracles import dft_combiner, sound_and_invert_block
 
 
 # ---------------------------------------------------------------- dictionary

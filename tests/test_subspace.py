@@ -4,10 +4,9 @@ import pytest
 from twostage.channel import SystemConfig, generate_channel
 from twostage.harness import noise_var_from_snr_db
 from twostage.numkit import RngState, sample_complex_gaussian
-from twostage.sounding import dft_combiner, sound_and_invert_block
 from twostage.subspace import _sine2, estimate_stage1, subspace_distance
 
-from oracles import interlacing_check
+from oracles import dft_combiner, interlacing_check, sound_and_invert_block
 
 
 def _rank_limited(rng, n, m, rank):
