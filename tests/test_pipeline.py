@@ -162,15 +162,17 @@ def _factorizations_of_one_estimate(monkeypatch, m, mode):
 
 
 @pytest.mark.parametrize("m, expected", [
-    (8, {"svd": 1, "eigh": 1, "eigvalsh": 1}),
-    (32, {"eigh": 2, "eigvalsh": 1}),
+    (8, {"pseudo-inverse": {"svd": 1, "eigh": 1, "eigvalsh": 1},
+         "paper-literal": {"svd": 1, "eigvalsh": 1}}),
+    (32, {"pseudo-inverse": {"eigh": 2, "eigvalsh": 1}}),
 ])
 def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, expected):
     # stage 1 forms H_S + N with no bank, the PCA takes one SVD (tall
-    # block) or one eigh (square), stage 2 one eigh and the subspace
-    # distance one eigvalsh; OMP holds its product, so no lstsq refit, and
-    # no cond and no solve anywhere
-    assert _factorizations_of_one_estimate(monkeypatch, m, "pseudo-inverse") == expected
+    # block) or one eigh (square), stage 2 one eigh (none for paper-literal's
+    # W y) and the subspace distance one eigvalsh; OMP holds its product, so
+    # no lstsq refit, and no cond and no solve anywhere
+    for mode, counts in expected.items():
+        assert _factorizations_of_one_estimate(monkeypatch, m, mode) == counts
 
 
 def test_ideal_recovery_takes_no_stage2_factorization(monkeypatch):
@@ -215,9 +217,11 @@ def test_channel_use_accounting_at_the_reference_scale():
     assert report.dof == 624
     assert report.channel_uses_total < report.dof
 
+    # 32 rows in 6-row uses: 6 uses per column, the last one partial
     cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     real = generate_channel(cfg, RngState(9))
     report = two_stage_estimate(real, cfg, 8, 0.0, RngState(9, (1,)), mode="ideal")
+    assert report.channel_uses_stage1 == 48
     assert report.channel_uses_total == 168
     assert report.channel_uses_total < report.dof
 

@@ -8,14 +8,13 @@ from twostage import stage2
 from twostage.channel import SystemConfig, generate_channel, ula_response
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import two_stage_estimate
+from twostage.sounding import _observe
 from twostage.stage2 import (
     build_dictionary,
     design_sounder_omp,
     sound_and_recover_block,
 )
 from twostage.subspace import estimate_stage1
-
-from oracles import dft_combiner, sound_and_invert_block
 
 
 # ---------------------------------------------------------------- dictionary
@@ -397,9 +396,7 @@ def test_remaining_columns_match_a_per_column_loop(mode):
     rep = two_stage_estimate(real, cfg, 8, 0.1, RngState(48), mode=mode)
     # replay stage 1 on the same stream, then sound column by column
     rng = RngState(48)
-    noise = sample_complex_gaussian(rng, 32, 8, 0.1)
-    y_tilde = sound_and_invert_block(real.h[:, :8], dft_combiner(32), noise)
-    basis = estimate_stage1(y_tilde, 4).basis
+    basis = estimate_stage1(_observe(real.h[:, :8], 0.1, rng), 4).basis
     if mode == "ideal":
         # ideal recovers by W y; for its orthonormal basis that is W (W^H W)^-1 y
         w, column_mode = basis, "pseudo-inverse"
