@@ -47,7 +47,7 @@ def _config_argv(path, parser):
             raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
         seen.add(key)
         if key not in flags:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         action, flag = flags[key], flags[key].option_strings[0]
         if isinstance(action, argparse.BooleanOptionalAction) and value.lower() in _BOOL:
             argv.append(action.option_strings[not _BOOL[value.lower()]])
@@ -173,7 +173,9 @@ def main(argv=None):
         sys.stdout.flush()
         return status
     except BrokenPipeError:  # stdout to devnull, so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from twostage.channel import SystemConfig, generate_channel, ula_response
 from twostage.numkit import (
@@ -13,11 +11,6 @@ from twostage.numkit import (
 )
 from twostage.pipeline import two_stage_estimate
 from twostage.stage2 import build_dictionary, design_sounder_omp
-from twostage.subspace import estimate_stage1
-
-
-def _random_matrix(seed, rows, cols):
-    return sample_complex_gaussian(RngState(seed), rows, cols, 1.0)
 
 
 # ---------------------------------------------------------------- validation
@@ -54,73 +47,6 @@ def test_as_complex_matrix_rejects_wrong_ndim():
 def test_as_complex_matrix_rejects_empty():
     with pytest.raises(ValueError):
         as_complex_matrix(np.ones((0, 3)))
-
-
-# ------------------------------------------------------------- rank-L PCA
-# The package takes its one rank truncation in subspace.estimate_stage1; these
-# are the kernel properties of that PCA on small, known inputs.
-
-
-def _projector(u):
-    return u @ u.conj().T
-
-
-def test_svd_identity_has_unit_singular_values():
-    est = estimate_stage1(np.eye(3), 3)
-    np.testing.assert_allclose(est.singular_values, np.ones(3))
-    np.testing.assert_allclose(_projector(est.basis), np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(est.denoised, np.eye(3), atol=1e-14)
-
-
-def test_svd_diagonal_matrix():
-    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 3)
-    np.testing.assert_allclose(est.singular_values, [3.0, 2.0, 1.0])
-    np.testing.assert_allclose(np.abs(est.basis), np.eye(3), atol=1e-14)
-
-
-def test_svd_matches_gram_eigendecomposition_oracle():
-    # independent route: eigenpairs of A A^H give the squared singular values
-    # and the dominant left subspace
-    a = _random_matrix(101, 5, 4)
-    evals, evecs = np.linalg.eigh(a @ a.conj().T)
-    for rank in (1, 2, 4):
-        est = estimate_stage1(a, rank)
-        np.testing.assert_allclose(est.singular_values,
-                                   np.sqrt(evals[::-1][:rank]), rtol=1e-10)
-        np.testing.assert_allclose(_projector(est.basis),
-                                   _projector(evecs[:, ::-1][:, :rank]), atol=1e-10)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
-def test_svd_round_trip_and_orthonormal_factors(rows, cols, seed):
-    a = sample_complex_gaussian(RngState(seed), rows, cols, 1.0)
-    k = min(rows, cols)
-    est = estimate_stage1(a, k)
-    assert np.linalg.norm(a - est.denoised) <= 1e-8 * max(1.0, np.linalg.norm(a))
-    assert np.all(np.diff(est.singular_values) <= 1e-12)
-    np.testing.assert_allclose(est.basis.conj().T @ est.basis, np.eye(k), atol=1e-10)
-
-
-def test_truncation_of_a_diagonal_matrix_zeroes_the_tail():
-    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 1)
-    np.testing.assert_allclose(est.denoised, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
-
-
-def test_truncation_beats_brute_force_rank_candidates():
-    # Eckart-Young: Frobenius optimality against alternating-least-squares
-    # refined candidates
-    rng = RngState(7)
-    for rank in (1, 2):
-        a = sample_complex_gaussian(rng.split(rank), 3, 3, 1.0)
-        err = np.linalg.norm(a - estimate_stage1(a, rank).denoised)
-        for i in range(200):
-            x = sample_complex_gaussian(rng.split(rank, i, 0), 3, rank, 1.0)
-            y = sample_complex_gaussian(rng.split(rank, i, 1), 3, rank, 1.0)
-            for _ in range(8):
-                x = a @ np.linalg.pinv(y.conj().T)
-                y = (np.linalg.pinv(x) @ a).conj().T
-            assert err <= np.linalg.norm(a - x @ y.conj().T) + 1e-9
 
 
 # ------------------------------------------------------------ random streams
@@ -194,12 +120,11 @@ _BLOCK = sample_complex_gaussian(RngState(5), 8, 4, 1.0)
     lambda: ula_response([0.1, 0.2], 4.0),
     lambda: two_stage_estimate(generate_channel(_CFG, RngState(0)), _CFG, 8.0, 0.1,
                                RngState(1)),
-    lambda: estimate_stage1(_BLOCK, 2.0),
     lambda: design_sounder_omp(_BLOCK[:, :1], build_dictionary(8, 16), 6.0),
     lambda: sample_complex_gaussian(RngState(0), 2.5, 3, 1.0),
     lambda: sample_complex_gaussian(RngState(0), 2, 3.0, 1.0),
-], ids=["dictionary-grid", "dictionary-array", "ula", "two-stage-m", "pca-rank",
-        "omp-n_rf", "gaussian-rows", "gaussian-cols"])
+], ids=["dictionary-grid", "dictionary-array", "ula", "two-stage-m", "omp-n_rf",
+        "gaussian-rows", "gaussian-cols"])
 def test_primitives_reject_non_integer_counts(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twostage.channel import SystemConfig, generate_channel
 from twostage.harness import noise_var_from_snr_db
@@ -7,13 +9,82 @@ from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.sounding import _observe
 from twostage.subspace import _sine2, estimate_stage1, subspace_distance
 
-from oracles import interlacing_check
-
 
 def _rank_limited(rng, n, m, rank):
     a = sample_complex_gaussian(rng.split(0), n, rank, 1.0)
     b = sample_complex_gaussian(rng.split(1), rank, m, 1.0)
     return a @ b
+
+
+# ------------------------------------------------------------- rank-L PCA
+# The package takes its one rank truncation in subspace.estimate_stage1; these
+# are the kernel properties of that PCA on small, known inputs.
+
+
+def _random_matrix(seed, rows, cols):
+    return sample_complex_gaussian(RngState(seed), rows, cols, 1.0)
+
+
+def _projector(u):
+    return u @ u.conj().T
+
+
+def test_pca_of_the_identity_has_unit_singular_values():
+    est = estimate_stage1(np.eye(3), 3)
+    np.testing.assert_allclose(est.singular_values, np.ones(3))
+    np.testing.assert_allclose(_projector(est.basis), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(est.denoised, np.eye(3), atol=1e-14)
+
+
+def test_pca_of_a_diagonal_matrix():
+    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 3)
+    np.testing.assert_allclose(est.singular_values, [3.0, 2.0, 1.0])
+    np.testing.assert_allclose(np.abs(est.basis), np.eye(3), atol=1e-14)
+
+
+def test_pca_matches_the_gram_eigendecomposition_oracle():
+    # independent route: eigenpairs of A A^H give the squared singular values
+    # and the dominant left subspace
+    a = _random_matrix(101, 5, 4)
+    evals, evecs = np.linalg.eigh(a @ a.conj().T)
+    for rank in (1, 2, 4):
+        est = estimate_stage1(a, rank)
+        np.testing.assert_allclose(est.singular_values,
+                                   np.sqrt(evals[::-1][:rank]), rtol=1e-10)
+        np.testing.assert_allclose(_projector(est.basis),
+                                   _projector(evecs[:, ::-1][:, :rank]), atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_pca_round_trip_and_orthonormal_factors(rows, cols, seed):
+    a = sample_complex_gaussian(RngState(seed), rows, cols, 1.0)
+    k = min(rows, cols)
+    est = estimate_stage1(a, k)
+    assert np.linalg.norm(a - est.denoised) <= 1e-8 * max(1.0, np.linalg.norm(a))
+    assert np.all(np.diff(est.singular_values) <= 1e-12)
+    np.testing.assert_allclose(est.basis.conj().T @ est.basis, np.eye(k), atol=1e-10)
+
+
+def test_pca_truncation_of_a_diagonal_matrix_zeroes_the_tail():
+    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 1)
+    np.testing.assert_allclose(est.denoised, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
+
+
+def test_pca_truncation_beats_brute_force_rank_candidates():
+    # Eckart-Young: Frobenius optimality against alternating-least-squares
+    # refined candidates
+    rng = RngState(7)
+    for rank in (1, 2):
+        a = sample_complex_gaussian(rng.split(rank), 3, 3, 1.0)
+        err = np.linalg.norm(a - estimate_stage1(a, rank).denoised)
+        for i in range(200):
+            x = sample_complex_gaussian(rng.split(rank, i, 0), 3, rank, 1.0)
+            y = sample_complex_gaussian(rng.split(rank, i, 1), 3, rank, 1.0)
+            for _ in range(8):
+                x = a @ np.linalg.pinv(y.conj().T)
+                y = (np.linalg.pinv(x) @ a).conj().T
+            assert err <= np.linalg.norm(a - x @ y.conj().T) + 1e-9
 
 
 # ------------------------------------------------------------ stage-1 output
@@ -61,6 +132,8 @@ def test_rank_bounds_are_enforced():
             estimate_stage1(y, 0)
         with pytest.raises(ValueError, match="rank"):
             estimate_stage1(y, min(rows, cols) + 1)
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            estimate_stage1(y, 2.0)
 
 
 def test_stage1_rejects_a_non_finite_block():
@@ -213,36 +286,6 @@ def test_distance_rejects_bad_bases():
     # the unchecked body a trial calls: a NaN distance is an error, not a clamped 0.0
     with pytest.raises(ValueError, match="not finite"):
         _sine2(e1, bad)
-
-
-# --------------------------------------------------------------- interlacing
-
-
-def test_appending_a_zero_column_changes_nothing():
-    h_s = _rank_limited(RngState(7), 8, 6, 3)
-    delta, upper = interlacing_check(h_s, np.zeros(8, dtype=complex), rank=3)
-    assert abs(delta) <= 1e-12
-    assert upper == 0.0
-
-
-def test_small_orthogonal_column_cannot_move_the_retained_value():
-    h_s = _rank_limited(RngState(8), 8, 6, 3)
-    u_full = np.linalg.svd(h_s)[0]
-    h_new = 1e-3 * u_full[:, 5]  # outside col(H_S), far below sigma_3
-    delta, upper = interlacing_check(h_s, h_new, rank=3)
-    assert abs(delta) <= 1e-9
-    assert upper <= 1e-12
-
-
-def test_delta_matches_a_direct_spectrum_computation():
-    rng = RngState(10)
-    h_s = _rank_limited(rng.split(0), 8, 6, 3)
-    h_new = sample_complex_gaussian(rng.split(1), 8, 1, 1.0)[:, 0]
-    delta, _ = interlacing_check(h_s, h_new, rank=3)
-    before = np.linalg.svd(h_s, compute_uv=False)[2] ** 2
-    after = np.linalg.svd(np.hstack([h_s, h_new[:, None]]),
-                          compute_uv=False)[2] ** 2
-    np.testing.assert_allclose(delta, after - before, rtol=1e-9, atol=1e-12)
 
 
 # ------------------------------------------------------- estimation accuracy
