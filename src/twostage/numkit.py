@@ -1,11 +1,11 @@
 """Seeded random streams and the input check shared by every estimator stage.
 
-All matrices are plain numpy complex128 arrays. Public functions that take
-matrices from outside the package check them once with ``as_complex_matrix``
-and hand them to an unchecked body, which the pipeline calls directly on the
-arrays it builds. The only stateful object is RngState, a seeded
-counter-based stream (Philox) with keyed sub-streams, so Monte Carlo trials
-stay reproducible and independent of execution order.
+All matrices are plain numpy complex128 arrays. ``as_complex_matrix`` checks
+a matrix once, where it enters an estimator (the channel, and both arrays of
+``nmse``); the stage functions that the estimators call take finite 2-D
+complex arrays and do not check them. The only stateful object is RngState,
+a seeded counter-based stream (Philox) with keyed sub-streams, so Monte Carlo
+trials stay reproducible and independent of execution order.
 """
 
 from __future__ import annotations

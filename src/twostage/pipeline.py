@@ -9,8 +9,8 @@ import numpy as np
 
 from .numkit import as_complex_matrix, as_integer
 from .sounding import _observe
-from .stage2 import _design_omp, _recover_block, build_dictionary
-from .subspace import _pca, _sine2
+from .stage2 import build_dictionary, design_sounder_omp, sound_and_recover_block
+from .subspace import estimate_stage1, subspace_distance
 
 __all__ = [
     "RECOVERY_MODES",
@@ -85,16 +85,16 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     if mode not in RECOVERY_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
     # the sampler rejects a negative or non-finite sigma2 before any draw
-    est = _pca(_observe(h[:, :m], sigma2, rng), cfg.paths)
+    est = estimate_stage1(_observe(h[:, :m], sigma2, rng), cfg.paths)
     h_hat = est.denoised
     if m < cfg.n_tx:
         if mode == "ideal":
             sounder, column_mode = est.basis, "paper-literal"
         else:
             atoms = build_dictionary(cfg.n_rx, cfg.grid_size)
-            sounder = _design_omp(est.basis, atoms, cfg.n_rf).product
+            sounder = design_sounder_omp(est.basis, atoms, cfg.n_rf).product
             column_mode = mode
-        h_rest = _recover_block(h[:, m:], sounder, sigma2, rng, column_mode)
+        h_rest = sound_and_recover_block(h[:, m:], sounder, sigma2, rng, column_mode)
         h_hat = np.hstack([h_hat, h_rest])
     return _report(real, h_hat, est.basis, m * math.ceil(cfg.n_rx / cfg.n_rf),
                    cfg.n_tx - m, mode)
@@ -107,20 +107,21 @@ def full_observation_baseline(real, sigma2, rng):
     not comparable with the sounding budget of the two-stage estimator; rows
     carry the ``full-observation`` tag to keep that explicit.
     """
-    est = _pca(_observe(as_complex_matrix(real.h, "channel"), sigma2, rng), real.paths)
+    est = estimate_stage1(_observe(as_complex_matrix(real.h, "channel"), sigma2, rng),
+                          real.paths)
     return _report(real, est.denoised, est.basis, real.h.size, 0, "full-observation")
 
 
 def _report(real, h_hat, basis, uses_stage1, uses_stage2, mode):
     """Score an estimate and its column basis against the realization.
 
-    Both bases come orthonormal from a QR, an ``eigh`` or an SVD, so the
-    distance skips that check; ``nmse`` still rejects a non-finite estimate.
+    Both bases come orthonormal from a QR, an ``eigh`` or an SVD, as the
+    distance requires; ``nmse`` still rejects a non-finite estimate.
     """
     return EstimateReport(
         h_hat=h_hat,
         nmse=nmse(real.h, h_hat),
-        subspace_dist=_sine2(real.basis, basis),
+        subspace_dist=subspace_distance(real.basis, basis),
         channel_uses_stage1=uses_stage1,
         channel_uses_stage2=uses_stage2,
         channel_uses_total=uses_stage1 + uses_stage2,

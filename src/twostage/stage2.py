@@ -4,9 +4,11 @@ one-channel-use recovery of every remaining column, sounded as one block.
 The receive sounder is factored as analog @ digital where the analog part is
 built from constant-modulus steering atoms (phase shifters only) and the
 digital part is an unconstrained least-squares fit, chosen greedily so the
-product approximates the estimated subspace basis. The greedy pass holds that
-product, so the digital part is fitted only when read, and recovery projects
-the real noise draws by one real product, with no complex noise matrix.
+product approximates the estimated subspace basis. The greedy pass returns
+that product, the target's projection onto the picked atoms, so no digital
+part is ever formed; a caller that wants it fits ``lstsq(analog, product)``.
+Recovery projects the real noise draws by one real product, with no complex
+noise matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ula_response
-from .numkit import as_complex_matrix, as_integer
+from .numkit import as_integer
 
 __all__ = [
     "HybridSounder",
@@ -47,11 +49,6 @@ class HybridSounder:
     residual_path: tuple = ()  # per-step residuals, non-increasing
     selected: tuple = ()  # chosen grid indices in selection order
 
-    @functools.cached_property
-    def digital(self):
-        """n_rf x rank minimum-norm least-squares fit of the target, made on first read."""
-        return np.linalg.lstsq(self.analog, self.product, rcond=None)[0]
-
 
 def build_dictionary(n_r, grid_size):
     """The n_r x grid_size steering atoms, column k at the sine -1 + 2k / grid_size.
@@ -75,7 +72,7 @@ def _build_atoms(n_r, grid_size):
     return atoms
 
 
-def design_sounder_omp(u_hat, atoms, n_rf):
+def design_sounder_omp(target, atoms, n_rf):
     """Simultaneous matching pursuit of the target combiner over the atoms.
 
     Each of the n_rf steps scores every unused atom by the energy of its
@@ -84,13 +81,9 @@ def design_sounder_omp(u_hat, atoms, n_rf):
     atoms, kept as an orthonormal basis that grows by one Gram-Schmidt vector
     per step, so it never increases. Atoms are never reused. The product is
     the target minus the last residual, its projection onto the atoms' span.
+    ``target`` and ``atoms`` must be finite 2-D complex arrays; they are not
+    checked.
     """
-    return _design_omp(as_complex_matrix(u_hat, "target combiner"),
-                       as_complex_matrix(atoms, "dictionary atoms"), n_rf)
-
-
-def _design_omp(target, atoms, n_rf):
-    """``design_sounder_omp`` on finite 2-D complex arrays, unchecked."""
     n_rf = as_integer(n_rf, "n_rf")
     if atoms.shape[0] != target.shape[0]:
         raise ValueError("dictionary atoms must match the target row count")
@@ -136,7 +129,7 @@ def _design_omp(target, atoms, n_rf):
     )
 
 
-def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
+def sound_and_recover_block(h, w, sigma2, rng, mode="pseudo-inverse"):
     """Observe every column of ``h`` through the same combiner, one use each.
 
     The uses stack into Y = W^H (H + N), with W the combiner matrix and the
@@ -144,14 +137,9 @@ def sound_and_recover_block(h, combiner, sigma2, rng, mode="pseudo-inverse"):
     one real product of the draws). ``pseudo-inverse`` returns the minimum-norm
     least-squares estimate W (W^H W)^-1 Y, inverting the Gram matrix through its
     eigendecomposition; ``paper-literal`` returns W Y, which agrees only when W
-    has orthonormal columns.
+    has orthonormal columns. ``h`` and ``w`` must be finite 2-D complex
+    arrays; they are not checked.
     """
-    w = as_complex_matrix(combiner, "combiner")
-    return _recover_block(as_complex_matrix(h, "channel"), w, sigma2, rng, mode)
-
-
-def _recover_block(h, w, sigma2, rng, mode):
-    """``sound_and_recover_block`` on finite 2-D complex arrays, unchecked."""
     if mode not in COLUMN_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
     if w.shape[0] != h.shape[0]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numkit import as_complex_matrix, as_integer
+from .numkit import as_integer
 
 __all__ = [
     "SubspaceEstimate",
@@ -31,18 +31,14 @@ class SubspaceEstimate:
     denoised: np.ndarray = field(repr=False)  # best rank-`rank` fit of the input
 
 
-def estimate_stage1(y_tilde, rank):
+def estimate_stage1(y, rank):
     """PCA denoising: keep the ``rank`` dominant left singular directions.
 
     A block with at least as many columns as rows goes through the
     eigendecomposition of its Gram matrix ``Y Y^H``, which there is cheaper
-    than the SVD that a tall block takes.
+    than the SVD that a tall block takes. ``y`` must be a finite 2-D complex
+    array; it is not checked.
     """
-    return _pca(as_complex_matrix(y_tilde, "recovered block"), rank)
-
-
-def _pca(y, rank):
-    """``estimate_stage1`` on a finite 2-D complex array, unchecked."""
     rank = as_integer(rank, "rank")
     if not 1 <= rank <= min(y.shape):
         raise ValueError(f"rank must be in [1, {min(y.shape)}], got {rank}")
@@ -57,13 +53,6 @@ def _pca(y, rank):
     return SubspaceEstimate(basis=u, singular_values=s, denoised=(u * s) @ vh[:rank])
 
 
-def _require_orthonormal(u, name):
-    gram = u.conj().T @ u
-    dev = float(np.max(np.abs(gram - np.eye(u.shape[1]))))
-    if dev > 1e-8:
-        raise ValueError(f"{name} columns are not orthonormal (Gram deviation {dev:.3e})")
-
-
 def subspace_distance(u, u_hat):
     """Squared spectral norm of the projector difference between two subspaces.
 
@@ -73,17 +62,9 @@ def subspace_distance(u, u_hat):
     the part of U_hat outside span(U), an n x rank matrix rather than the
     n x n projector difference, and taken as the largest eigenvalue of the
     rank x rank Gram matrix D^H D; unlike 1 - sigma_min(U^H U_hat)^2 this
-    sine form does not cancel for nearly equal spans.
+    sine form does not cancel for nearly equal spans. ``u`` and ``u_hat`` must
+    be finite complex arrays with orthonormal columns; they are not checked.
     """
-    u = as_complex_matrix(u, "reference basis")
-    u_hat = as_complex_matrix(u_hat, "estimated basis")
-    _require_orthonormal(u, "reference basis")
-    _require_orthonormal(u_hat, "estimated basis")
-    return _sine2(u, u_hat)
-
-
-def _sine2(u, u_hat):
-    """``subspace_distance`` on finite orthonormal complex bases, unchecked."""
     if u.shape != u_hat.shape:
         raise ValueError(f"basis shapes differ: {u.shape} vs {u_hat.shape}")
     outside = u_hat - u @ (u.conj().T @ u_hat)

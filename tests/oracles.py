@@ -42,3 +42,16 @@ def interlacing_check(h_s, h_new, rank):
     s_grown = np.linalg.svd(np.column_stack([h_s, h_new]), compute_uv=False)
     delta = float(s_grown[rank - 1] ** 2 - s[rank - 1] ** 2)
     return delta, upper
+
+
+def stage2_conditional_mse(h_rest, w, sigma2, mode):
+    """Mean of ||H_rest - H_hat||_F^2 over stage-2 noise draws, W held fixed.
+
+    Both recovery modes are linear, H_hat = A (H_rest + N), with A = W W^+
+    for ``pseudo-inverse`` and A = W W^H for ``paper-literal``. Each of the
+    N_t - m columns of N is CN(0, sigma2 I), so the mean squared error is
+    ||(I - A) H_rest||_F^2 + sigma2 ||A||_F^2 (N_t - m), exactly.
+    """
+    a = w @ np.linalg.pinv(w) if mode == "pseudo-inverse" else w @ w.conj().T
+    bias = h_rest - a @ h_rest
+    return float(np.vdot(bias, bias).real + sigma2 * np.vdot(a, a).real * h_rest.shape[1])

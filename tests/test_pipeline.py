@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage import numkit, subspace
+from twostage import numkit, stage2, subspace
 from twostage.channel import SystemConfig, generate_channel
-from twostage.harness import SweepSpec, _trial_rows
+from twostage.harness import SweepSpec, _trial_rows, noise_var_from_snr_db
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import (
     RECOVERY_MODES,
@@ -65,7 +65,7 @@ def test_numerical_rejections_are_linalg_errors():
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
         sound_and_recover_block(np.ones((8, 3)), np.ones((8, 2)), 0.0, RngState(0))
     with pytest.raises(np.linalg.LinAlgError, match="subspace distance is not finite"):
-        subspace._sine2(h[:, 1:], bad[:, 1:])
+        subspace.subspace_distance(h[:, 1:], bad[:, 1:])
 
 
 def test_degrees_of_freedom_examples():
@@ -183,12 +183,15 @@ def test_ideal_recovery_takes_no_stage2_factorization(monkeypatch):
 
 def test_a_reference_trial_checks_each_array_once(monkeypatch):
     # each estimator checks the channel once and each nmse its two arguments;
-    # the stage bodies, and the distance between the bases the pipeline built,
-    # check nothing again
-    calls = {"as_complex_matrix": 0, "_require_orthonormal": 0}
+    # the stage functions, and the distance between the bases the pipeline
+    # built, check nothing again; the two-stage estimate and the baseline each
+    # take one PCA and one distance, and only the former sounds stage 2
+    counted_fns = ((numkit, "as_complex_matrix"), (subspace, "estimate_stage1"),
+                   (stage2, "design_sounder_omp"), (stage2, "sound_and_recover_block"),
+                   (subspace, "subspace_distance"))
+    calls = dict.fromkeys((name for _, name in counted_fns), 0)
     modules = [mod for key, mod in sys.modules.items() if key.startswith("twostage.")]
-    for defining, name in ((numkit, "as_complex_matrix"),
-                           (subspace, "_require_orthonormal")):
+    for defining, name in counted_fns:
         original = getattr(defining, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -201,7 +204,8 @@ def test_a_reference_trial_checks_each_array_once(monkeypatch):
     spec = SweepSpec(SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6), trials=1)
     rows = _trial_rows(spec, 4, 1, 0)
     assert [row.mode for row in rows] == ["pseudo-inverse", "full-observation"]
-    assert calls == {"as_complex_matrix": 6, "_require_orthonormal": 0}
+    assert calls == {"as_complex_matrix": 6, "estimate_stage1": 2, "design_sounder_omp": 1,
+                     "sound_and_recover_block": 1, "subspace_distance": 2}
 
 
 # ------------------------------------------------------------------- budget
@@ -354,6 +358,21 @@ def test_baseline_matches_an_independent_truncation_oracle():
     u, s, vh = np.linalg.svd(real.h + noise, full_matrices=False)
     oracle = (u[:, :2] * s[:2]) @ vh[:2]
     np.testing.assert_allclose(report.h_hat, oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, 10.0])
+def test_a_two_stage_estimate_of_every_column_is_the_baseline(snr_db):
+    # with m = N_t there is no stage 2: the same stream gives the same noise
+    # and the same PCA, so only the channel-use count and the label differ
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
+    sigma2 = noise_var_from_snr_db(snr_db)
+    for seed in range(3):
+        real = generate_channel(cfg, RngState(seed, (0,)))
+        every = two_stage_estimate(real, cfg, cfg.n_tx, sigma2, RngState(seed, (1,)))
+        floor = full_observation_baseline(real, sigma2, RngState(seed, (1,)))
+        assert every.h_hat.tobytes() == floor.h_hat.tobytes()
+        assert (every.nmse, every.subspace_dist) == (floor.nmse, floor.subspace_dist)
+        assert (every.channel_uses_total, floor.channel_uses_total) == (768, 4096)
 
 
 def test_baseline_rejects_negative_noise():

@@ -16,6 +16,8 @@ from twostage.stage2 import (
 )
 from twostage.subspace import estimate_stage1
 
+from oracles import stage2_conditional_mse
+
 
 # ---------------------------------------------------------------- dictionary
 
@@ -77,8 +79,9 @@ def test_a_single_atom_target_is_matched_exactly():
     s = design_sounder_omp(atoms[:, 9:10], atoms, 1)
     assert s.selected == (9,)
     assert s.residual <= 1e-10
-    assert s.digital.shape == (1, 1)
-    np.testing.assert_allclose(abs(s.digital[0, 0]), 1.0, atol=1e-10)
+    digital = np.linalg.lstsq(s.analog, s.product, rcond=None)[0]
+    assert digital.shape == (1, 1)
+    np.testing.assert_allclose(abs(digital[0, 0]), 1.0, atol=1e-10)
 
 
 def test_an_orthonormalized_atom_pair_is_recovered():
@@ -94,7 +97,8 @@ def test_analog_part_is_phase_only():
     target = estimate_stage1(sample_complex_gaussian(rng, 16, 3, 1.0), 3).basis
     s = design_sounder_omp(target, build_dictionary(16, 32), 4)
     np.testing.assert_allclose(np.abs(s.analog), 1 / 4.0, atol=1e-12)
-    np.testing.assert_allclose(s.product, s.analog @ s.digital, atol=1e-12)
+    digital = np.linalg.lstsq(s.analog, s.product, rcond=None)[0]
+    np.testing.assert_allclose(s.product, s.analog @ digital, atol=1e-12)
 
 
 def test_residual_path_never_increases_and_atoms_are_not_reused():
@@ -119,14 +123,6 @@ def test_design_rejects_impossible_requests():
         design_sounder_omp(atoms[:, :1], build_dictionary(16, 4), 5)
     with pytest.raises(ValueError, match="row count"):
         design_sounder_omp(np.ones((8, 1)), atoms, 1)
-    bad = atoms.copy()
-    bad[3, 7] = np.nan
-    with pytest.raises(ValueError, match="dictionary atoms contains 1 non-finite"):
-        design_sounder_omp(target, bad, 4)
-    bad = target.copy()
-    bad[3, 1] = np.nan
-    with pytest.raises(ValueError, match="target combiner contains 1 non-finite"):
-        design_sounder_omp(bad, atoms, 4)
 
 
 def test_doubling_the_grid_never_hurts_a_single_steering_target():
@@ -207,8 +203,9 @@ def test_atoms_past_the_array_size_add_nothing_to_the_span():
     np.testing.assert_allclose(s.product, target, rtol=0, atol=1e-12)
     # the 4 x 7 analog part is rank deficient; digital is the minimum-norm fit
     assert np.linalg.matrix_rank(s.analog) == 4
-    np.testing.assert_allclose(s.analog @ s.digital, s.product, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(s.digital, np.linalg.pinv(s.analog) @ target,
+    digital = np.linalg.lstsq(s.analog, s.product, rcond=None)[0]
+    np.testing.assert_allclose(s.analog @ digital, s.product, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(digital, np.linalg.pinv(s.analog) @ target,
                                rtol=0, atol=1e-12)
 
 
@@ -329,13 +326,27 @@ def test_column_recovery_argument_errors():
             sound_and_recover_block(h, w, bad, RngState(0))
     with pytest.raises(ValueError, match="rows"):
         sound_and_recover_block(h, w[:5], 0.1, RngState(0))
-    with pytest.raises(ValueError, match="at least one"):
-        sound_and_recover_block(h[:, :0], w, 0.1, RngState(0))
-    for position, name in enumerate(("channel", "combiner")):
-        args = [h.copy(), w.copy()]
-        args[position][1, 0] = np.nan
-        with pytest.raises(ValueError, match=f"{name} contains 1 non-finite"):
-            sound_and_recover_block(*args, 0.1, RngState(0))
+
+
+@pytest.mark.parametrize("mode", ["pseudo-inverse", "paper-literal"])
+def test_mean_recovery_error_matches_the_conditional_identity(mode):
+    # one stage-1 result and its designed sounder, then K stage-2 draws: the
+    # mean squared error must sit within 4 standard errors of the exact mean
+    cfg = SystemConfig(n_rx=16, n_tx=48, paths=2, n_rf=3)
+    m, sigma2, draws = 4, 0.1, 2000
+    rng = RngState(47)
+    real = generate_channel(cfg, rng.split(0))
+    basis = estimate_stage1(_observe(real.h[:, :m], sigma2, rng.split(1)), cfg.paths).basis
+    w = design_sounder_omp(basis, build_dictionary(cfg.n_rx, cfg.grid_size), cfg.n_rf).product
+    h_rest = real.h[:, m:]
+    stream = rng.split(2)
+    errors = np.empty(draws)
+    for k in range(draws):
+        miss = h_rest - sound_and_recover_block(h_rest, w, sigma2, stream, mode)
+        errors[k] = np.vdot(miss, miss).real
+    predicted = stage2_conditional_mse(h_rest, w, sigma2, mode)
+    z = (errors.mean() - predicted) / (errors.std(ddof=1) / math.sqrt(draws))
+    assert abs(z) <= 4.0
 
 
 @pytest.mark.parametrize("rows, cols, rank", [(32, 120, 6), (5, 3, 2)])
