@@ -29,13 +29,13 @@ class EstimateReport:
     """Outcome of one estimation run, with its sounding budget."""
 
     h_hat: np.ndarray = field(repr=False)
-    nmse: float = 0.0
-    subspace_dist: float = 0.0
-    channel_uses_stage1: int = 0
-    channel_uses_stage2: int = 0
-    channel_uses_total: int = 0
-    dof: int = 0
-    mode: str = "pseudo-inverse"
+    nmse: float
+    subspace_dist: float
+    channel_uses_stage1: int
+    channel_uses_stage2: int
+    channel_uses_total: int
+    dof: int
+    mode: str
 
 
 def nmse(h, h_hat):
@@ -75,9 +75,9 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     Deterministic given (cfg, m, sigma2, rng). The channel is checked once,
     here; the stages below run unchecked on the arrays this function builds.
     """
-    if real.h.shape != (cfg.n_rx, cfg.n_tx):
-        raise ValueError(f"channel shape {real.h.shape} does not match the "
-                         f"{cfg.n_rx} x {cfg.n_tx} scenario")
+    if (*real.h.shape, real.paths) != (cfg.n_rx, cfg.n_tx, cfg.paths):
+        raise ValueError(f"channel shape {real.h.shape} with {real.paths} paths does not "
+                         f"match the {cfg.n_rx} x {cfg.n_tx} scenario with {cfg.paths}")
     h = as_complex_matrix(real.h, "channel")
     m = as_integer(m, "m")
     if not cfg.paths <= m <= cfg.n_tx:

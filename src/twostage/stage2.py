@@ -45,9 +45,9 @@ class HybridSounder:
 
     analog: np.ndarray = field(repr=False)  # n_rx x n_rf, |entry| = 1/sqrt(n_rx)
     product: np.ndarray = field(repr=False)  # analog @ digital
-    residual: float = 0.0  # ||target - product||_F after the last step
-    residual_path: tuple = ()  # per-step residuals, non-increasing
-    selected: tuple = ()  # chosen grid indices in selection order
+    residual: float  # ||target - product||_F after the last step
+    residual_path: tuple  # per-step residuals, non-increasing
+    selected: tuple  # chosen grid indices in selection order
 
 
 def build_dictionary(n_r, grid_size):

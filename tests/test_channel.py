@@ -44,6 +44,8 @@ def test_config_rejects_dense_path_counts():
 def test_config_rejects_misc_bad_values():
     with pytest.raises(ValueError):
         _small_cfg(n_rf=1)
+    with pytest.raises(ValueError, match="n_rf >= paths"):
+        _small_cfg(paths=3)
     with pytest.raises(ValueError):
         _small_cfg(seed=-3)
     with pytest.raises(ValueError, match="atoms"):

@@ -1,24 +1,17 @@
-import ast
-import io
 import json
 import math
 import os
-import re
-import shlex
 import signal
-import subprocess
 import sys
 import time
 import uuid
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twostage import cli, harness, pipeline
+from twostage import harness, pipeline
 from twostage.channel import SystemConfig, generate_channel
-from twostage.cli import _config_argv, build_parser, main
 from twostage.harness import (
     CSV_HEADER,
     SweepRow,
@@ -31,8 +24,6 @@ from twostage.harness import (
 )
 from twostage.numkit import RngState
 from twostage.pipeline import full_observation_baseline, two_stage_estimate
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def _small_scenario():
@@ -421,12 +412,8 @@ def test_summary_mean_and_stderr_are_textbook():
     assert all(math.isnan(v) for v in (failed.nmse_mean, failed.nmse_stderr,
                                        failed.subspace_dist_mean,
                                        failed.subspace_dist_stderr))
-
-
-def test_summary_single_row_has_zero_stderr():
-    s, = summarize([SweepRow(0.0, 4, 0, "ideal", 0.1, 0.3, 44, 7)])
-    assert s.nmse_stderr == 0.0
-    assert s.subspace_dist_stderr == 0.0
+    with pytest.raises(ValueError, match="no rows"):
+        summarize([])
 
 
 def test_summary_identical_rows_have_zero_stderr():
@@ -434,18 +421,6 @@ def test_summary_identical_rows_have_zero_stderr():
     s, = summarize(rows)
     assert s.nmse_stderr == 0.0
     assert s.nmse_mean == pytest.approx(0.1)
-
-
-def test_summary_groups_failures_separately_and_rejects_emptiness():
-    rows = [
-        SweepRow(0.0, 4, 0, "ideal", 0.1, 0.3, 44, 7),
-        SweepRow(0.0, 4, 1, "ideal#error:ValueError", math.nan, math.nan, 0, 8),
-    ]
-    summary = summarize(rows)
-    assert [s.mode for s in summary] == ["ideal", "ideal#error:ValueError"]
-    assert summary[0].count == summary[1].count == 1
-    with pytest.raises(ValueError, match="no rows"):
-        summarize([])
 
 
 # ----------------------------------------------------------------------- csv
@@ -488,219 +463,3 @@ def test_written_file_matches_the_rendering(tmp_path):
     path = tmp_path / "rows.csv"
     write_rows(rows, path)
     assert path.read_text(encoding="ascii") == rows_to_csv(rows)
-
-
-# -------------------------------------------------------------------- config
-
-
-def test_config_parsing(tmp_path):
-    path = tmp_path / "sweep.cfg"
-    path.write_text(
-        "# comment line\n"
-        "nr = 8\n"
-        "snr-db = 0, 10   # trailing comment\n"
-        "\n"
-        "TRIALS=5\n"
-    )
-    assert _config_argv(path, build_parser()) == [
-        "sweep", "--nr=8", "--snr-db", "0", "10", "--trials=5"]
-
-
-# ----------------------------------------------------------------------- cli
-
-
-def test_cli_estimate_prints_a_report(capsys):
-    code = main(["estimate", "--nr", "8", "--nt", "16", "--paths", "2",
-                 "--nrf", "2", "--m", "4", "--snr-db", "10", "--seed", "3"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "nmse:" in out and "channel_uses:" in out
-    assert "full-observation" not in out
-
-
-def test_cli_estimate_with_baseline_prints_both_reports(capsys):
-    code = main(["estimate", "--nr", "8", "--nt", "16", "--paths", "2",
-                 "--nrf", "2", "--m", "4", "--snr-db", "10", "--baseline"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.count("nmse:") == 2
-    assert "full-observation" in out
-
-
-def test_cli_sweep_lets_a_value_error_from_a_trial_reach_the_caller(monkeypatch):
-    # only argument resolution is a usage error; a ValueError raised while the
-    # sweep runs comes from a defect and keeps its traceback, not exit status 2
-    monkeypatch.setattr(harness, "two_stage_estimate", _raise(ValueError))
-    with pytest.raises(ValueError, match="injected"):
-        main(["sweep", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2",
-              "--m", "4", "--snr-db", "10", "--trials", "1"])
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows it provokes
-def test_cli_estimate_raises_a_numerical_failure_with_its_traceback():
-    # -3060 dB passes the spec, but the 32x128 trial's products overflow float64
-    with pytest.raises(np.linalg.LinAlgError):
-        main(["estimate", "--snr-db", "-3060"])
-
-
-@pytest.mark.parametrize("argv", [
-    ["estimate", "--seed", "3", "--baseline"],
-    ["sweep", "--nr", "8", "--nt", "16", "--paths", "2", "--nrf", "2", "--m", "4",
-     "--snr-db", "10", "--trials", "2", "--workers", "2"],
-], ids=["estimate", "sweep"])
-def test_cli_exits_quietly_when_the_reader_closed_the_pipe(argv):
-    # the read end is closed before the run, so the first write to stdout
-    # fails with EPIPE, whether stdout is block-buffered or unbuffered
-    for unbuffered in ("", "1"):
-        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
-                   PYTHONPATH=os.pathsep.join(filter(None, [
-                       str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            done = subprocess.run([sys.executable, "-m", "twostage.cli", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE, env=env)
-        finally:
-            os.close(write_end)
-        assert (done.returncode, done.stderr) == (1, b"")
-
-
-class _Stop(Exception):
-    pass
-
-
-def _captured_spec(monkeypatch, argv):
-    """The spec that ``twostage`` would sweep for ``argv``, without running it."""
-    seen = []
-
-    def stop(spec):
-        seen.append(spec)
-        raise _Stop
-
-    monkeypatch.setattr(cli, "run_sweep", stop)
-    with pytest.raises(_Stop):
-        main(argv)
-    return seen[0]
-
-
-def test_cli_estimate_defaults_are_the_library_defaults(capsys):
-    assert main(["estimate"]) == 0
-    cfg = SystemConfig()
-    rng = RngState(cfg.seed)
-    rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, 8, 0.1,
-                             rng.split(1))
-    expected = io.StringIO()
-    cli._print_report(rep, cfg.seed, expected)
-    assert capsys.readouterr().out == expected.getvalue()
-
-
-def test_cli_estimate_floor_draws_on_the_sweep_baseline_key(capsys):
-    assert main(["estimate", "--baseline", "--seed", "3"]) == 0
-    cfg = SystemConfig(seed=3)
-    real = generate_channel(cfg, RngState(3).split(0))
-    floor = full_observation_baseline(real, 0.1, RngState(3).split(999))
-    expected = io.StringIO()
-    cli._print_report(floor, 3, expected)
-    assert capsys.readouterr().out.endswith("\n\n" + expected.getvalue())
-
-
-_DEFAULT_SPEC = SweepSpec(scenario=SystemConfig())
-
-
-def test_cli_sweep_defaults_are_the_dataclass_defaults(monkeypatch):
-    assert _captured_spec(monkeypatch, ["sweep"]) == _DEFAULT_SPEC
-
-
-def test_reference_sweep_config_resolves_to_the_default_spec(monkeypatch):
-    # bench/ sweeps this file; it spells out every default
-    path = ROOT / "scripts" / "reference_sweep.cfg"
-    assert _captured_spec(monkeypatch, ["sweep", "--config", str(path)]) == _DEFAULT_SPEC
-
-
-# every sweep setting off its default, once as flags and once as config lines
-_EVERY_SETTING = (("nr", "16"), ("nt", "40"), ("paths", "3"), ("nrf", "5"),
-                  ("seed", "7"), ("grid-size", "48"), ("m", "3 6 12"),
-                  ("snr-db", "-3.5 12"), ("trials", "9"),
-                  ("mode", "ideal paper-literal"), ("workers", "2"))
-
-
-def test_config_file_and_flags_resolve_to_the_same_spec(tmp_path, monkeypatch):
-    cfg = tmp_path / "every.cfg"
-    cfg.write_text("".join(f"{key} = {value.replace(' ', ', ')}\n"
-                           for key, value in _EVERY_SETTING) + "baseline = no\n")
-    flags = [tok for key, value in _EVERY_SETTING for tok in [f"--{key}", *value.split()]]
-    from_flags = _captured_spec(monkeypatch, ["sweep", *flags, "--no-baseline"])
-    assert from_flags == SweepSpec(
-        scenario=SystemConfig(n_rx=16, n_tx=40, paths=3, n_rf=5, seed=7, grid_size=48),
-        m_list=(3, 6, 12), snr_db_list=(-3.5, 12.0), trials=9,
-        modes=("ideal", "paper-literal"), baseline=False, workers=2)
-    assert _captured_spec(monkeypatch, ["sweep", "--config", str(cfg)]) == from_flags
-
-
-def test_cli_flags_override_the_config_file_wherever_they_stand(tmp_path, monkeypatch,
-                                                                capsys):
-    out_csv = tmp_path / "rows with spaces.csv"
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("nr = 8\nnt = 16\npaths = 2\nnrf = 2\nm = 4\nsnr-db = 0\n"
-                   f"trials = 50\nbaseline = no\nout = {out_csv}\n")
-    for argv in (["--trials", "2", "--config", str(cfg)],
-                 ["--config", str(cfg), "--trials", "2"]):
-        assert _captured_spec(monkeypatch, ["sweep", *argv]).trials == 2
-    assert _captured_spec(monkeypatch, ["sweep", "--config", str(cfg)]).trials == 50
-    monkeypatch.undo()
-    # a single-valued key keeps its whole value, spaces included
-    assert main(["sweep", "--trials", "2", "--config", str(cfg)]) == 0
-    assert "wrote 2 rows" in capsys.readouterr().out
-    lines = out_csv.read_text().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
-
-
-def _readme_commands():
-    text = (ROOT / "README.md").read_text()
-    blocks = re.findall(r"```[a-z]*\n(.*?)```", text, re.S)
-    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
-    return [shlex.split(line, comments=True) for line in lines
-            if line.startswith("twostage ")]
-
-
-def test_readme_commands_parse_and_resolve(monkeypatch):
-    commands = _readme_commands()
-    assert len(commands) >= 5
-    monkeypatch.chdir(ROOT)
-    for argv in commands:
-        try:
-            args = build_parser().parse_args(argv[1:])
-        except SystemExit:
-            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
-        if args.command == "sweep":
-            _captured_spec(monkeypatch, argv[1:])
-
-
-def test_readme_python_examples_run():
-    # one namespace: the second block uses real, cfg and rng from the first
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    assert len(blocks) == 2
-    namespace = {}
-    for block in blocks:
-        exec(block, namespace)
-    assert namespace["report"].channel_uses_total == 168
-    assert namespace["h_rest"].shape == (32, 120)
-
-
-def test_sources_parse_under_the_oldest_supported_python():
-    # pyproject.toml requires Python >= 3.10; reject syntax that 3.10 lacks
-    sources = sorted((ROOT / "src" / "twostage").glob("*.py"))
-    assert sources
-    for path in sources:
-        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
-
-
-def test_readme_layout_states_the_source_line_count():
-    stated = re.search(r"src/twostage/\s+([\d,]+) lines in all",
-                       (ROOT / "README.md").read_text())
-    assert stated is not None
-    lines = sum(len(path.read_text().splitlines())
-                for path in (ROOT / "src" / "twostage").glob("*.py"))
-    assert int(stated.group(1).replace(",", "")) == lines
-    assert lines <= 1131  # the line budget in ROADMAP.md

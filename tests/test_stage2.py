@@ -366,38 +366,7 @@ def test_observation_is_the_combined_channel_plus_the_drawn_noise(rows, cols, ra
                                atol=1e-13 * np.abs(expected).max())
 
 
-def test_designed_sounder_product_recovers_an_in_dictionary_column():
-    atoms = build_dictionary(8, 16)
-    s = design_sounder_omp(atoms[:, 3:4], atoms, 1)
-    h = (atoms[:, 3] * 2.5)[:, None]
-    est = sound_and_recover_block(h, s.product, 0.0, RngState(0))
-    np.testing.assert_allclose(est, h, atol=1e-9)
-
-
 # --------------------------------------------------------- remaining columns
-
-
-def test_everything_sounded_in_stage_one_leaves_nothing_to_do():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, RngState(40))
-    rep = two_stage_estimate(real, cfg, 16, 0.0, RngState(41))
-    assert rep.h_hat.shape == (8, 16)
-    assert rep.channel_uses_stage2 == 0
-
-
-def test_each_remaining_column_costs_one_use():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, RngState(42))
-    rep = two_stage_estimate(real, cfg, 5, 0.1, RngState(43))
-    assert rep.h_hat.shape == (8, 16)
-    assert rep.channel_uses_stage2 == 11
-
-
-def test_ideal_mode_with_the_true_basis_is_exact_without_noise():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, RngState(44))
-    block = sound_and_recover_block(real.h[:, 4:], real.basis, 0.0, RngState(45))
-    np.testing.assert_allclose(block, real.h[:, 4:], atol=1e-9)
 
 
 @pytest.mark.parametrize("mode", ["pseudo-inverse", "paper-literal", "ideal"])
