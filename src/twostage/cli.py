@@ -31,9 +31,9 @@ def _config_argv(path, parser):
              for a in commands.choices["sweep"]._actions
              if a.dest not in ("help", "config")}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:  # a missing file or a directory is a rejected setting
-        raise ValueError(f"--config {path}: {exc.strerror or exc}") from None
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ValueError(f"--config {path}: {getattr(exc, 'strerror', None) or exc}") from None
     argv, seen = ["sweep"], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -153,7 +153,7 @@ def _cmd_sweep(spec, out_path, out):
               f"{'nmse_mean':>12} {'nmse_se':>10} {'dist_mean':>12} {'dist_se':>10}")
     out.write(header + "\n")
     for s in summarize(rows):
-        out.write(f"{s.snr_db:>8.1f} {s.m:>4d} {s.mode:<18} {s.count:>5d} "
+        out.write(f"{s.snr_db!r:>8} {s.m:>4d} {s.mode:<18} {s.count:>5d} "
                   f"{s.nmse_mean:>12.4e} {s.nmse_stderr:>10.2e} "
                   f"{s.subspace_dist_mean:>12.4e} {s.subspace_dist_stderr:>10.2e}\n")
     out.write(f"{len(rows)} rows in {elapsed:.1f}s\n")
@@ -165,7 +165,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:  # a rejected setting is a usage error, raised before the first draw
         spec, out_path = _resolve(args, parser)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an --out name the system refuses
         parser.error(str(exc))
     try:  # flushed here, so a reader that closed the pipe early is seen here
         status = (_cmd_estimate(spec, sys.stdout) if args.command == "estimate"

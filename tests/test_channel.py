@@ -171,3 +171,13 @@ def test_steering_basis_spans_the_channel_column_space(n_rx, n_tx, paths, n_rf):
         np.testing.assert_allclose(u.conj().T @ u, np.eye(paths), atol=1e-12)
         assert subspace_distance(u, estimate_stage1(real.h, paths).basis) <= 1e-12
 
+
+def test_sampled_columns_expose_the_receive_subspace():
+    # without noise, m >= L sampled columns alone span the channel's column space
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
+    for i in range(150):
+        m = (4, 5, 8)[i % 3]
+        real = generate_channel(cfg, RngState(300).split(i))
+        sampled = estimate_stage1(real.h[:, :m], cfg.paths).basis
+        assert subspace_distance(real.basis, sampled) <= 1e-10, (i, m)
+

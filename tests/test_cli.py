@@ -1,5 +1,6 @@
 """The command line front end: ``twostage estimate`` and ``twostage sweep``."""
 
+import errno
 import io
 import os
 import re
@@ -22,8 +23,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 _CONFIG = "sweep --config {tmp}/sweep.cfg"
 
-# argv, the text of {tmp}/sweep.cfg (None writes no file) and the error message;
-# {tmp} stands for the test's directory
+# argv, the text of {tmp}/sweep.cfg (None writes no file, bytes are written as
+# they are) and the error message; {tmp} stands for the test's directory
 _REJECTED = [
     pytest.param(_CONFIG, "bogus = 1", "{tmp}/sweep.cfg:1: unknown config key 'bogus'",
                  id="config-unknown-key"),
@@ -42,6 +43,9 @@ _REJECTED = [
                  id="config-missing-path"),
     pytest.param("sweep --config {tmp}", None, "--config {tmp}: Is a directory",
                  id="config-path-is-a-directory"),
+    pytest.param(_CONFIG, b"nr = 8\n\xff\n",
+                 "--config {tmp}/sweep.cfg: 'utf-8' codec can't decode byte 0xff in "
+                 "position 7: invalid start byte", id="config-not-utf-8"),
     pytest.param(_CONFIG, "trials = many", "argument --trials", id="config-trials-many"),
     pytest.param(_CONFIG, "mode = bogus", "argument --mode", id="config-mode-bogus"),
     pytest.param(_CONFIG, "baseline = maybe", "argument --baseline",
@@ -59,6 +63,9 @@ _REJECTED = [
     pytest.param("sweep --out {tmp}", None,
                  "--out {tmp} is not a file in an existing directory",
                  id="sweep-out-is-a-directory"),
+    pytest.param(f"sweep --out {{tmp}}/{'a' * 300}.csv", None,
+                 f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: "
+                 f"'{{tmp}}/{'a' * 300}.csv'", id="sweep-out-name-too-long"),
     pytest.param("sweep --seed -1", None, "seed must be non-negative",
                  id="sweep-negative-seed"),
     pytest.param("estimate --snr-db nan", None,
@@ -76,7 +83,9 @@ _REJECTED = [
 @pytest.mark.parametrize("argv, config, message", _REJECTED)
 def test_a_rejected_setting_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, argv,
                                                     config, message):
-    if config is not None:
+    if isinstance(config, bytes):
+        (tmp_path / "sweep.cfg").write_bytes(config)
+    elif config is not None:
         (tmp_path / "sweep.cfg").write_text(config + "\n")
     files = sorted(tmp_path.rglob("*"))
     monkeypatch.setattr(np.random, "Philox", lambda seq: pytest.fail("a stream drew"))
@@ -240,7 +249,7 @@ def test_cli_flags_override_the_config_file_wherever_they_stand(tmp_path, monkey
                                                                 capsys):
     out_csv = tmp_path / "rows with spaces.csv"
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("nr = 8\nnt = 16\npaths = 2\nnrf = 2\nm = 4\nsnr-db = 0\n"
+    cfg.write_text("nr = 8\nnt = 16\npaths = 2\nnrf = 2\nm = 4\nsnr-db = 0.25 0.2\n"
                    f"trials = 50\nbaseline = no\nout = {out_csv}\n")
     for argv in (["--trials", "2", "--config", str(cfg)],
                  ["--config", str(cfg), "--trials", "2"]):
@@ -249,10 +258,13 @@ def test_cli_flags_override_the_config_file_wherever_they_stand(tmp_path, monkey
     monkeypatch.undo()
     # a single-valued key keeps its whole value, spaces included
     assert main(["sweep", "--trials", "2", "--config", str(cfg)]) == 0
-    assert "wrote 2 rows" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"wrote 4 rows to {out_csv}"
+    # the summary labels each cell by its SNR's repr, so no two cells share one
+    assert [line.split()[0] for line in out[2:-1]] == ["0.2", "0.25"]
     lines = out_csv.read_text().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 3
+    assert len(lines) == 5
 
 
 def _readme_commands():

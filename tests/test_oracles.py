@@ -67,6 +67,18 @@ def test_small_orthogonal_column_cannot_move_the_retained_value():
     assert upper <= 1e-12
 
 
+def test_appended_in_span_columns_interlace():
+    # an appended in-span column moves the rank-th singular value inside its cap:
+    # 0 <= delta <= |a_rank|^2
+    cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4)
+    rng = RngState(200)
+    for i in range(100):
+        h_s = generate_channel(cfg, rng.split(i, 0)).h[:, :6]
+        coeffs = sample_complex_gaussian(rng.split(i, 1), 6, 1, 1.0)[:, 0]
+        delta, upper = interlacing_check(h_s, h_s @ coeffs, rank=3)
+        assert -1e-9 <= delta <= upper + 1e-9, (i, delta, upper)
+
+
 def test_delta_matches_a_direct_spectrum_computation():
     rng = RngState(10)
     h_s = _rank_limited(rng.split(0), 8, 6, 3)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from twostage import numkit, stage2, subspace
 from twostage.channel import SystemConfig, generate_channel
-from twostage.harness import SweepSpec, _trial_rows, noise_var_from_snr_db
+from twostage.harness import (
+    SweepSpec,
+    _trial_rows,
+    noise_var_from_snr_db,
+    run_sweep,
+    summarize,
+)
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import (
     RECOVERY_MODES,
@@ -94,6 +100,17 @@ def test_noiseless_ideal_run_is_exact_to_machine_precision():
     assert report.subspace_dist <= 1e-18
 
 
+def test_noiseless_recovery_is_exact_at_scale():
+    # without noise, ideal mode recovers 20 reference-scale channels exactly
+    # from every m of the reference grid
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
+    for i in range(20):
+        m = (4, 8, 16, 32)[i % 4]
+        real = generate_channel(cfg, RngState(600, (i, 0)))
+        report = two_stage_estimate(real, cfg, m, 0.0, RngState(600, (i, 1)), mode="ideal")
+        assert report.nmse <= 1e-18, (i, m)
+
+
 @pytest.mark.parametrize("m", [4, 32, 128])
 def test_stage1_equals_sounding_and_inverting_through_any_bank(m):
     # the estimate forms H_S + N directly; sounding the same noise through
@@ -142,6 +159,35 @@ def test_noiseless_pseudo_inverse_floor_is_the_grid_mismatch():
         floors.append(np.mean(runs))
     assert 1.0e-2 <= floors[0] <= 1.5e-2
     assert floors[0] > floors[1] > floors[2]
+
+
+# ---------------------------------------------------------- reference sweep
+
+
+@pytest.fixture(scope="module")
+def reference_cells():
+    # the reference scenario and m grid at 0, 10 and 20 dB, with the floor
+    spec = SweepSpec(SystemConfig(), snr_db_list=(0.0, 10.0, 20.0), trials=200)
+    return {(s.mode, s.snr_db, s.m): s for s in summarize(run_sweep(spec))}
+
+
+def test_estimation_error_improves_with_wider_sampling_and_respects_the_floor(
+        reference_cells):
+    assert len(reference_cells) == 24  # 12 grid points, estimate and floor
+    trend = [reference_cells["pseudo-inverse", 10.0, m] for m in (4, 8, 16, 32)]
+    for a, b in [*zip(trend, trend[1:]), (trend[0], trend[2])]:
+        assert b.nmse_mean <= a.nmse_mean + 2.0 * math.hypot(a.nmse_stderr, b.nmse_stderr)
+    for (mode, snr_db, m), cell in reference_cells.items():
+        assert cell.count == 200
+        if mode == "pseudo-inverse":
+            floor = reference_cells["full-observation", snr_db, m]
+            assert cell.nmse_mean >= floor.nmse_mean, (snr_db, m)
+
+
+def test_subspace_error_shrinks_with_more_sampled_columns(reference_cells):
+    for snr_db in (0.0, 10.0, 20.0):
+        narrow, wide = (reference_cells["pseudo-inverse", snr_db, m] for m in (4, 8))
+        assert wide.subspace_dist_mean < narrow.subspace_dist_mean, snr_db
 
 
 # --------------------------------------------------------------------- cost

@@ -35,3 +35,11 @@ def test_readme_layout_states_the_source_line_count():
                 for path in (ROOT / "src" / "twostage").glob("*.py"))
     assert int(stated.group(1).replace(",", "")) == lines
     assert lines <= 1131  # the line budget in ROADMAP.md
+
+
+def test_each_test_module_is_named_for_the_module_it_tests():
+    # the Layout's rule: test_<module>.py for each src/twostage module, plus the
+    # README's claims, the oracles' tests and the BLAS pin; no second test layer
+    modules = {path.stem for path in (ROOT / "src" / "twostage").glob("*.py")}
+    tested = {path.stem.removeprefix("test_") for path in (ROOT / "tests").glob("test_*.py")}
+    assert tested == modules - {"__init__"} | {"readme", "oracles", "blas_pin"}

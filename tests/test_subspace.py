@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from twostage.channel import SystemConfig, generate_channel
 from twostage.harness import noise_var_from_snr_db
 from twostage.numkit import RngState, sample_complex_gaussian
-from twostage.sounding import _observe
 from twostage.subspace import estimate_stage1, subspace_distance
 
 
@@ -273,28 +272,3 @@ def test_distance_rejects_bad_bases():
     # a NaN distance is an error, not a clamped 0.0
     with pytest.raises(ValueError, match="not finite"):
         subspace_distance(e1, bad)
-
-
-# ------------------------------------------------------- estimation accuracy
-
-
-def test_more_sounded_columns_do_not_hurt_the_subspace_estimate():
-    # stage-1 chain at 10 dB over m = paths, 2x, 4x; the mean distance
-    # should not increase with m
-    trials, sigma2 = 200, 0.1
-    means, errs = [], []
-    for m in (2, 4, 8):
-        cfg = SystemConfig(n_rx=16, n_tx=64, paths=2, n_rf=4)
-        dists = []
-        for trial in range(trials):
-            rng = RngState(13, (m, trial))
-            real = generate_channel(cfg, rng.split(0))
-            y_tilde = _observe(real.h[:, :m], sigma2, rng.split(1))
-            est = estimate_stage1(y_tilde, cfg.paths)
-            dists.append(subspace_distance(real.basis, est.basis))
-        dists = np.asarray(dists)
-        means.append(float(dists.mean()))
-        errs.append(float(dists.std(ddof=1) / np.sqrt(trials)))
-    for i in range(len(means) - 1):
-        slack = 2.0 * np.hypot(errs[i], errs[i + 1])
-        assert means[i + 1] <= means[i] + slack
