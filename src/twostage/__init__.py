@@ -18,11 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .channel import (
-    ChannelRealization,
-    SystemConfig,
-    generate_channel,
-)
+from .channel import ChannelRealization, SystemConfig, generate_channel
 from .harness import (
     SweepRow,
     SweepSpec,
@@ -41,16 +37,13 @@ from .pipeline import (
     nmse,
     two_stage_estimate,
 )
+from .sounding import observe
 from .stage2 import (
     HybridSounder,
     build_dictionary,
     design_sounder_omp,
-    sound_and_recover_block,
+    recover_block,
 )
-from .subspace import (
-    SubspaceEstimate,
-    estimate_stage1,
-    subspace_distance,
-)
+from .subspace import SubspaceEstimate, estimate_stage1, subspace_distance
 
 __version__ = "0.1.0"

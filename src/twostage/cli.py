@@ -127,10 +127,14 @@ def _resolve(args, parser):
         settings.update(m_list=[args.m], snr_db_list=[args.snr_db], modes=[args.mode])
     spec = SweepSpec(scenario=SystemConfig(**_kwargs(SystemConfig, settings)),
                      **_kwargs(SweepSpec, settings))
-    out_path = settings.get("out")
-    if out_path is not None and (Path(out_path).is_dir()
-                                 or not Path(out_path).parent.is_dir()):
-        raise ValueError(f"--out {out_path} is not a file in an existing directory")
+    out_path, reason = settings.get("out"), ""
+    try:
+        usable = out_path is None or (not Path(out_path).is_dir()
+                                      and Path(out_path).parent.is_dir())
+    except OSError as exc:  # a name the system refuses, such as one too long for it
+        usable, reason = False, f" ({exc.strerror})"
+    if not usable:
+        raise ValueError(f"--out {out_path} is not a file in an existing directory{reason}")
     return spec, out_path
 
 
@@ -165,7 +169,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:  # a rejected setting is a usage error, raised before the first draw
         spec, out_path = _resolve(args, parser)
-    except (ValueError, OSError) as exc:  # OSError: an --out name the system refuses
+    except ValueError as exc:
         parser.error(str(exc))
     try:  # flushed here, so a reader that closed the pipe early is seen here
         status = (_cmd_estimate(spec, sys.stdout) if args.command == "estimate"

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numkit import as_complex_matrix, as_integer
-from .sounding import _observe
-from .stage2 import build_dictionary, design_sounder_omp, sound_and_recover_block
+from .sounding import observe
+from .stage2 import build_dictionary, design_sounder_omp, recover_block
 from .subspace import estimate_stage1, subspace_distance
 
 __all__ = [
@@ -64,14 +64,12 @@ def degrees_of_freedom(n_r, n_t, paths):
 def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     """Sound m columns at noise variance sigma2, learn the subspace, recover the rest.
 
-    Stage 1 sounds the first m columns through a full-rank combiner bank,
-    n_rf rows per channel use; inverting any such bank returns H_S + N (see
-    ``sounding``), so the estimate observes H_S + N directly and keeps its
-    dominant rank-``paths`` part. Stage 2 designs the subspace-matched
-    sounder and recovers each remaining column in one channel use; ``ideal``
-    mode sounds with the orthonormal estimated basis itself and recovers by
-    W y, its least-squares fit. The estimate stacks the denoised and the
-    recovered block in original column order.
+    Stage 1 observes the first m columns as H_S + N (see ``sounding``) and
+    keeps its dominant rank-``paths`` part. Stage 2 designs the
+    subspace-matched sounder and observes each remaining column through it
+    in one channel use; ``ideal`` mode sounds with the orthonormal estimated
+    basis itself and recovers by W y, its least-squares fit. The estimate
+    stacks both blocks in original column order; the uses are those counted.
     Deterministic given (cfg, m, sigma2, rng). The channel is checked once,
     here; the stages below run unchecked on the arrays this function builds.
     """
@@ -84,32 +82,30 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
         raise ValueError(f"m={m} must satisfy {cfg.paths} <= m <= {cfg.n_tx}")
     if mode not in RECOVERY_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    # the sampler rejects a negative or non-finite sigma2 before any draw
-    est = estimate_stage1(_observe(h[:, :m], sigma2, rng), cfg.paths)
-    h_hat = est.denoised
+    y, uses_stage1 = observe(h[:, :m], sigma2, rng, cfg.n_rf)
+    est = estimate_stage1(y, cfg.paths)
+    h_hat, uses_stage2 = est.denoised, 0
     if m < cfg.n_tx:
-        if mode == "ideal":
-            sounder, column_mode = est.basis, "paper-literal"
-        else:
+        sounder, column_mode = est.basis, "paper-literal"  # ideal: W y is the fit
+        if mode != "ideal":
             atoms = build_dictionary(cfg.n_rx, cfg.grid_size)
             sounder = design_sounder_omp(est.basis, atoms, cfg.n_rf).product
             column_mode = mode
-        h_rest = sound_and_recover_block(h[:, m:], sounder, sigma2, rng, column_mode)
-        h_hat = np.hstack([h_hat, h_rest])
-    return _report(real, h_hat, est.basis, m * math.ceil(cfg.n_rx / cfg.n_rf),
-                   cfg.n_tx - m, mode)
+        y, uses_stage2 = observe(h[:, m:], sigma2, rng, cfg.n_rf, sounder)
+        h_hat = np.hstack([h_hat, recover_block(y, sounder, column_mode)])
+    return _report(real, h_hat, est.basis, uses_stage1, uses_stage2, mode)
 
 
 def full_observation_baseline(real, sigma2, rng):
     """Genie floor: observe every entry once, then the stage-1 rank-``paths`` PCA.
 
-    The channel-use figure counts the n_rx * n_tx genie observations and is
-    not comparable with the sounding budget of the two-stage estimator; rows
+    At one output per use it counts the n_rx * n_tx genie observations, not
+    comparable with the sounding budget of the two-stage estimator; rows
     carry the ``full-observation`` tag to keep that explicit.
     """
-    est = estimate_stage1(_observe(as_complex_matrix(real.h, "channel"), sigma2, rng),
-                          real.paths)
-    return _report(real, est.denoised, est.basis, real.h.size, 0, "full-observation")
+    y, uses = observe(as_complex_matrix(real.h, "channel"), sigma2, rng, 1)
+    est = estimate_stage1(y, real.paths)
+    return _report(real, est.denoised, est.basis, uses, 0, "full-observation")
 
 
 def _report(real, h_hat, basis, uses_stage1, uses_stage2, mode):

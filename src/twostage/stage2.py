@@ -1,5 +1,5 @@
 """Second stage: hybrid sounder design on the learned subspace, then
-one-channel-use recovery of every remaining column, sounded as one block.
+recovery of every remaining column from its one-use observation.
 
 The receive sounder is factored as analog @ digital where the analog part is
 built from constant-modulus steering atoms (phase shifters only) and the
@@ -7,8 +7,6 @@ digital part is an unconstrained least-squares fit, chosen greedily so the
 product approximates the estimated subspace basis. The greedy pass returns
 that product, the target's projection onto the picked atoms, so no digital
 part is ever formed; a caller that wants it fits ``lstsq(analog, product)``.
-Recovery projects the real noise draws by one real product, with no complex
-noise matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ __all__ = [
     "HybridSounder",
     "build_dictionary",
     "design_sounder_omp",
-    "sound_and_recover_block",
+    "recover_block",
 ]
 
 COLUMN_MODES = ("pseudo-inverse", "paper-literal")
@@ -129,33 +127,20 @@ def design_sounder_omp(target, atoms, n_rf):
     )
 
 
-def sound_and_recover_block(h, w, sigma2, rng, mode="pseudo-inverse"):
-    """Observe every column of ``h`` through the same combiner, one use each.
+def recover_block(y, w, mode="pseudo-inverse"):
+    """The columns behind Y = W^H (H + N): W (W^H W)^-1 Y, or W Y if ``paper-literal``.
 
-    The uses stack into Y = W^H (H + N), with W the combiner matrix and the
-    noise drawn column by column, real part before imaginary part (W^H N is
-    one real product of the draws). ``pseudo-inverse`` returns the minimum-norm
-    least-squares estimate W (W^H W)^-1 Y, inverting the Gram matrix through its
-    eigendecomposition; ``paper-literal`` returns W Y, which agrees only when W
-    has orthonormal columns. ``h`` and ``w`` must be finite 2-D complex
-    arrays; they are not checked.
+    The least-squares ``pseudo-inverse`` inverts the Gram matrix through its
+    eigendecomposition; W Y agrees only when W has orthonormal columns.
+    ``y`` and ``w`` must be finite 2-D complex arrays; they are not checked.
     """
     if mode not in COLUMN_MODES:
         raise ValueError(f"unknown recovery mode {mode!r}")
-    if w.shape[0] != h.shape[0]:
-        raise ValueError("combiner rows must match the array size")
-    if not math.isfinite(sigma2) or sigma2 < 0:
-        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
-    draws = rng.generator.standard_normal((h.shape[1], 2 * h.shape[0]))
-    # row j, [Re n_j, Im n_j], against [conj W; i conj W] as reals is n_j^T conj W as complex
-    wh = w.conj().T
-    mix = math.sqrt(sigma2 / 2.0) * np.vstack([wh.T, 1j * wh.T]).view(np.float64)
-    y = wh @ h + (draws @ mix).view(np.complex128).T
     if mode == "paper-literal":
         return w @ y
     # one eigendecomposition of the Hermitian Gram matrix gives both its
     # condition number and its inverse
-    evals, evecs = np.linalg.eigh(wh @ w)
+    evals, evecs = np.linalg.eigh(w.conj().T @ w)
     low, high = float(evals[0]), float(evals[-1])
     cond = high / low if low > 0 else math.inf
     if not math.isfinite(cond) or cond > MAX_GRAM_COND:

@@ -216,14 +216,14 @@ def test_a_failed_baseline_becomes_a_tagged_row_beside_finite_modes(monkeypatch)
 def test_a_non_finite_stage_body_output_becomes_a_tagged_row(monkeypatch):
     # the stage functions run unchecked inside a trial; the estimate's own check
     # in nmse turns a NaN column into an error row, not an untagged NaN row
-    recover = pipeline.sound_and_recover_block
+    recover = pipeline.recover_block
 
     def nan_column(*args, **kwargs):
         out = recover(*args, **kwargs)
         out[:, 2] = np.nan
         return out
 
-    monkeypatch.setattr(pipeline, "sound_and_recover_block", nan_column)
+    monkeypatch.setattr(pipeline, "recover_block", nan_column)
     spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=1,
                        modes=("pseudo-inverse",))
     error, baseline = harness._trial_rows(spec, 0, 0, 0)

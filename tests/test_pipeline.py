@@ -1,15 +1,19 @@
 import copy
 import dataclasses
 import math
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twostage import numkit, stage2, subspace
+from twostage import numkit, sounding, stage2, subspace
 from twostage.channel import SystemConfig, generate_channel
+from twostage.cli import _resolve, build_parser
 from twostage.harness import (
     SweepSpec,
     _trial_rows,
@@ -25,10 +29,12 @@ from twostage.pipeline import (
     nmse,
     two_stage_estimate,
 )
-from twostage.stage2 import sound_and_recover_block
+from twostage.stage2 import recover_block
 from twostage.subspace import estimate_stage1
 
 from oracles import dft_combiner, sound_and_invert_block
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(seed, mode="pseudo-inverse", sigma2=0.1):
@@ -69,7 +75,7 @@ def test_numerical_rejections_are_linalg_errors():
     with pytest.raises(np.linalg.LinAlgError, match="NMSE is not finite"):
         nmse(np.ones((4, 6)), 1e200 * np.ones((4, 6)))
     with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-        sound_and_recover_block(np.ones((8, 3)), np.ones((8, 2)), 0.0, RngState(0))
+        recover_block(np.ones((2, 3)), np.ones((8, 2)))
     with pytest.raises(np.linalg.LinAlgError, match="subspace distance is not finite"):
         subspace.subspace_distance(h[:, 1:], bad[:, 1:])
 
@@ -164,11 +170,18 @@ def test_noiseless_pseudo_inverse_floor_is_the_grid_mismatch():
 # ---------------------------------------------------------- reference sweep
 
 
+# the reference scenario and m grid at 0, 10 and 20 dB, with the floor
+REFERENCE_SPEC = SweepSpec(SystemConfig(), snr_db_list=(0.0, 10.0, 20.0), trials=200)
+
+
 @pytest.fixture(scope="module")
-def reference_cells():
-    # the reference scenario and m grid at 0, 10 and 20 dB, with the floor
-    spec = SweepSpec(SystemConfig(), snr_db_list=(0.0, 10.0, 20.0), trials=200)
-    return {(s.mode, s.snr_db, s.m): s for s in summarize(run_sweep(spec))}
+def reference_rows():
+    return run_sweep(REFERENCE_SPEC)
+
+
+@pytest.fixture(scope="module")
+def reference_cells(reference_rows):
+    return {(s.mode, s.snr_db, s.m): s for s in summarize(reference_rows)}
 
 
 def test_estimation_error_improves_with_wider_sampling_and_respects_the_floor(
@@ -188,6 +201,50 @@ def test_subspace_error_shrinks_with_more_sampled_columns(reference_cells):
     for snr_db in (0.0, 10.0, 20.0):
         narrow, wide = (reference_cells["pseudo-inverse", snr_db, m] for m in (4, 8))
         assert wide.subspace_dist_mean < narrow.subspace_dist_mean, snr_db
+
+
+def _readme_table():
+    """The command (the first of its block) and the data rows of the README's
+    Experiments table."""
+    text = (ROOT / "README.md").read_text().split("## Experiments", 1)[1]
+    found = re.search(r"```sh\n(twostage sweep [^\n]*)\n.*?```.*?\n\|[^\n]*\n\|[-| ]*\n"
+                      r"((?:\|[^\n]*\n)+)", text, re.S)
+    assert found is not None
+    return found.group(1), found.group(2).splitlines()
+
+
+def _table_rows(cells, uses):
+    # per (SNR, m): the two-stage uses, then mean +- standard error of NMSE and
+    # subspace_dist for pseudo-inverse and the floor, to 3 significant digits
+    rows = []
+    for snr_db in REFERENCE_SPEC.snr_db_list:
+        for m in REFERENCE_SPEC.m_list:
+            est, floor = (cells[mode, snr_db, m] for mode in ("pseudo-inverse",
+                                                              "full-observation"))
+            stats = [(s.nmse_mean, s.nmse_stderr) for s in (est, floor)]
+            stats += [(s.subspace_dist_mean, s.subspace_dist_stderr) for s in (est, floor)]
+            rows.append(f"| {snr_db:g} | {m} | {uses[m]} | "
+                        + " | ".join(f"{mean:#.3g} ± {se:#.3g}" for mean, se in stats) + " |")
+    return rows
+
+
+def test_the_readme_table_command_is_the_reference_sweep():
+    command, _ = _readme_table()
+    parser = build_parser()
+    spec, _ = _resolve(parser.parse_args(shlex.split(command)[1:]), parser)
+    assert spec == REFERENCE_SPEC
+
+
+def test_the_readme_table_prints_the_reference_sweep(reference_rows, reference_cells):
+    _, table = _readme_table()
+    uses = {row.m: row.channel_uses for row in reference_rows
+            if row.mode == "pseudo-inverse"}
+    assert table == _table_rows(reference_cells, uses)
+    # three significant digits resolve a 1% shift of any one cell mean
+    for key, cell in reference_cells.items():
+        for name in ("nmse_mean", "subspace_dist_mean"):
+            shifted = dataclasses.replace(cell, **{name: getattr(cell, name) * 1.01})
+            assert _table_rows({**reference_cells, key: shifted}, uses) != table, key
 
 
 # --------------------------------------------------------------------- cost
@@ -231,10 +288,11 @@ def test_a_reference_trial_checks_each_array_once(monkeypatch):
     # each estimator checks the channel once and each nmse its two arguments;
     # the stage functions, and the distance between the bases the pipeline
     # built, check nothing again; the two-stage estimate and the baseline each
-    # take one PCA and one distance, and only the former sounds stage 2
-    counted_fns = ((numkit, "as_complex_matrix"), (subspace, "estimate_stage1"),
-                   (stage2, "design_sounder_omp"), (stage2, "sound_and_recover_block"),
-                   (subspace, "subspace_distance"))
+    # take one PCA and one distance, the estimate observes twice and the
+    # baseline once, and only the estimate recovers a stage-2 block
+    counted_fns = ((numkit, "as_complex_matrix"), (sounding, "observe"),
+                   (subspace, "estimate_stage1"), (stage2, "design_sounder_omp"),
+                   (stage2, "recover_block"), (subspace, "subspace_distance"))
     calls = dict.fromkeys((name for _, name in counted_fns), 0)
     modules = [mod for key, mod in sys.modules.items() if key.startswith("twostage.")]
     for defining, name in counted_fns:
@@ -250,8 +308,8 @@ def test_a_reference_trial_checks_each_array_once(monkeypatch):
     spec = SweepSpec(SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6), trials=1)
     rows = _trial_rows(spec, 4, 1, 0)
     assert [row.mode for row in rows] == ["pseudo-inverse", "full-observation"]
-    assert calls == {"as_complex_matrix": 6, "estimate_stage1": 2, "design_sounder_omp": 1,
-                     "sound_and_recover_block": 1, "subspace_distance": 2}
+    assert calls == {"as_complex_matrix": 6, "observe": 3, "estimate_stage1": 2,
+                     "design_sounder_omp": 1, "recover_block": 1, "subspace_distance": 2}
 
 
 # ------------------------------------------------------------------- budget

@@ -16,6 +16,7 @@ def test_readme_python_examples_run():
         exec(block, namespace)
     assert namespace["report"].channel_uses_total == 168
     assert namespace["h_rest"].shape == (32, 120)
+    assert namespace["uses_stage1"] + namespace["uses_stage2"] == 168
 
 
 def test_sources_parse_under_the_oldest_supported_python():

@@ -8,11 +8,11 @@ from twostage import stage2
 from twostage.channel import SystemConfig, generate_channel, ula_response
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import two_stage_estimate
-from twostage.sounding import _observe
+from twostage.sounding import observe
 from twostage.stage2 import (
     build_dictionary,
     design_sounder_omp,
-    sound_and_recover_block,
+    recover_block,
 )
 from twostage.subspace import estimate_stage1
 
@@ -255,7 +255,8 @@ def _per_column_reference(h, w, sigma2, rng, mode):
 def test_recovery_matches_an_independent_projector_computation():
     h, _ = _column_setup(30)
     w = sample_complex_gaussian(RngState(30).split(2), 8, 2, 1.0)  # not orthonormal
-    est = sound_and_recover_block(h[:, 1:2], w, 0.3, RngState(31), "pseudo-inverse")
+    y, _ = observe(h[:, 1:2], 0.3, RngState(31), 2, w)
+    est = recover_block(y, w, "pseudo-inverse")
     noise = sample_complex_gaussian(RngState(31), 8, 1, 0.3)[:, 0]
     oracle = (w @ np.linalg.pinv(w)) @ (h[:, 1] + noise)
     assert est.shape == (8, 1)
@@ -267,7 +268,7 @@ def test_in_span_columns_are_exact_without_noise():
     coeffs = sample_complex_gaussian(RngState(33), 2, 3, 1.0)
     h = w @ coeffs
     for mode in ("pseudo-inverse", "paper-literal"):
-        est = sound_and_recover_block(h, w, 0.0, RngState(0), mode)
+        est = recover_block(w.conj().T @ h, w, mode)
         np.testing.assert_allclose(est, h, atol=1e-10)
 
 
@@ -275,18 +276,19 @@ def test_columns_orthogonal_to_the_combiner_recover_as_zero():
     _, w = _column_setup(38)
     full = np.linalg.svd(np.column_stack([w, w]))[0]
     h = full[:, 2:]  # orthogonal complement of col(w)
-    est = sound_and_recover_block(h, w, 0.0, RngState(0))
+    est = recover_block(w.conj().T @ h, w)
     np.testing.assert_allclose(est, np.zeros((8, 6)), atol=1e-10)
 
 
 def test_modes_agree_only_for_orthonormal_combiners():
     h, w = _column_setup(34)
-    a = sound_and_recover_block(h, w, 0.1, RngState(35), "pseudo-inverse")
-    b = sound_and_recover_block(h, w, 0.1, RngState(35), "paper-literal")
+    y, _ = observe(h, 0.1, RngState(35), 2, w)
+    a = recover_block(y, w, "pseudo-inverse")
+    b = recover_block(y, w, "paper-literal")
     np.testing.assert_allclose(a, b, atol=1e-10)
     skewed = w @ np.diag([2.0, 1.0])
-    a = sound_and_recover_block(h, skewed, 0.0, RngState(0), "pseudo-inverse")
-    b = sound_and_recover_block(h, skewed, 0.0, RngState(0), "paper-literal")
+    a = recover_block(skewed.conj().T @ h, skewed, "pseudo-inverse")
+    b = recover_block(skewed.conj().T @ h, skewed, "paper-literal")
     assert np.linalg.norm(a - b) > 1e-3
 
 
@@ -300,7 +302,7 @@ def test_rank_deficient_combiner_is_reported():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=r"rank deficient .*rank 1\)"):
-                sound_and_recover_block(h, singular, 0.0, RngState(0))
+                recover_block(singular.conj().T @ h, singular)
 
 
 @pytest.mark.parametrize("log_cond", [11.8, 12.2])
@@ -311,21 +313,17 @@ def test_gram_condition_threshold_is_1e12(log_cond):
     np.testing.assert_allclose(np.log10(gram_cond), log_cond, atol=1e-3)
     if log_cond > 12.0:
         with pytest.raises(ValueError, match="rank deficient"):
-            sound_and_recover_block(h, skewed, 0.0, RngState(0))
+            recover_block(skewed.conj().T @ h, skewed)
     else:
-        est = sound_and_recover_block(h, skewed, 0.0, RngState(0))
+        est = recover_block(skewed.conj().T @ h, skewed)
         np.testing.assert_allclose(est, w @ (w.conj().T @ h), rtol=0, atol=1e-3)
 
 
 def test_column_recovery_argument_errors():
+    # the noise variance and the combiner's rows are the observation's to check
     h, w = _column_setup(37)
     with pytest.raises(ValueError, match="unknown recovery mode"):
-        sound_and_recover_block(h, w, 0.1, RngState(0), "genie")
-    for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            sound_and_recover_block(h, w, bad, RngState(0))
-    with pytest.raises(ValueError, match="rows"):
-        sound_and_recover_block(h, w[:5], 0.1, RngState(0))
+        recover_block(w.conj().T @ h, w, "genie")
 
 
 @pytest.mark.parametrize("mode", ["pseudo-inverse", "paper-literal"])
@@ -336,34 +334,19 @@ def test_mean_recovery_error_matches_the_conditional_identity(mode):
     m, sigma2, draws = 4, 0.1, 2000
     rng = RngState(47)
     real = generate_channel(cfg, rng.split(0))
-    basis = estimate_stage1(_observe(real.h[:, :m], sigma2, rng.split(1)), cfg.paths).basis
+    y, _ = observe(real.h[:, :m], sigma2, rng.split(1), cfg.n_rf)
+    basis = estimate_stage1(y, cfg.paths).basis
     w = design_sounder_omp(basis, build_dictionary(cfg.n_rx, cfg.grid_size), cfg.n_rf).product
     h_rest = real.h[:, m:]
     stream = rng.split(2)
     errors = np.empty(draws)
     for k in range(draws):
-        miss = h_rest - sound_and_recover_block(h_rest, w, sigma2, stream, mode)
+        y, _ = observe(h_rest, sigma2, stream, cfg.n_rf, w)
+        miss = h_rest - recover_block(y, w, mode)
         errors[k] = np.vdot(miss, miss).real
     predicted = stage2_conditional_mse(h_rest, w, sigma2, mode)
     z = (errors.mean() - predicted) / (errors.std(ddof=1) / math.sqrt(draws))
     assert abs(z) <= 4.0
-
-
-@pytest.mark.parametrize("rows, cols, rank", [(32, 120, 6), (5, 3, 2)])
-def test_observation_is_the_combined_channel_plus_the_drawn_noise(rows, cols, rank):
-    # the real projection of the draws must equal W^H (H + N) with N built
-    # from the same draws, per column real part before imaginary part; W y
-    # shows y, as W has full column rank
-    rng = RngState(64)
-    h = sample_complex_gaussian(rng.split(0), rows, cols, 1.0)
-    w = sample_complex_gaussian(rng.split(1), rows, rank, 1.0)  # not orthonormal
-    sigma2 = 0.3
-    observed = sound_and_recover_block(h, w, sigma2, rng.split(2), "paper-literal")
-    draws = rng.split(2).generator.standard_normal((cols, 2, rows))
-    noise = math.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1]).T
-    expected = w @ (w.conj().T @ (h + noise))
-    np.testing.assert_allclose(observed, expected, rtol=0,
-                               atol=1e-13 * np.abs(expected).max())
 
 
 # --------------------------------------------------------- remaining columns
@@ -376,7 +359,7 @@ def test_remaining_columns_match_a_per_column_loop(mode):
     rep = two_stage_estimate(real, cfg, 8, 0.1, RngState(48), mode=mode)
     # replay stage 1 on the same stream, then sound column by column
     rng = RngState(48)
-    basis = estimate_stage1(_observe(real.h[:, :8], 0.1, rng), 4).basis
+    basis = estimate_stage1(observe(real.h[:, :8], 0.1, rng, 6)[0], 4).basis
     if mode == "ideal":
         # ideal recovers by W y; for its orthonormal basis that is W (W^H W)^-1 y
         w, column_mode = basis, "pseudo-inverse"
