@@ -23,12 +23,12 @@ def observe(block, sigma2, rng, n_rf, w=None):
     and projected by one real product, never formed as a complex matrix. The
     arrays are not checked; a bad ``sigma2`` is rejected before any draw.
     """
-    if not math.isfinite(sigma2) or sigma2 < 0:
-        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     rows, cols = block.shape
     uses = cols * math.ceil((rows if w is None else w.shape[1]) / n_rf)
-    if w is None:
+    if w is None:  # the sampler checks sigma2 before it draws
         return block + sample_complex_gaussian(rng, rows, cols, sigma2), uses
+    if not math.isfinite(sigma2) or sigma2 < 0:
+        raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     if w.shape[0] != rows:
         raise ValueError("combiner rows must match the array size")
     draws = rng.generator.standard_normal((cols, 2 * rows))

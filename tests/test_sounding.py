@@ -32,7 +32,7 @@ def test_observation_is_the_combined_channel_plus_the_drawn_noise(rows, cols, ra
     noise = math.sqrt(sigma2 / 2.0) * (draws[:, :rows] + 1j * draws[:, rows:]).T
     expected = w.conj().T @ (h + noise)
     np.testing.assert_allclose(observed, expected, rtol=0,
-                               atol=1e-12 * np.abs(expected).max())
+                               atol=1e-13 * np.abs(expected).max())
     assert uses == cols  # one use per column when the chains cover the combiner
 
 
