@@ -78,7 +78,7 @@ class SystemConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One drawn channel together with the factors that produced it."""
 

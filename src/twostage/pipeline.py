@@ -24,7 +24,7 @@ __all__ = [
 RECOVERY_MODES = ("pseudo-inverse", "paper-literal", "ideal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
     """Outcome of one estimation run, with its sounding budget."""
 
@@ -65,11 +65,12 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     """Sound m columns at noise variance sigma2, learn the subspace, recover the rest.
 
     Stage 1 observes the first m columns as H_S + N (see ``sounding``) and
-    keeps its dominant rank-``paths`` part. Stage 2 designs the
-    subspace-matched sounder and observes each remaining column through it
-    in one channel use; ``ideal`` mode sounds with the orthonormal estimated
-    basis itself and recovers by W y, its least-squares fit. The estimate
-    stacks both blocks in original column order; the uses are those counted.
+    keeps its dominant rank-``paths`` part. Stage 2 observes each remaining
+    column in one channel use through a sounder W and fits it. ``ideal``
+    sounds with the orthonormal estimated basis, the other modes with its OMP
+    design; ``pseudo-inverse`` fits by ``recover_block``, the others by W y,
+    the least-squares fit for ``ideal``'s W. The estimate stacks both blocks
+    in original column order; the uses are those counted.
     Deterministic given (cfg, m, sigma2, rng). The channel is checked once,
     here; the stages below run unchecked on the arrays this function builds.
     """
@@ -86,13 +87,13 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
     est = estimate_stage1(y, cfg.paths)
     h_hat, uses_stage2 = est.denoised, 0
     if m < cfg.n_tx:
-        sounder, column_mode = est.basis, "paper-literal"  # ideal: W y is the fit
+        sounder = est.basis
         if mode != "ideal":
             atoms = build_dictionary(cfg.n_rx, cfg.grid_size)
             sounder = design_sounder_omp(est.basis, atoms, cfg.n_rf).product
-            column_mode = mode
         y, uses_stage2 = observe(h[:, m:], sigma2, rng, cfg.n_rf, sounder)
-        h_hat = np.hstack([h_hat, recover_block(y, sounder, column_mode)])
+        fit = recover_block(y, sounder) if mode == "pseudo-inverse" else sounder @ y
+        h_hat = np.hstack([h_hat, fit])
     return _report(real, h_hat, est.basis, uses_stage1, uses_stage2, mode)
 
 

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .numkit import sample_complex_gaussian
+from .numkit import as_integer, sample_complex_gaussian
 
 
 def observe(block, sigma2, rng, n_rf, w=None):
@@ -21,8 +21,10 @@ def observe(block, sigma2, rng, n_rf, w=None):
     uses per column. With a k-column ``w``: W^H (H_S + N), ceil(k / n_rf) uses
     per column, the noise drawn column by column (real part before imaginary)
     and projected by one real product, never formed as a complex matrix. The
-    arrays are not checked; a bad ``sigma2`` is rejected before any draw.
+    arrays are not checked; a bad ``sigma2`` or ``n_rf`` is rejected before any draw.
     """
+    if (n_rf := as_integer(n_rf, "n_rf")) < 1:
+        raise ValueError(f"n_rf must be at least 1, got {n_rf}")
     rows, cols = block.shape
     uses = cols * math.ceil((rows if w is None else w.shape[1]) / n_rf)
     if w is None:  # the sampler checks sigma2 before it draws

@@ -1,5 +1,6 @@
-"""Second stage: hybrid sounder design on the learned subspace, then
-recovery of every remaining column from its one-use observation.
+"""Second stage: hybrid sounder design on the learned subspace, and the
+least-squares receiver for every remaining column's one-use observation.
+``pipeline.two_stage_estimate`` picks each recovery mode's sounder and fit.
 
 The receive sounder is factored as analog @ digital where the analog part is
 built from constant-modulus steering atoms (phase shifters only) and the
@@ -27,8 +28,6 @@ __all__ = [
     "recover_block",
 ]
 
-COLUMN_MODES = ("pseudo-inverse", "paper-literal")
-
 # combiners whose Gram matrix has a condition number beyond this are rank deficient
 MAX_GRAM_COND = 1e12
 
@@ -37,7 +36,7 @@ MAX_GRAM_COND = 1e12
 SPAN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HybridSounder:
     """Greedy factorization of a target combiner into phase shifts and mixing."""
 
@@ -127,17 +126,13 @@ def design_sounder_omp(target, atoms, n_rf):
     )
 
 
-def recover_block(y, w, mode="pseudo-inverse"):
-    """The columns behind Y = W^H (H + N): W (W^H W)^-1 Y, or W Y if ``paper-literal``.
+def recover_block(y, w):
+    """The least-squares columns behind Y = W^H (H + N): W (W^H W)^-1 Y.
 
-    The least-squares ``pseudo-inverse`` inverts the Gram matrix through its
-    eigendecomposition; W Y agrees only when W has orthonormal columns.
-    ``y`` and ``w`` must be finite 2-D complex arrays; they are not checked.
+    The Gram matrix is inverted through its eigendecomposition; for a W with
+    orthonormal columns the result is W Y. ``y`` and ``w`` must be finite 2-D
+    complex arrays; they are not checked.
     """
-    if mode not in COLUMN_MODES:
-        raise ValueError(f"unknown recovery mode {mode!r}")
-    if mode == "paper-literal":
-        return w @ y
     # one eigendecomposition of the Hermitian Gram matrix gives both its
     # condition number and its inverse
     evals, evecs = np.linalg.eigh(w.conj().T @ w)

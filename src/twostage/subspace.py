@@ -16,7 +16,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceEstimate:
     """Dominant left subspace of the recovered column block.
 

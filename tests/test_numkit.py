@@ -10,6 +10,7 @@ from twostage.numkit import (
     sample_complex_gaussian,
 )
 from twostage.pipeline import two_stage_estimate
+from twostage.sounding import observe
 from twostage.stage2 import build_dictionary, design_sounder_omp
 
 
@@ -123,8 +124,9 @@ _BLOCK = sample_complex_gaussian(RngState(5), 8, 4, 1.0)
     lambda: design_sounder_omp(_BLOCK[:, :1], build_dictionary(8, 16), 6.0),
     lambda: sample_complex_gaussian(RngState(0), 2.5, 3, 1.0),
     lambda: sample_complex_gaussian(RngState(0), 2, 3.0, 1.0),
+    lambda: observe(_BLOCK, 0.1, RngState(0), 2.5),
 ], ids=["dictionary-grid", "dictionary-array", "ula", "two-stage-m", "omp-n_rf",
-        "gaussian-rows", "gaussian-cols"])
+        "gaussian-rows", "gaussian-cols", "observe-n_rf"])
 def test_primitives_reject_non_integer_counts(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()

@@ -391,6 +391,17 @@ def test_requested_mode_and_shape_are_recorded():
     assert report.h_hat.shape == (cfg.n_rx, cfg.n_tx)
 
 
+def test_results_holding_arrays_compare_and_hash_by_identity():
+    # generated value equality would compare the arrays and raise; the
+    # scenario and sweep types hold no arrays and keep value equality
+    cfg, real, a = _run(14)
+    _, _, b = _run(14)
+    np.testing.assert_array_equal(a.h_hat, b.h_hat)
+    assert a == a and a != b
+    assert len({a, b, real, a}) == 3
+    assert cfg == dataclasses.replace(cfg) and hash(cfg) == hash(dataclasses.replace(cfg))
+
+
 def test_an_unknown_mode_is_rejected():
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(15))

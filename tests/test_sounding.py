@@ -50,6 +50,18 @@ def test_a_bad_noise_variance_is_rejected_before_any_draw(combined):
             observe(block, 0.1, RngState(1), 2, w[:5])
 
 
+@pytest.mark.parametrize("combined", [False, True], ids=["plain", "combiner"])
+def test_a_chain_count_below_one_is_rejected_before_any_draw(combined):
+    # 0 chains would divide by zero, -1 count negative uses, 2.5 fractional ones
+    block = sample_complex_gaussian(RngState(3), 8, 4, 1.0)
+    w = block[:, :2] if combined else None
+    for bad in (0, -1, 2.5):
+        rng = RngState(1)
+        with pytest.raises(ValueError, match="n_rf must be"):
+            observe(block, 0.1, rng, bad, w)
+        assert "generator" not in rng.__dict__
+
+
 def test_uses_count_the_chains_each_column_needs():
     # the reference scale at m = 8: the sounded block, then the 120 remaining
     # columns through a 4-column sounder; one chain observes one entry per use

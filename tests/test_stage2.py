@@ -256,7 +256,7 @@ def test_recovery_matches_an_independent_projector_computation():
     h, _ = _column_setup(30)
     w = sample_complex_gaussian(RngState(30).split(2), 8, 2, 1.0)  # not orthonormal
     y, _ = observe(h[:, 1:2], 0.3, RngState(31), 2, w)
-    est = recover_block(y, w, "pseudo-inverse")
+    est = recover_block(y, w)
     noise = sample_complex_gaussian(RngState(31), 8, 1, 0.3)[:, 0]
     oracle = (w @ np.linalg.pinv(w)) @ (h[:, 1] + noise)
     assert est.shape == (8, 1)
@@ -267,8 +267,8 @@ def test_in_span_columns_are_exact_without_noise():
     _, w = _column_setup(32)
     coeffs = sample_complex_gaussian(RngState(33), 2, 3, 1.0)
     h = w @ coeffs
-    for mode in ("pseudo-inverse", "paper-literal"):
-        est = recover_block(w.conj().T @ h, w, mode)
+    y = w.conj().T @ h
+    for est in (recover_block(y, w), w @ y):  # the least-squares fit and W y
         np.testing.assert_allclose(est, h, atol=1e-10)
 
 
@@ -281,15 +281,13 @@ def test_columns_orthogonal_to_the_combiner_recover_as_zero():
 
 
 def test_modes_agree_only_for_orthonormal_combiners():
+    # the least-squares fit is W y, paper-literal's fit, only for orthonormal W
     h, w = _column_setup(34)
     y, _ = observe(h, 0.1, RngState(35), 2, w)
-    a = recover_block(y, w, "pseudo-inverse")
-    b = recover_block(y, w, "paper-literal")
-    np.testing.assert_allclose(a, b, atol=1e-10)
+    np.testing.assert_allclose(recover_block(y, w), w @ y, atol=1e-10)
     skewed = w @ np.diag([2.0, 1.0])
-    a = recover_block(skewed.conj().T @ h, skewed, "pseudo-inverse")
-    b = recover_block(skewed.conj().T @ h, skewed, "paper-literal")
-    assert np.linalg.norm(a - b) > 1e-3
+    y = skewed.conj().T @ h
+    assert np.linalg.norm(recover_block(y, skewed) - skewed @ y) > 1e-3
 
 
 def test_rank_deficient_combiner_is_reported():
@@ -319,15 +317,10 @@ def test_gram_condition_threshold_is_1e12(log_cond):
         np.testing.assert_allclose(est, w @ (w.conj().T @ h), rtol=0, atol=1e-3)
 
 
-def test_column_recovery_argument_errors():
-    # the noise variance and the combiner's rows are the observation's to check
-    h, w = _column_setup(37)
-    with pytest.raises(ValueError, match="unknown recovery mode"):
-        recover_block(w.conj().T @ h, w, "genie")
-
-
-@pytest.mark.parametrize("mode", ["pseudo-inverse", "paper-literal"])
-def test_mean_recovery_error_matches_the_conditional_identity(mode):
+@pytest.mark.parametrize("fit, mode", [(recover_block, "pseudo-inverse"),
+                                       (lambda y, w: w @ y, "paper-literal")],
+                         ids=["pseudo-inverse", "paper-literal"])
+def test_mean_recovery_error_matches_the_conditional_identity(fit, mode):
     # one stage-1 result and its designed sounder, then K stage-2 draws: the
     # mean squared error must sit within 4 standard errors of the exact mean
     cfg = SystemConfig(n_rx=16, n_tx=48, paths=2, n_rf=3)
@@ -342,7 +335,7 @@ def test_mean_recovery_error_matches_the_conditional_identity(mode):
     errors = np.empty(draws)
     for k in range(draws):
         y, _ = observe(h_rest, sigma2, stream, cfg.n_rf, w)
-        miss = h_rest - recover_block(y, w, mode)
+        miss = h_rest - fit(y, w)
         errors[k] = np.vdot(miss, miss).real
     predicted = stage2_conditional_mse(h_rest, w, sigma2, mode)
     z = (errors.mean() - predicted) / (errors.std(ddof=1) / math.sqrt(draws))
