@@ -65,8 +65,9 @@ class SweepSpec:
     def __post_init__(self):
         if not isinstance(self.baseline, (bool, np.bool_)):  # "no" is truthy
             raise ValueError(f"baseline must be a bool, got {self.baseline!r}")
-        if isinstance(self.modes, str):
-            raise ValueError(f"modes must be a sequence of mode names, not the string {self.modes!r}")
+        for name in ("snr_db_list", "m_list", "modes"):  # a string is one value per character
+            if isinstance(value := getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence, not the string {value!r}")
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
         object.__setattr__(self, "m_list",
                            tuple(as_integer(m, "m_list entry") for m in self.m_list))
@@ -176,7 +177,8 @@ def run_sweep(spec):
     """Run every (snr, m, trial) task and return rows sorted canonically.
 
     The keys are dealt into ``min(workers, len(keys))`` strided slices, one
-    per forked child; a single slice runs in this process.
+    per forked child; a single slice runs in this process. Each child pickles
+    its rows, or its exception and traceback, to its own pipe and exits.
     """
     keys = [(si, mi, trial)
             for si in range(len(spec.snr_db_list))

@@ -40,8 +40,8 @@ def as_complex_matrix(a, name="matrix"):
 
 def as_integer(value, name):
     """``value`` as an int; a Python or numpy integer passes, anything else
-    (a float, even 4.0, included) is a ValueError."""
-    if type(value) is not int and not isinstance(value, numbers.Integral):
+    (a float, even 4.0, or a bool, which is an Integral) is a ValueError."""
+    if type(value) is not int and (type(value) is bool or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -42,8 +42,7 @@ class HybridSounder:
 
     analog: np.ndarray = field(repr=False)  # n_rx x n_rf, |entry| = 1/sqrt(n_rx)
     product: np.ndarray = field(repr=False)  # analog @ digital
-    residual: float  # ||target - product||_F after the last step
-    residual_path: tuple  # per-step residuals, non-increasing
+    residual_path: tuple  # per-step ||target - product||_F, non-increasing
     selected: tuple  # chosen grid indices in selection order
 
 
@@ -120,7 +119,6 @@ def design_sounder_omp(target, atoms, n_rf):
     return HybridSounder(
         analog=atoms[:, selected],
         product=target - residual_mat,
-        residual=residual_path[-1],
         residual_path=tuple(residual_path),
         selected=tuple(selected),
     )

@@ -44,3 +44,13 @@ def test_each_test_module_is_named_for_the_module_it_tests():
     modules = {path.stem for path in (ROOT / "src" / "twostage").glob("*.py")}
     tested = {path.stem.removeprefix("test_") for path in (ROOT / "tests").glob("test_*.py")}
     assert tested == modules - {"__init__"} | {"readme", "oracles", "blas_pin"}
+
+
+def test_readme_names_only_tests_that_exist():
+    # each test_* name is a file under tests/ or, without .py, a test defined in one
+    files = {path.stem: path.read_text() for path in (ROOT / "tests").glob("test_*.py")}
+    defined = set(re.findall(r"^def (test_\w+)", "".join(files.values()), re.M))
+    named = re.findall(r"\b(test_\w+)(\.py)?", (ROOT / "README.md").read_text())
+    missing = [name + py for name, py in named if name not in files
+               and (py or name not in defined)]
+    assert named and not missing, missing

@@ -22,25 +22,13 @@ from oracles import stage2_conditional_mse
 # ---------------------------------------------------------------- dictionary
 
 
-def test_two_element_dictionary_is_written_out():
-    # grid sines -1 and 0
-    atoms = build_dictionary(2, 2)
-    assert atoms.shape == (2, 2)
-    np.testing.assert_allclose(atoms[:, 0], np.array([1.0, np.exp(1j * np.pi)])
-                               / math.sqrt(2), atol=1e-15)
-    np.testing.assert_allclose(atoms[:, 1], np.array([1.0, 1.0])
-                               / math.sqrt(2), atol=1e-15)
-
-
-def test_atoms_have_unit_norm_and_constant_modulus():
-    atoms = build_dictionary(16, 32)
-    np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(atoms), 1 / 4.0, atol=1e-12)
-
-
 def test_grid_covers_the_sine_domain_uniformly():
-    np.testing.assert_array_equal(build_dictionary(8, 16),
-                                  ula_response(-1.0 + 2.0 * np.arange(16) / 16, 8))
+    # atom k is the steering vector at the sine -1 + 2k / G, bit for bit, so the
+    # atoms have the entries, modulus and norm that test_channel pins
+    for n_r, grid_size in ((2, 2), (8, 16), (16, 32)):
+        np.testing.assert_array_equal(
+            build_dictionary(n_r, grid_size),
+            ula_response(-1.0 + 2.0 * np.arange(grid_size) / grid_size, n_r))
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -78,7 +66,7 @@ def test_a_single_atom_target_is_matched_exactly():
     atoms = build_dictionary(16, 32)
     s = design_sounder_omp(atoms[:, 9:10], atoms, 1)
     assert s.selected == (9,)
-    assert s.residual <= 1e-10
+    assert s.residual_path[-1] <= 1e-10
     digital = np.linalg.lstsq(s.analog, s.product, rcond=None)[0]
     assert digital.shape == (1, 1)
     np.testing.assert_allclose(abs(digital[0, 0]), 1.0, atol=1e-10)
@@ -89,7 +77,7 @@ def test_an_orthonormalized_atom_pair_is_recovered():
     target = np.linalg.qr(atoms[:, [5, 20]])[0]
     s = design_sounder_omp(target, atoms, 2)
     assert sorted(s.selected) == [5, 20]
-    assert s.residual <= 1e-8
+    assert s.residual_path[-1] <= 1e-8
 
 
 def test_analog_part_is_phase_only():
@@ -111,7 +99,6 @@ def test_residual_path_never_increases_and_atoms_are_not_reused():
         assert len(path) == 6
         assert np.all(np.diff(path) <= 1e-12)
         assert len(set(s.selected)) == 6
-        assert s.residual == path[-1]
 
 
 def test_design_rejects_impossible_requests():
@@ -132,8 +119,8 @@ def test_doubling_the_grid_never_hurts_a_single_steering_target():
     for trial in range(50):
         theta = rng.split(trial).generator.uniform(0, 2 * np.pi)
         t = ula_response(math.sin(theta), 16)
-        coarse = design_sounder_omp(t, build_dictionary(16, 32), 1).residual
-        fine = design_sounder_omp(t, build_dictionary(16, 64), 1).residual
+        coarse = design_sounder_omp(t, build_dictionary(16, 32), 1).residual_path[-1]
+        fine = design_sounder_omp(t, build_dictionary(16, 64), 1).residual_path[-1]
         assert fine <= coarse + 1e-12
 
 
@@ -145,8 +132,8 @@ def test_doubling_the_grid_usually_helps_a_two_path_subspace_target():
         cfg = SystemConfig(n_rx=16, n_tx=32, paths=2, n_rf=2, seed=11)
         real = generate_channel(cfg, RngState(11, (trial,)))
         target = real.basis
-        coarse = design_sounder_omp(target, build_dictionary(16, 32), 2).residual
-        fine = design_sounder_omp(target, build_dictionary(16, 64), 2).residual
+        coarse = design_sounder_omp(target, build_dictionary(16, 32), 2).residual_path[-1]
+        fine = design_sounder_omp(target, build_dictionary(16, 64), 2).residual_path[-1]
         if fine <= coarse + 1e-12:
             not_worse += 1
     assert not_worse >= 45
@@ -198,7 +185,7 @@ def test_atoms_past_the_array_size_add_nothing_to_the_span():
     assert len(set(s.selected)) == 7
     assert np.all(np.diff(s.residual_path) <= 0.0)
     np.testing.assert_allclose(s.residual_path[:4], path[:4], rtol=0, atol=1e-12)
-    assert s.residual <= 1e-14
+    assert s.residual_path[-1] <= 1e-14
     np.testing.assert_allclose(s.product, product, rtol=0, atol=1e-12)
     np.testing.assert_allclose(s.product, target, rtol=0, atol=1e-12)
     # the 4 x 7 analog part is rank deficient; digital is the minimum-norm fit
