@@ -109,11 +109,17 @@ def test_steering_factors_are_the_steering_vectors_bit_for_bit():
 
 
 def test_channel_has_numerical_rank_at_most_paths():
-    # 20 three-path draws, then one single-path draw
-    cases = [(_small_cfg(paths=3, n_rf=3), RngState(0).split(i)) for i in range(20)]
-    for cfg, rng in [*cases, (_small_cfg(paths=1), RngState(8))]:
-        s = np.linalg.svd(generate_channel(cfg, rng).h, compute_uv=False)
-        assert s[cfg.paths] <= 1e-8 * s[0]
+    cfg = _small_cfg(paths=3, n_rf=3)
+    for i in range(20):
+        real = generate_channel(cfg, RngState(0).split(i))
+        s = np.linalg.svd(real.h, compute_uv=False)
+        assert s[3] <= 1e-8 * s[0]
+
+
+def test_single_path_channel_has_rank_one():
+    real = generate_channel(_small_cfg(paths=1), RngState(8))
+    s = np.linalg.svd(real.h, compute_uv=False)
+    assert s[1] <= 1e-8 * s[0]
 
 
 def test_angle_sines_respect_the_separation_floor():

@@ -17,11 +17,16 @@ from twostage.stage2 import build_dictionary, design_sounder_omp
 # ---------------------------------------------------------------- validation
 
 
+def test_as_complex_matrix_rejects_non_finite():
+    bad = np.ones((2, 2), dtype=complex)
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        as_complex_matrix(bad)
+
+
 def test_as_complex_matrix_counts_nan_and_inf_entries():
     bad = np.ones((3, 4), dtype=complex)
     bad[0, 1] = np.nan
-    with pytest.raises(ValueError, match="matrix contains 1 non-finite entries"):
-        as_complex_matrix(bad)
     bad[2, 3] = complex(1.0, np.inf)
     with pytest.raises(ValueError, match="contains 2 non-finite entries"):
         as_complex_matrix(bad, "block")
@@ -48,11 +53,13 @@ def test_as_complex_matrix_rejects_empty():
 # ------------------------------------------------------------ random streams
 
 
+def test_same_seed_gives_identical_samples():
+    z1 = sample_complex_gaussian(RngState(42), 5, 7, 2.0)
+    z2 = sample_complex_gaussian(RngState(42), 5, 7, 2.0)
+    np.testing.assert_array_equal(z1, z2)
+
+
 def test_split_streams_ignore_parent_consumption():
-    # a new stream of one seed replays its samples; a split replays them
-    # whatever its parent has drawn
-    np.testing.assert_array_equal(sample_complex_gaussian(RngState(42), 5, 7, 2.0),
-                                  sample_complex_gaussian(RngState(42), 5, 7, 2.0))
     parent = RngState(5)
     before = sample_complex_gaussian(parent.split(3), 4, 4, 1.0)
     parent.generator.standard_normal(100)

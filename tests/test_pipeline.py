@@ -38,10 +38,11 @@ from oracles import dft_combiner, sound_and_invert_block
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(seed, mode="pseudo-inverse"):
+def _run(seed, mode="pseudo-inverse", sigma2=0.1):
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=seed)
     real = generate_channel(cfg, RngState(seed))
-    return cfg, real, two_stage_estimate(real, cfg, 4, 0.1, RngState(seed, (1,)), mode)
+    return cfg, real, two_stage_estimate(real, cfg, 4, sigma2, RngState(seed, (1,)),
+                                         mode)
 
 
 # ------------------------------------------------------------------- metrics
@@ -96,18 +97,23 @@ def test_degrees_of_freedom_examples():
 # ----------------------------------------------------------- exact regimes
 
 
+def test_noiseless_ideal_run_is_exact_to_machine_precision():
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, seed=5)
+    real = generate_channel(cfg, RngState(5))
+    report = two_stage_estimate(real, cfg, 8, 0.0, RngState(5, (1,)), mode="ideal")
+    assert report.nmse <= 1e-18
+    assert report.subspace_dist <= 1e-18
+
+
 def test_noiseless_recovery_is_exact_at_scale():
-    # without noise, ideal mode recovers 20 reference-scale channels and their
-    # column spaces exactly from every m of the reference grid, and stage 1
-    # passes the sounded block through unchanged
+    # without noise, ideal mode recovers 20 reference-scale channels exactly
+    # from every m of the reference grid
     cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     for i in range(20):
         m = (4, 8, 16, 32)[i % 4]
         real = generate_channel(cfg, RngState(600, (i, 0)))
         report = two_stage_estimate(real, cfg, m, 0.0, RngState(600, (i, 1)), mode="ideal")
         assert report.nmse <= 1e-18, (i, m)
-        assert report.subspace_dist <= 1e-18, (i, m)
-        np.testing.assert_allclose(report.h_hat[:, :m], real.h[:, :m], rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("m", [4, 32, 128])
@@ -124,6 +130,11 @@ def test_stage1_equals_sounding_and_inverting_through_any_bank(m):
         expected = estimate_stage1(block, cfg.paths).denoised
         error = np.linalg.norm(report.h_hat[:, :m] - expected)
         assert error <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_sounded_block_passes_through_unchanged_without_noise():
+    _, real, report = _run(7, sigma2=0.0, mode="ideal")
+    np.testing.assert_allclose(report.h_hat[:, :4], real.h[:, :4], atol=1e-10)
 
 
 def test_ideal_mode_is_no_upper_bound_at_low_snr():
@@ -254,17 +265,22 @@ def _factorizations_of_one_estimate(monkeypatch, m, mode):
 
 @pytest.mark.parametrize("m, expected", [
     (8, {"pseudo-inverse": {"svd": 1, "eigh": 1, "eigvalsh": 1},
-         "paper-literal": {"svd": 1, "eigvalsh": 1},
-         "ideal": {"svd": 1, "eigvalsh": 1}}),
+         "paper-literal": {"svd": 1, "eigvalsh": 1}}),
     (32, {"pseudo-inverse": {"eigh": 2, "eigvalsh": 1}}),
 ])
 def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, expected):
     # stage 1 forms H_S + N with no bank, the PCA takes one SVD (tall
-    # block) or one eigh (square), stage 2 one eigh (none for the W y fits of
-    # paper-literal and ideal) and the subspace distance one eigvalsh; OMP holds
-    # its product, so no lstsq refit, and no cond and no solve anywhere
+    # block) or one eigh (square), stage 2 one eigh (none for paper-literal's
+    # W y) and the subspace distance one eigvalsh; OMP holds its product, so
+    # no lstsq refit, and no cond and no solve anywhere
     for mode, counts in expected.items():
         assert _factorizations_of_one_estimate(monkeypatch, m, mode) == counts
+
+
+def test_ideal_recovery_takes_no_stage2_factorization(monkeypatch):
+    # the orthonormal PCA basis is its own least-squares recovery: no Gram eigh
+    calls = _factorizations_of_one_estimate(monkeypatch, 8, "ideal")
+    assert calls == {"svd": 1, "eigvalsh": 1}
 
 
 def test_a_reference_trial_checks_each_array_once(monkeypatch):
@@ -437,20 +453,25 @@ def test_a_non_finite_channel_is_rejected_before_any_draw(column):
 # ----------------------------------------------------------------- baseline
 
 
+def test_noiseless_baseline_reproduces_the_channel():
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
+    real = generate_channel(cfg, RngState(17))
+    report = full_observation_baseline(real, 0.0, RngState(18))
+    assert report.nmse <= 1e-18
+    assert report.channel_uses_total == 8 * 16
+    assert report.channel_uses_stage2 == 0
+    assert report.mode == "full-observation"
+    assert report.dof == degrees_of_freedom(8, 16, 2)
+
+
 def test_baseline_matches_an_independent_truncation_oracle():
-    # the rank-L truncation of H + N, one use per entry; without noise it
-    # reproduces the channel
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, RngState(19))
-    for sigma2 in (0.0, 0.3):
-        report = full_observation_baseline(real, sigma2, RngState(20))
-        noise = sample_complex_gaussian(RngState(20), 8, 16, sigma2)
-        u, s, vh = np.linalg.svd(real.h + noise, full_matrices=False)
-        oracle = (u[:, :2] * s[:2]) @ vh[:2]
-        np.testing.assert_allclose(report.h_hat, oracle, atol=1e-12)
-        assert (report.mode, report.channel_uses_total, report.channel_uses_stage2,
-                report.dof) == ("full-observation", 8 * 16, 0, degrees_of_freedom(8, 16, 2))
-        assert sigma2 > 0 or report.nmse <= 1e-18
+    report = full_observation_baseline(real, 0.3, RngState(20))
+    noise = sample_complex_gaussian(RngState(20), 8, 16, 0.3)
+    u, s, vh = np.linalg.svd(real.h + noise, full_matrices=False)
+    oracle = (u[:, :2] * s[:2]) @ vh[:2]
+    np.testing.assert_allclose(report.h_hat, oracle, atol=1e-12)
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, 10.0])

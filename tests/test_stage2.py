@@ -22,13 +22,25 @@ from oracles import stage2_conditional_mse
 # ---------------------------------------------------------------- dictionary
 
 
+def test_two_element_dictionary_is_written_out():
+    # grid sines -1 and 0
+    atoms = build_dictionary(2, 2)
+    assert atoms.shape == (2, 2)
+    np.testing.assert_allclose(atoms[:, 0], np.array([1.0, np.exp(1j * np.pi)])
+                               / math.sqrt(2), atol=1e-15)
+    np.testing.assert_allclose(atoms[:, 1], np.array([1.0, 1.0])
+                               / math.sqrt(2), atol=1e-15)
+
+
+def test_atoms_have_unit_norm_and_constant_modulus():
+    atoms = build_dictionary(16, 32)
+    np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.abs(atoms), 1 / 4.0, atol=1e-12)
+
+
 def test_grid_covers_the_sine_domain_uniformly():
-    # atom k is the steering vector at the sine -1 + 2k / G, bit for bit, so the
-    # atoms have the entries, modulus and norm that test_channel pins
-    for n_r, grid_size in ((2, 2), (8, 16), (16, 32)):
-        np.testing.assert_array_equal(
-            build_dictionary(n_r, grid_size),
-            ula_response(-1.0 + 2.0 * np.arange(grid_size) / grid_size, n_r))
+    np.testing.assert_array_equal(build_dictionary(8, 16),
+                                  ula_response(-1.0 + 2.0 * np.arange(16) / 16, 8))
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])

