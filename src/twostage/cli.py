@@ -31,7 +31,7 @@ def _config_argv(path, parser):
              for a in commands.choices["sweep"]._actions
              if a.dest not in ("help", "config")}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a key
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise ValueError(f"--config {path}: {getattr(exc, 'strerror', None) or exc}") from None
     argv, seen = ["sweep"], set()

@@ -68,7 +68,10 @@ class SweepSpec:
         for name in ("snr_db_list", "m_list", "modes"):  # a string is one value per character
             if isinstance(value := getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not the string {value!r}")
-        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
+        for s in (snrs := tuple(self.snr_db_list)):  # float() also takes True, "7" and b"3"
+            if isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating)):
+                raise ValueError(f"snr_db_list entry must be a real number, got {s!r}")
+        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in snrs))
         object.__setattr__(self, "m_list",
                            tuple(as_integer(m, "m_list entry") for m in self.m_list))
         object.__setattr__(self, "modes", tuple(self.modes))

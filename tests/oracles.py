@@ -28,22 +28,6 @@ def sound_and_invert_block(h_s, bank, noise):
     return np.linalg.solve(mh, mh @ (h_s + noise))
 
 
-def interlacing_check(h_s, h_new, rank):
-    """Shift of the rank-th squared singular value when a column is appended.
-
-    Returns ``(delta, upper)`` where delta is
-    sigma_rank^2([H_S, h_new]) - sigma_rank^2(H_S) and upper is |a_rank|^2
-    with ``a`` the coefficients of h_new on the dominant left basis of H_S.
-    For columns inside the span of that basis, 0 <= delta <= upper; for a
-    general column only delta >= 0 is guaranteed.
-    """
-    u, s, _ = np.linalg.svd(h_s, full_matrices=False)
-    upper = float(abs(np.vdot(u[:, rank - 1], h_new)) ** 2)
-    s_grown = np.linalg.svd(np.column_stack([h_s, h_new]), compute_uv=False)
-    delta = float(s_grown[rank - 1] ** 2 - s[rank - 1] ** 2)
-    return delta, upper
-
-
 def stage2_conditional_mse(h_rest, w, sigma2, mode):
     """Mean of ||H_rest - H_hat||_F^2 over stage-2 noise draws, W held fixed.
 

@@ -217,10 +217,14 @@ def test_cli_sweep_defaults_are_the_dataclass_defaults(monkeypatch):
     assert _captured_spec(monkeypatch, ["sweep"]) == _DEFAULT_SPEC
 
 
-def test_reference_sweep_config_resolves_to_the_default_spec(monkeypatch):
-    # bench/ sweeps this file; it spells out every default
+def test_reference_sweep_config_resolves_to_the_default_spec(tmp_path, monkeypatch):
+    # bench/ sweeps this file; it spells out every default. A copy saved with a
+    # UTF-8 byte-order mark, as some editors write one, reads the same
     path = ROOT / "scripts" / "reference_sweep.cfg"
-    assert _captured_spec(monkeypatch, ["sweep", "--config", str(path)]) == _DEFAULT_SPEC
+    bom = tmp_path / "bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for cfg in (path, bom):
+        assert _captured_spec(monkeypatch, ["sweep", "--config", str(cfg)]) == _DEFAULT_SPEC
 
 
 # every sweep setting off its default, once as flags and once as config lines

@@ -64,6 +64,9 @@ def test_spec_coerces_sequences_and_validates():
         with pytest.raises(ValueError, match="finite"):
             _small_spec(snr_db_list=(0.0, bad))
     assert _small_spec(snr_db_list=(math.inf,)).snr_db_list == (math.inf,)
+    for bad in ((True,), (np.True_,), ("7",), (b"3",)):
+        with pytest.raises(ValueError, match="snr_db_list entry must be a real number"):
+            _small_spec(snr_db_list=bad)
     with pytest.raises(ValueError, match="sampled-column"):
         _small_spec(m_list=())
     with pytest.raises(ValueError, match="m="):

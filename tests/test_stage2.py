@@ -22,25 +22,13 @@ from oracles import stage2_conditional_mse
 # ---------------------------------------------------------------- dictionary
 
 
-def test_two_element_dictionary_is_written_out():
-    # grid sines -1 and 0
-    atoms = build_dictionary(2, 2)
-    assert atoms.shape == (2, 2)
-    np.testing.assert_allclose(atoms[:, 0], np.array([1.0, np.exp(1j * np.pi)])
-                               / math.sqrt(2), atol=1e-15)
-    np.testing.assert_allclose(atoms[:, 1], np.array([1.0, 1.0])
-                               / math.sqrt(2), atol=1e-15)
-
-
-def test_atoms_have_unit_norm_and_constant_modulus():
-    atoms = build_dictionary(16, 32)
-    np.testing.assert_allclose(np.linalg.norm(atoms, axis=0), 1.0, atol=1e-12)
-    np.testing.assert_allclose(np.abs(atoms), 1 / 4.0, atol=1e-12)
-
-
 def test_grid_covers_the_sine_domain_uniformly():
-    np.testing.assert_array_equal(build_dictionary(8, 16),
-                                  ula_response(-1.0 + 2.0 * np.arange(16) / 16, 8))
+    # sines -1 + 2k / grid; the 2-atom grid written out, sines -1 and 0
+    np.testing.assert_allclose(build_dictionary(2, 2), np.array([[1, 1], [-1, 1]]) / math.sqrt(2),
+                               atol=1e-15)
+    for n, grid in ((2, 2), (8, 16), (16, 32)):
+        np.testing.assert_array_equal(build_dictionary(n, grid),
+                                      ula_response(-1.0 + 2.0 * np.arange(grid) / grid, n))
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])

@@ -28,17 +28,17 @@ def _projector(u):
     return u @ u.conj().T
 
 
-def test_pca_of_the_identity_has_unit_singular_values():
-    est = estimate_stage1(np.eye(3), 3)
-    np.testing.assert_allclose(est.singular_values, np.ones(3))
-    np.testing.assert_allclose(_projector(est.basis), np.eye(3), atol=1e-14)
-    np.testing.assert_allclose(est.denoised, np.eye(3), atol=1e-14)
-
-
-def test_pca_of_a_diagonal_matrix():
-    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 3)
-    np.testing.assert_allclose(est.singular_values, [3.0, 2.0, 1.0])
-    np.testing.assert_allclose(np.abs(est.basis), np.eye(3), atol=1e-14)
+@pytest.mark.parametrize("diag, rank", [((3.0, 2.0, 1.0), 3), ((3.0, 2.0, 1.0), 1),
+                                        ((1.0, 1.0, 1.0), 3)],
+                         ids=["distinct", "rank-1", "identity"])
+def test_pca_of_a_diagonal_matrix(diag, rank):
+    est = estimate_stage1(np.diag(diag).astype(complex), rank)
+    kept = np.arange(3) < rank  # the leading `rank` entries stay, the tail is zeroed
+    np.testing.assert_allclose(est.singular_values, diag[:rank])
+    np.testing.assert_allclose(_projector(est.basis), np.diag(kept), atol=1e-14)
+    np.testing.assert_allclose(est.denoised, np.diag(np.where(kept, diag, 0.0)), atol=1e-14)
+    if len(set(diag)) == 3:  # equal singular values fix no single basis vector
+        np.testing.assert_allclose(np.abs(est.basis), np.eye(3)[:, :rank], atol=1e-14)
 
 
 def test_pca_matches_the_gram_eigendecomposition_oracle():
@@ -63,11 +63,6 @@ def test_pca_round_trip_and_orthonormal_factors(rows, cols, seed):
     assert np.linalg.norm(a - est.denoised) <= 1e-8 * max(1.0, np.linalg.norm(a))
     assert np.all(np.diff(est.singular_values) <= 1e-12)
     np.testing.assert_allclose(est.basis.conj().T @ est.basis, np.eye(k), atol=1e-10)
-
-
-def test_pca_truncation_of_a_diagonal_matrix_zeroes_the_tail():
-    est = estimate_stage1(np.diag([3.0, 2.0, 1.0]).astype(complex), 1)
-    np.testing.assert_allclose(est.denoised, np.diag([3.0, 0.0, 0.0]), atol=1e-12)
 
 
 def test_pca_truncation_beats_brute_force_rank_candidates():
@@ -193,6 +188,48 @@ def test_gram_route_loses_a_weak_direction_to_the_squared_condition_number():
         assert dist[1e-4] <= 1e-12
         # measured 1.5e-9 to 8.5e-9 over 20 draws
         assert 1e-10 <= dist[1e-6] <= 1e-7
+
+
+# --------------------------------------------------------------- interlacing
+# An appended column never lowers the rank-th singular value, and one in the
+# dominant span raises it by at most |a_rank|^2. The "svd" rows keep the block
+# narrower than N_r and the "gram" rows at least as wide: both PCA routes.
+
+
+def _interlacing(h_s, h_new, rank):
+    """(delta, cap): sigma_rank^2([H_S, h_new]) - sigma_rank^2(H_S) and |a_rank|^2."""
+    before = estimate_stage1(h_s, rank)
+    after = estimate_stage1(np.column_stack([h_s, h_new]), rank)
+    delta = after.singular_values[-1] ** 2 - before.singular_values[-1] ** 2
+    return float(delta), float(abs(np.vdot(before.basis[:, -1], h_new)) ** 2)
+
+
+@pytest.mark.parametrize("cols", [6, 8], ids=["svd", "gram"])
+def test_appending_a_zero_column_changes_nothing(cols):
+    h_s = _rank_limited(RngState(7), 8, cols, 3)
+    delta, cap = _interlacing(h_s, np.zeros(8, dtype=complex), rank=3)
+    assert abs(delta) <= 1e-12
+    assert cap == 0.0
+
+
+@pytest.mark.parametrize("cols", [6, 8], ids=["svd", "gram"])
+def test_small_orthogonal_column_cannot_move_the_retained_value(cols):
+    h_s = _rank_limited(RngState(8), 8, cols, 3)
+    h_new = 1e-3 * np.linalg.svd(h_s)[0][:, 5]  # outside col(H_S), far below sigma_3
+    delta, cap = _interlacing(h_s, h_new, rank=3)
+    assert abs(delta) <= 1e-9
+    assert cap <= 1e-12
+
+
+@pytest.mark.parametrize("cols", [6, 16], ids=["svd", "gram"])
+def test_appended_in_span_columns_interlace(cols):
+    cfg = SystemConfig(n_rx=16, n_tx=48, paths=3, n_rf=4)
+    rng = RngState(200)
+    for i in range(100):
+        h_s = generate_channel(cfg, rng.split(i, 0)).h[:, :cols]
+        coeffs = sample_complex_gaussian(rng.split(i, 1), cols, 1, 1.0)[:, 0]
+        delta, cap = _interlacing(h_s, h_s @ coeffs, rank=3)
+        assert -1e-9 <= delta <= cap + 1e-9, (i, delta, cap)
 
 
 # ------------------------------------------------------------------ distance
