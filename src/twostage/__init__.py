@@ -32,7 +32,6 @@ from .numkit import RngState, sample_complex_gaussian
 from .pipeline import (
     RECOVERY_MODES,
     EstimateReport,
-    degrees_of_freedom,
     full_observation_baseline,
     nmse,
     two_stage_estimate,

@@ -77,6 +77,11 @@ class SystemConfig:
                 f"got grid_size={self.grid_size}"
             )
 
+    @property
+    def dof(self):
+        """Parameter count of a rank-``paths`` channel, to compare channel uses with."""
+        return self.paths * (self.n_rx + self.n_tx - self.paths)
+
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:

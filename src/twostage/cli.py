@@ -31,7 +31,7 @@ def _config_argv(path, parser):
              for a in commands.choices["sweep"]._actions
              if a.dest not in ("help", "config")}
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not a key
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")  # a BOM is not a key
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
         raise ValueError(f"--config {path}: {getattr(exc, 'strerror', None) or exc}") from None
     argv, seen = ["sweep"], set()
@@ -106,14 +106,14 @@ def build_parser():
     return parser
 
 
-def _print_report(rep, seed, out):
-    out.write(f"mode:            {rep.mode}\n")
+def _print_report(label, rep, cfg, out):
+    out.write(f"mode:            {label}\n")
     out.write(f"nmse:            {rep.nmse:.6e}\n")
     out.write(f"subspace_dist:   {rep.subspace_dist:.6e}\n")
     out.write(f"channel_uses:    stage1={rep.channel_uses_stage1} "
               f"stage2={rep.channel_uses_stage2} total={rep.channel_uses_total}\n")
-    out.write(f"dof:             {rep.dof}\n")
-    out.write(f"seed:            {seed}\n")
+    out.write(f"dof:             {cfg.dof}\n")
+    out.write(f"seed:            {cfg.seed}\n")
 
 
 def _resolve(args, parser):
@@ -139,10 +139,10 @@ def _resolve(args, parser):
 
 
 def _cmd_estimate(spec, out):
-    seed = spec.scenario.seed  # a sweep trial under the root stream RngState(seed)
-    for i, (_, estimate) in enumerate(_trial_estimates(spec, 0, 0, RngState(seed))):
+    cfg = spec.scenario  # a sweep trial under the root stream RngState(seed)
+    for i, (label, estimate) in enumerate(_trial_estimates(spec, 0, 0, RngState(cfg.seed))):
         out.write("\n" if i else "")
-        _print_report(estimate(), seed, out)
+        _print_report(label, estimate(), cfg, out)
     return 0
 
 

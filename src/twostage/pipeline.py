@@ -16,7 +16,6 @@ __all__ = [
     "RECOVERY_MODES",
     "EstimateReport",
     "nmse",
-    "degrees_of_freedom",
     "two_stage_estimate",
     "full_observation_baseline",
 ]
@@ -34,8 +33,6 @@ class EstimateReport:
     channel_uses_stage1: int
     channel_uses_stage2: int
     channel_uses_total: int
-    dof: int
-    mode: str
 
 
 def nmse(h, h_hat):
@@ -51,14 +48,6 @@ def nmse(h, h_hat):
     if not math.isfinite(value := float(np.vdot(error, error).real / denom)):
         raise np.linalg.LinAlgError(f"NMSE is not finite ({value})")
     return value
-
-
-def degrees_of_freedom(n_r, n_t, paths):
-    """Parameter count of a rank-``paths`` n_r x n_t matrix."""
-    n_r, n_t, paths = map(as_integer, (n_r, n_t, paths), ("n_r", "n_t", "paths"))
-    if not 1 <= paths <= min(n_r, n_t):
-        raise ValueError("paths must be in [1, min(n_r, n_t)]")
-    return paths * (n_r + n_t - paths)
 
 
 def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
@@ -94,7 +83,7 @@ def two_stage_estimate(real, cfg, m, sigma2, rng, mode="pseudo-inverse"):
         y, uses_stage2 = observe(h[:, m:], sigma2, rng, cfg.n_rf, sounder)
         fit = recover_block(y, sounder) if mode == "pseudo-inverse" else sounder @ y
         h_hat = np.hstack([h_hat, fit])
-    return _report(real, h_hat, est.basis, uses_stage1, uses_stage2, mode)
+    return _report(real, h_hat, est.basis, uses_stage1, uses_stage2)
 
 
 def full_observation_baseline(real, sigma2, rng):
@@ -106,10 +95,10 @@ def full_observation_baseline(real, sigma2, rng):
     """
     y, uses = observe(as_complex_matrix(real.h, "channel"), sigma2, rng, 1)
     est = estimate_stage1(y, real.paths)
-    return _report(real, est.denoised, est.basis, uses, 0, "full-observation")
+    return _report(real, est.denoised, est.basis, uses, 0)
 
 
-def _report(real, h_hat, basis, uses_stage1, uses_stage2, mode):
+def _report(real, h_hat, basis, uses_stage1, uses_stage2):
     """Score an estimate and its column basis against the realization.
 
     Both bases come orthonormal from a QR, an ``eigh`` or an SVD, as the
@@ -122,6 +111,4 @@ def _report(real, h_hat, basis, uses_stage1, uses_stage2, mode):
         channel_uses_stage1=uses_stage1,
         channel_uses_stage2=uses_stage2,
         channel_uses_total=uses_stage1 + uses_stage2,
-        dof=degrees_of_freedom(*h_hat.shape, basis.shape[1]),
-        mode=mode,
     )

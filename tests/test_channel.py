@@ -36,9 +36,19 @@ def test_config_defaults_mirror_the_simulation_scenario():
 
 
 def test_config_rejects_dense_path_counts():
-    with pytest.raises(ValueError, match="paths must be in"):
-        _small_cfg(paths=5, n_rf=5)  # 5 > 0.5 * 8
+    for paths in (5, 0):  # 5 > 0.5 * 8, and a channel has at least one path
+        with pytest.raises(ValueError, match="paths must be in"):
+            _small_cfg(paths=paths, n_rf=5)
     _small_cfg(paths=4, n_rf=4)  # the guard's edge is admitted
+
+
+def test_config_dof_examples():
+    # L (n_rx + n_tx - L) parameters of a rank-L channel
+    for kw, dof in ((dict(n_rx=32, n_tx=128, paths=4, n_rf=6), 624),
+                    (dict(n_rx=4, n_tx=4, paths=1, n_rf=2), 7),
+                    (dict(n_rx=2, n_tx=2, paths=1, n_rf=2), 3),
+                    (dict(n_rx=np.int64(32), n_tx=128, paths=np.int32(4), n_rf=6), 624)):
+        assert SystemConfig(**kw).dof == dof, kw
 
 
 def test_config_rejects_misc_bad_values():
@@ -53,8 +63,8 @@ def test_config_rejects_misc_bad_values():
     with pytest.raises(ValueError, match="array sizes must be positive"):
         _small_cfg(n_rx=0)
     # a count must be an integer: 8.5 antennas would give grid_size=17.0
-    for name, bad in (("n_rx", 8.5), ("n_tx", 16.0), ("paths", 2.5), ("n_rf", 2.0),
-                      ("grid_size", 16.5), ("seed", 1.5)):
+    for name, bad in (("n_rx", 8.5), ("n_tx", 16.0), ("paths", 2.5), ("paths", 2.0),
+                      ("n_rf", 2.0), ("grid_size", 16.5), ("seed", 1.5)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             _small_cfg(**{name: bad})
     assert _small_cfg(n_rx=np.int64(8), grid_size=np.int32(16)).grid_size == 16
@@ -109,17 +119,11 @@ def test_steering_factors_are_the_steering_vectors_bit_for_bit():
 
 
 def test_channel_has_numerical_rank_at_most_paths():
-    cfg = _small_cfg(paths=3, n_rf=3)
-    for i in range(20):
-        real = generate_channel(cfg, RngState(0).split(i))
-        s = np.linalg.svd(real.h, compute_uv=False)
-        assert s[3] <= 1e-8 * s[0]
-
-
-def test_single_path_channel_has_rank_one():
-    real = generate_channel(_small_cfg(paths=1), RngState(8))
-    s = np.linalg.svd(real.h, compute_uv=False)
-    assert s[1] <= 1e-8 * s[0]
+    for cfg, streams in ((_small_cfg(paths=3, n_rf=3), [RngState(0).split(i) for i in range(20)]),
+                         (_small_cfg(paths=1), [RngState(8)])):
+        for rng in streams:
+            s = np.linalg.svd(generate_channel(cfg, rng).h, compute_uv=False)
+            assert s[cfg.paths] <= 1e-8 * s[0]
 
 
 def test_angle_sines_respect_the_separation_floor():

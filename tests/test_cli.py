@@ -46,6 +46,10 @@ _REJECTED = [
     pytest.param(_CONFIG, b"nr = 8\n\xff\n",
                  "--config {tmp}/sweep.cfg: 'utf-8' codec can't decode byte 0xff in "
                  "position 7: invalid start byte", id="config-not-utf-8"),
+    # the position counts the byte-order mark: it is the offset in the file
+    pytest.param(_CONFIG, b"\xef\xbb\xbfnr = 8\n\xff\n",
+                 "--config {tmp}/sweep.cfg: 'utf-8' codec can't decode byte 0xff in "
+                 "position 10: invalid start byte", id="config-not-utf-8-after-bom"),
     pytest.param(_CONFIG, "trials = many", "argument --trials", id="config-trials-many"),
     pytest.param(_CONFIG, "mode = bogus", "argument --mode", id="config-mode-bogus"),
     pytest.param(_CONFIG, "baseline = maybe", "argument --baseline",
@@ -193,7 +197,7 @@ def test_cli_estimate_defaults_are_the_library_defaults(capsys):
     rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, 8, 0.1,
                              rng.split(1))
     expected = io.StringIO()
-    cli._print_report(rep, cfg.seed, expected)
+    cli._print_report("pseudo-inverse", rep, cfg, expected)
     assert capsys.readouterr().out == expected.getvalue()
 
 
@@ -204,10 +208,24 @@ def test_cli_estimate_floor_draws_on_the_sweep_baseline_key(capsys):
     rep = two_stage_estimate(real, cfg, 8, 0.1, RngState(3).split(1))
     floor = full_observation_baseline(real, 0.1, RngState(3).split(999))
     expected = io.StringIO()
-    cli._print_report(rep, 3, expected)
+    cli._print_report("pseudo-inverse", rep, cfg, expected)
     expected.write("\n")
-    cli._print_report(floor, 3, expected)
-    assert capsys.readouterr().out == expected.getvalue()
+    cli._print_report("full-observation", floor, cfg, expected)
+    out = capsys.readouterr().out
+    assert out == expected.getvalue()
+    # the lines that hold no float, as the estimate and the floor print them
+    pinned = [line for line in out.splitlines() if not line.startswith(("nmse", "subspace"))]
+    assert pinned == [
+        "mode:            pseudo-inverse",
+        "channel_uses:    stage1=48 stage2=120 total=168",
+        "dof:             624",
+        "seed:            3",
+        "",
+        "mode:            full-observation",
+        "channel_uses:    stage1=4096 stage2=0 total=4096",
+        "dof:             624",
+        "seed:            3",
+    ]
 
 
 _DEFAULT_SPEC = SweepSpec(scenario=SystemConfig())

@@ -17,19 +17,14 @@ from twostage.stage2 import build_dictionary, design_sounder_omp
 # ---------------------------------------------------------------- validation
 
 
-def test_as_complex_matrix_rejects_non_finite():
-    bad = np.ones((2, 2), dtype=complex)
-    bad[0, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        as_complex_matrix(bad)
-
-
 def test_as_complex_matrix_counts_nan_and_inf_entries():
     bad = np.ones((3, 4), dtype=complex)
-    bad[0, 1] = np.nan
-    bad[2, 3] = complex(1.0, np.inf)
-    with pytest.raises(ValueError, match="contains 2 non-finite entries"):
-        as_complex_matrix(bad, "block")
+    for entry, value, name, message in (((0, 1), np.nan, (), "matrix contains 1 non-finite"),
+                                        ((2, 3), complex(1.0, np.inf), ("block",),
+                                         "block contains 2 non-finite entries")):
+        bad[entry] = value
+        with pytest.raises(ValueError, match=message):
+            as_complex_matrix(bad, *name)
 
 
 def test_as_complex_matrix_passes_finite_entries_whose_energy_overflows():
@@ -53,18 +48,18 @@ def test_as_complex_matrix_rejects_empty():
 # ------------------------------------------------------------ random streams
 
 
-def test_same_seed_gives_identical_samples():
-    z1 = sample_complex_gaussian(RngState(42), 5, 7, 2.0)
-    z2 = sample_complex_gaussian(RngState(42), 5, 7, 2.0)
-    np.testing.assert_array_equal(z1, z2)
-
-
 def test_split_streams_ignore_parent_consumption():
+    # a child replays after its parent drew, and a fresh root of the same seed
+    # replays both the parent's draws and the child's
     parent = RngState(5)
-    before = sample_complex_gaussian(parent.split(3), 4, 4, 1.0)
+    drawn = sample_complex_gaussian(parent, 5, 7, 2.0)
+    child = sample_complex_gaussian(parent.split(3), 4, 4, 1.0)
     parent.generator.standard_normal(100)
-    after = sample_complex_gaussian(parent.split(3), 4, 4, 1.0)
-    np.testing.assert_array_equal(before, after)
+    fresh = RngState(5)
+    for stream, shape, expected in ((parent.split(3), (4, 4, 1.0), child),
+                                    (fresh, (5, 7, 2.0), drawn),
+                                    (fresh.split(3), (4, 4, 1.0), child)):
+        np.testing.assert_array_equal(sample_complex_gaussian(stream, *shape), expected)
 
 
 def test_distinct_keys_give_distinct_streams():

@@ -25,7 +25,6 @@ from twostage.harness import (
 from twostage.numkit import RngState, sample_complex_gaussian
 from twostage.pipeline import (
     RECOVERY_MODES,
-    degrees_of_freedom,
     full_observation_baseline,
     nmse,
     two_stage_estimate,
@@ -77,21 +76,6 @@ def test_numerical_rejections_are_linalg_errors():
         recover_block(np.ones((2, 3)), np.ones((8, 2)))
     with pytest.raises(np.linalg.LinAlgError, match="subspace distance is not finite"):
         subspace.subspace_distance(h[:, 1:], bad[:, 1:])
-
-
-def test_degrees_of_freedom_examples():
-    assert degrees_of_freedom(32, 128, 4) == 624
-    assert degrees_of_freedom(4, 4, 1) == 7
-    assert degrees_of_freedom(2, 2, 1) == 3
-    assert degrees_of_freedom(5, 5, 5) == 25  # full rank: every entry free
-    with pytest.raises(ValueError):
-        degrees_of_freedom(4, 4, 0)
-    with pytest.raises(ValueError):
-        degrees_of_freedom(4, 4, 5)
-    for counts in ((32, 128, 4.5), (32.0, 128, 4), (32, 128.0, 4), (32, 128, 4.0)):
-        with pytest.raises(ValueError, match="must be an integer"):
-            degrees_of_freedom(*counts)
-    assert degrees_of_freedom(np.int64(32), 128, np.int32(4)) == 624
 
 
 # ----------------------------------------------------------- exact regimes
@@ -321,8 +305,8 @@ def test_channel_use_accounting_at_the_reference_scale():
     assert report.channel_uses_stage1 == 32
     assert report.channel_uses_stage2 == 120
     assert report.channel_uses_total == 152
-    assert report.dof == 624
-    assert report.channel_uses_total < report.dof
+    assert cfg.dof == 624
+    assert report.channel_uses_total < cfg.dof
 
     # 32 rows in 6-row uses: 6 uses per column, the last one partial
     cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
@@ -330,7 +314,7 @@ def test_channel_use_accounting_at_the_reference_scale():
     report = two_stage_estimate(real, cfg, 8, 0.0, RngState(9, (1,)), mode="ideal")
     assert report.channel_uses_stage1 == 48
     assert report.channel_uses_total == 168
-    assert report.channel_uses_total < report.dof
+    assert report.channel_uses_total < cfg.dof
 
 
 def _uses(cfg, m):
@@ -350,7 +334,7 @@ def test_chain_count_above_the_critical_ratio_stays_below_the_parameter_count():
             cfg = SystemConfig(n_rx=n_r, n_tx=n_t, paths=paths, n_rf=n_rf)
         except ValueError:  # fewer chains than paths
             continue
-        dof = degrees_of_freedom(n_r, n_t, paths)
+        dof = cfg.dof
         for m in range(paths, 13):
             if n_r % n_rf == 0 and n_rf > n_r * m / (dof - n_t + m):
                 assert _uses(cfg, m) < dof, (n_r, n_t, paths, m, n_rf)
@@ -360,9 +344,10 @@ def test_chain_count_above_the_critical_ratio_stays_below_the_parameter_count():
 
 def test_budget_boundary_cases_are_documented():
     # equality in the critical ratio gives uses == dof, not fewer
-    dof = degrees_of_freedom(8, 16, 1)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=1, n_rf=4)
+    dof = cfg.dof
     assert 4 == 8 * 7 / (dof - 16 + 7)
-    assert _uses(SystemConfig(n_rx=8, n_tx=16, paths=1, n_rf=4), 7) == dof == 23
+    assert _uses(cfg, 7) == dof == 23
     # a non-divisible chain count above the ratio can still overshoot,
     # because the last use of each column is mostly idle
     assert 5 > 8 * 8 / (dof - 16 + 8)
@@ -373,18 +358,13 @@ def test_budget_boundary_cases_are_documented():
 
 
 def test_reports_are_deterministic_and_seed_sensitive():
-    _, _, a = _run(11)
+    cfg, _, a = _run(11)
     _, _, b = _run(11)
     _, _, c = _run(12)
+    assert a.h_hat.shape == (cfg.n_rx, cfg.n_tx)
     np.testing.assert_array_equal(a.h_hat, b.h_hat)
     assert a.nmse == b.nmse
     assert not np.array_equal(a.h_hat, c.h_hat)
-
-
-def test_requested_mode_and_shape_are_recorded():
-    cfg, _, report = _run(13, mode="paper-literal")
-    assert report.mode == "paper-literal"
-    assert report.h_hat.shape == (cfg.n_rx, cfg.n_tx)
 
 
 def test_results_holding_arrays_compare_and_hash_by_identity():
@@ -453,25 +433,18 @@ def test_a_non_finite_channel_is_rejected_before_any_draw(column):
 # ----------------------------------------------------------------- baseline
 
 
-def test_noiseless_baseline_reproduces_the_channel():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, RngState(17))
-    report = full_observation_baseline(real, 0.0, RngState(18))
-    assert report.nmse <= 1e-18
-    assert report.channel_uses_total == 8 * 16
-    assert report.channel_uses_stage2 == 0
-    assert report.mode == "full-observation"
-    assert report.dof == degrees_of_freedom(8, 16, 2)
-
-
 def test_baseline_matches_an_independent_truncation_oracle():
+    # without noise the rank-2 truncation is the channel itself
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, RngState(19))
-    report = full_observation_baseline(real, 0.3, RngState(20))
-    noise = sample_complex_gaussian(RngState(20), 8, 16, 0.3)
-    u, s, vh = np.linalg.svd(real.h + noise, full_matrices=False)
-    oracle = (u[:, :2] * s[:2]) @ vh[:2]
-    np.testing.assert_allclose(report.h_hat, oracle, atol=1e-12)
+    for seed, sigma2 in ((19, 0.3), (17, 0.0)):
+        real = generate_channel(cfg, RngState(seed))
+        report = full_observation_baseline(real, sigma2, RngState(seed + 1))
+        noise = sample_complex_gaussian(RngState(seed + 1), 8, 16, sigma2)
+        u, s, vh = np.linalg.svd(real.h + noise, full_matrices=False)
+        oracle = (u[:, :2] * s[:2]) @ vh[:2]
+        np.testing.assert_allclose(report.h_hat, oracle, atol=1e-12)
+        assert (report.channel_uses_total, report.channel_uses_stage2) == (8 * 16, 0)
+        assert sigma2 > 0.0 or report.nmse <= 1e-18
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, 10.0])
@@ -519,9 +492,9 @@ def corner_configs(draw):
 def test_corner_configs_give_finite_metrics_in_every_mode(corner, seed):
     cfg, m, sigma2 = corner
     real = generate_channel(cfg, RngState(seed))
-    reports = [two_stage_estimate(real, cfg, m, sigma2, RngState(seed, (1,)), mode)
-               for mode in RECOVERY_MODES]
-    reports.append(full_observation_baseline(real, sigma2, RngState(seed, (2,))))
-    for report in reports:
-        assert np.isfinite(report.nmse), report.mode
-        assert 0.0 <= report.subspace_dist <= 1.0, report.mode
+    reports = {mode: two_stage_estimate(real, cfg, m, sigma2, RngState(seed, (1,)), mode)
+               for mode in RECOVERY_MODES}
+    reports["full-observation"] = full_observation_baseline(real, sigma2, RngState(seed, (2,)))
+    for label, report in reports.items():
+        assert np.isfinite(report.nmse), label
+        assert 0.0 <= report.subspace_dist <= 1.0, label
