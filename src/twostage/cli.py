@@ -11,7 +11,6 @@ from pathlib import Path
 
 from .channel import SystemConfig
 from .harness import SweepSpec, _trial_estimates, run_sweep, summarize, write_rows
-from .numkit import RngState
 from .pipeline import RECOVERY_MODES
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False,
@@ -139,10 +138,11 @@ def _resolve(args, parser):
 
 
 def _cmd_estimate(spec, out):
-    cfg = spec.scenario  # a sweep trial under the root stream RngState(seed)
-    for i, (label, estimate) in enumerate(_trial_estimates(spec, 0, 0, RngState(cfg.seed))):
+    # trial 0 of the one-point sweep, so each report is that sweep's row for its label
+    _, labels, estimate = _trial_estimates(spec, 0, 0, 0)
+    for i, label in enumerate(labels):
         out.write("\n" if i else "")
-        _print_report(label, estimate(), cfg, out)
+        _print_report(label, estimate(label), spec.scenario, out)
     return 0
 
 

@@ -1,9 +1,9 @@
 """Monte Carlo sweep engine over SNR and sampled-column grids.
 
-Every trial owns a random sub-stream keyed by (snr index, m index, trial), so
-results do not depend on scheduling and the emitted CSV is byte-identical for
-a given spec, serial or parallel. A trial that raises np.linalg.LinAlgError
-becomes a tagged row rather than a drop; any other exception stops the sweep.
+Every trial owns a random sub-stream keyed by (snr index, m index, trial), and each
+estimator a child of it keyed by its name, so no row depends on scheduling or on the
+other modes listed, and a spec's CSV is byte-identical, serial or parallel. A trial's
+np.linalg.LinAlgError becomes a tagged row, not a drop; any other exception stops the sweep.
 """
 
 from __future__ import annotations
@@ -137,32 +137,32 @@ class SummaryRow:
     subspace_dist_stderr: float
 
 
-def _trial_estimates(spec, si, mi, root):
-    """One trial of ``spec`` at grid point (si, mi): (row label, estimator) pairs.
-
-    The channel draws on ``root.split(0)``, mode k on ``root.split(1 + k)`` and the
-    floor, if enabled, on ``root.split(999)``; each estimator returns an EstimateReport.
-    """
+def _trial_estimates(spec, si, mi, trial):
+    """Trial ``trial`` of ``spec`` at (si, mi): its root's ``state_id``, its row labels,
+    and the function that returns one label's EstimateReport. The root is ``RngState(seed,
+    (si, mi, trial))``; the channel draws on its key 0, a mode on 1 plus its index in
+    ``RECOVERY_MODES`` and the floor on 999, whatever else ``spec`` lists."""
     cfg, m = spec.scenario, spec.m_list[mi]
     sigma2 = noise_var_from_snr_db(spec.snr_db_list[si])
+    root = RngState(cfg.seed, (si, mi, trial))
     real = generate_channel(cfg, root.split(0))
-    table = [(mode, lambda mode=mode, rng=root.split(1 + k):
-              two_stage_estimate(real, cfg, m, sigma2, rng, mode=mode))
-             for k, mode in enumerate(spec.modes)]
-    if spec.baseline:
-        table.append(("full-observation", lambda rng=root.split(999):
-                      full_observation_baseline(real, sigma2, rng)))
-    return table
+    def estimate(label):
+        if label == "full-observation":
+            return full_observation_baseline(real, sigma2, root.split(999))
+        rng = root.split(1 + RECOVERY_MODES.index(label))
+        return two_stage_estimate(real, cfg, m, sigma2, rng, mode=label)
+    labels = spec.modes + (("full-observation",) if spec.baseline else ())
+    return root.state_id(), labels, estimate
 
 
 def _trial_rows(spec, si, mi, trial):
     """All rows for one trial at one grid point; a LinAlgError becomes a tagged row."""
-    root = RngState(spec.scenario.seed, (si, mi, trial))
-    snr_db, m, trial_seed = spec.snr_db_list[si], spec.m_list[mi], root.state_id()
+    snr_db, m = spec.snr_db_list[si], spec.m_list[mi]
+    trial_seed, labels, estimate = _trial_estimates(spec, si, mi, trial)
     rows = []
-    for label, estimate in _trial_estimates(spec, si, mi, root):
+    for label in labels:
         try:
-            rep = estimate()
+            rep = estimate(label)
             outcome = (label, rep.nmse, rep.subspace_dist, rep.channel_uses_total)
         except np.linalg.LinAlgError as exc:
             outcome = (f"{label}#error:{type(exc).__name__}", math.nan, math.nan, 0)

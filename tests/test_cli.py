@@ -15,9 +15,9 @@ import pytest
 from twostage import cli, harness
 from twostage.channel import SystemConfig, generate_channel
 from twostage.cli import build_parser, main
-from twostage.harness import CSV_HEADER, SweepSpec
+from twostage.harness import CSV_HEADER, SweepSpec, run_sweep
 from twostage.numkit import RngState
-from twostage.pipeline import full_observation_baseline, two_stage_estimate
+from twostage.pipeline import RECOVERY_MODES, two_stage_estimate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -193,7 +193,7 @@ def _captured_spec(monkeypatch, argv):
 def test_cli_estimate_defaults_are_the_library_defaults(capsys):
     assert main(["estimate"]) == 0
     cfg = SystemConfig()
-    rng = RngState(cfg.seed)
+    rng = RngState(cfg.seed, (0, 0, 0))  # trial 0 of the one-point sweep
     rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, 8, 0.1,
                              rng.split(1))
     expected = io.StringIO()
@@ -202,30 +202,31 @@ def test_cli_estimate_defaults_are_the_library_defaults(capsys):
 
 
 def test_cli_estimate_floor_draws_on_the_sweep_baseline_key(capsys):
-    assert main(["estimate", "--baseline", "--seed", "3"]) == 0
-    cfg = SystemConfig(seed=3)
-    real = generate_channel(cfg, RngState(3).split(0))
-    rep = two_stage_estimate(real, cfg, 8, 0.1, RngState(3).split(1))
-    floor = full_observation_baseline(real, 0.1, RngState(3).split(999))
-    expected = io.StringIO()
-    cli._print_report("pseudo-inverse", rep, cfg, expected)
-    expected.write("\n")
-    cli._print_report("full-observation", floor, cfg, expected)
-    out = capsys.readouterr().out
-    assert out == expected.getvalue()
-    # the lines that hold no float, as the estimate and the floor print them
-    pinned = [line for line in out.splitlines() if not line.startswith(("nmse", "subspace"))]
-    assert pinned == [
-        "mode:            pseudo-inverse",
-        "channel_uses:    stage1=48 stage2=120 total=168",
-        "dof:             624",
-        "seed:            3",
-        "",
-        "mode:            full-observation",
-        "channel_uses:    stage1=4096 stage2=0 total=4096",
-        "dof:             624",
-        "seed:            3",
-    ]
+    # estimate prints trial 0 of the one-point sweep its flags describe, so each
+    # mode and the floor give the numbers of that sweep's rows
+    for mode in RECOVERY_MODES:
+        assert main(["estimate", "--baseline", "--seed", "3", "--mode", mode]) == 0
+        out = capsys.readouterr().out
+        rows = {row.mode: row for row in run_sweep(SweepSpec(
+            SystemConfig(seed=3), snr_db_list=(10.0,), m_list=(8,), trials=1, modes=(mode,)))}
+        printed = [line.split()[1] for line in out.splitlines()
+                   if line.startswith(("nmse", "subspace"))]
+        assert printed == [f"{value:.6e}" for label in (mode, "full-observation")
+                           for value in (rows[label].nmse, rows[label].subspace_dist)]
+        # the lines that hold no float, as the estimate and the floor print them
+        pinned = [line for line in out.splitlines()
+                  if not line.startswith(("nmse", "subspace"))]
+        assert pinned == [
+            f"mode:            {mode}",
+            "channel_uses:    stage1=48 stage2=120 total=168",
+            "dof:             624",
+            "seed:            3",
+            "",
+            "mode:            full-observation",
+            "channel_uses:    stage1=4096 stage2=0 total=4096",
+            "dof:             624",
+            "seed:            3",
+        ]
 
 
 _DEFAULT_SPEC = SweepSpec(scenario=SystemConfig())

@@ -130,33 +130,46 @@ def test_sweep_emits_one_row_per_trial_mode_and_baseline():
     assert all(np.isfinite(r.nmse) for r in rows)
 
 
-def test_rows_of_one_trial_share_their_stream_seed():
-    rows = run_sweep(_small_spec())
-    by_trial = {}
-    for r in rows:
-        by_trial.setdefault((r.snr_db, r.m, r.trial), set()).add(r.seed)
-    assert all(len(seeds) == 1 for seeds in by_trial.values())
-    assert len({next(iter(s)) for s in by_trial.values()}) == len(by_trial)
+# the stream key of each estimator, fixed by its name
+_STREAM_KEYS = {"pseudo-inverse": 1, "paper-literal": 2, "ideal": 3, "full-observation": 999}
+
+
+def _replayed(spec, row):
+    """The seed, nmse and subspace_dist of ``row``, rebuilt by the README recipe."""
+    cfg = spec.scenario
+    root = RngState(cfg.seed, (spec.snr_db_list.index(row.snr_db),
+                               spec.m_list.index(row.m), row.trial))
+    real = generate_channel(cfg, root.split(0))
+    sigma2 = noise_var_from_snr_db(row.snr_db)
+    rng = root.split(_STREAM_KEYS[row.mode])
+    if row.mode == "full-observation":
+        rep = full_observation_baseline(real, sigma2, rng)
+    else:
+        rep = two_stage_estimate(real, cfg, row.m, sigma2, rng, mode=row.mode)
+    return root.state_id(), rep.nmse, rep.subspace_dist
 
 
 def test_every_row_replays_from_its_grid_indices_and_the_stream_keys():
-    # the recipe in the README: root RngState(seed, (snr index, m index, trial));
-    # channel on key 0, mode k on key 1 + k, baseline on key 999
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=4)
-    spec = _small_spec(scenario=cfg, modes=("ideal", "pseudo-inverse"))
-    for row in run_sweep(spec):
-        root = RngState(4, (spec.snr_db_list.index(row.snr_db),
-                            spec.m_list.index(row.m), row.trial))
-        real = generate_channel(cfg, root.split(0))
-        sigma2 = noise_var_from_snr_db(row.snr_db)
-        if row.mode == "full-observation":
-            rep = full_observation_baseline(real, sigma2, root.split(999))
-        else:
-            rep = two_stage_estimate(real, cfg, row.m, sigma2,
-                                     root.split(1 + spec.modes.index(row.mode)),
-                                     mode=row.mode)
-        assert root.state_id() == row.seed
-        assert (rep.nmse, rep.subspace_dist) == (row.nmse, row.subspace_dist)
+    # root RngState(seed, (snr index, m index, trial)), channel on key 0, each
+    # estimator on its name's key: one seed per trial, distinct across trials
+    spec = _small_spec(scenario=replace(_small_scenario(), seed=4),
+                       modes=("ideal", "pseudo-inverse"))
+    rows = run_sweep(spec)
+    for row in rows:
+        assert _replayed(spec, row) == (row.seed, row.nmse, row.subspace_dist)
+    seeds = {(row.snr_db, row.m, row.trial): row.seed for row in rows}
+    assert len(set(seeds.values())) == len(seeds) == 2 * 2 * 3
+
+
+def test_a_mode_draws_the_same_rows_whatever_else_the_spec_lists():
+    # a row's streams follow from what the row is, not from where its mode is listed
+    alone = run_sweep(_small_spec(modes=("ideal",)))
+    spec = _small_spec(modes=("paper-literal", "pseudo-inverse", "ideal"))
+    listed = run_sweep(spec)
+    assert alone == [row for row in listed if row.mode in ("ideal", "full-observation")]
+    assert {row.mode for row in listed} == set(_STREAM_KEYS)
+    for row in listed:  # the four keys, pinned
+        assert _replayed(spec, row) == (row.seed, row.nmse, row.subspace_dist)
 
 
 def test_a_trial_builds_one_generator_per_drawing_stream_and_none_for_the_root(

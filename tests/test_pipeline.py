@@ -37,11 +37,10 @@ from oracles import dft_combiner, sound_and_invert_block
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(seed, mode="pseudo-inverse", sigma2=0.1):
+def _run(seed):
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=seed)
     real = generate_channel(cfg, RngState(seed))
-    return cfg, real, two_stage_estimate(real, cfg, 4, sigma2, RngState(seed, (1,)),
-                                         mode)
+    return cfg, real, two_stage_estimate(real, cfg, 4, 0.1, RngState(seed, (1,)))
 
 
 # ------------------------------------------------------------------- metrics
@@ -81,23 +80,19 @@ def test_numerical_rejections_are_linalg_errors():
 # ----------------------------------------------------------- exact regimes
 
 
-def test_noiseless_ideal_run_is_exact_to_machine_precision():
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, seed=5)
-    real = generate_channel(cfg, RngState(5))
-    report = two_stage_estimate(real, cfg, 8, 0.0, RngState(5, (1,)), mode="ideal")
-    assert report.nmse <= 1e-18
-    assert report.subspace_dist <= 1e-18
-
-
 def test_noiseless_recovery_is_exact_at_scale():
     # without noise, ideal mode recovers 20 reference-scale channels exactly
-    # from every m of the reference grid
+    # from every m of the reference grid: the sounded block passes through
+    # unchanged and the column subspace is found to machine precision
     cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     for i in range(20):
         m = (4, 8, 16, 32)[i % 4]
         real = generate_channel(cfg, RngState(600, (i, 0)))
         report = two_stage_estimate(real, cfg, m, 0.0, RngState(600, (i, 1)), mode="ideal")
         assert report.nmse <= 1e-18, (i, m)
+        assert report.subspace_dist <= 1e-18, (i, m)
+        np.testing.assert_allclose(report.h_hat[:, :m], real.h[:, :m], atol=1e-10,
+                                   err_msg=f"channel {i}, m={m}")
 
 
 @pytest.mark.parametrize("m", [4, 32, 128])
@@ -114,11 +109,6 @@ def test_stage1_equals_sounding_and_inverting_through_any_bank(m):
         expected = estimate_stage1(block, cfg.paths).denoised
         error = np.linalg.norm(report.h_hat[:, :m] - expected)
         assert error <= 1e-12 * np.linalg.norm(expected)
-
-
-def test_sounded_block_passes_through_unchanged_without_noise():
-    _, real, report = _run(7, sigma2=0.0, mode="ideal")
-    np.testing.assert_allclose(report.h_hat[:, :4], real.h[:, :4], atol=1e-10)
 
 
 def test_ideal_mode_is_no_upper_bound_at_low_snr():
@@ -249,22 +239,18 @@ def _factorizations_of_one_estimate(monkeypatch, m, mode):
 
 @pytest.mark.parametrize("m, expected", [
     (8, {"pseudo-inverse": {"svd": 1, "eigh": 1, "eigvalsh": 1},
-         "paper-literal": {"svd": 1, "eigvalsh": 1}}),
+         "paper-literal": {"svd": 1, "eigvalsh": 1},
+         "ideal": {"svd": 1, "eigvalsh": 1}}),
     (32, {"pseudo-inverse": {"eigh": 2, "eigvalsh": 1}}),
 ])
 def test_each_step_of_a_trial_runs_at_most_one_factorization(monkeypatch, m, expected):
     # stage 1 forms H_S + N with no bank, the PCA takes one SVD (tall
     # block) or one eigh (square), stage 2 one eigh (none for paper-literal's
-    # W y) and the subspace distance one eigvalsh; OMP holds its product, so
-    # no lstsq refit, and no cond and no solve anywhere
+    # W y, nor for ideal, whose orthonormal PCA basis is its own least-squares
+    # recovery) and the subspace distance one eigvalsh; OMP holds its product,
+    # so no lstsq refit, and no cond and no solve anywhere
     for mode, counts in expected.items():
         assert _factorizations_of_one_estimate(monkeypatch, m, mode) == counts
-
-
-def test_ideal_recovery_takes_no_stage2_factorization(monkeypatch):
-    # the orthonormal PCA basis is its own least-squares recovery: no Gram eigh
-    calls = _factorizations_of_one_estimate(monkeypatch, 8, "ideal")
-    assert calls == {"svd": 1, "eigvalsh": 1}
 
 
 def test_a_reference_trial_checks_each_array_once(monkeypatch):
