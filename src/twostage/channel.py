@@ -20,13 +20,6 @@ import numpy as np
 
 from .numkit import as_integer, sample_complex_gaussian
 
-__all__ = [
-    "SystemConfig",
-    "ChannelRealization",
-    "ula_response",
-    "generate_channel",
-]
-
 # two AoDs whose sines are closer than this are redrawn; keeps the steering
 # matrices at full column rank so the sampled-column identity stays well posed
 MIN_SIN_GAP = 1e-6

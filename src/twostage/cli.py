@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -22,8 +23,8 @@ def _config_argv(path, parser):
 
     Keys are the sweep flag names, lower case, with dashes or underscores;
     each may appear once. A list flag's value splits on commas and spaces, a
-    single value stays whole (a path may hold spaces), and a boolean word
-    becomes ``--baseline`` / ``--no-baseline``.
+    single value stays whole (it may hold spaces, and a ``#`` that no space or
+    tab precedes), and a boolean word becomes ``--baseline`` / ``--no-baseline``.
     """
     (commands,) = (a for a in parser._actions if a.dest == "command")
     flags = {a.option_strings[0][2:].replace("-", "_"): a
@@ -35,7 +36,7 @@ def _config_argv(path, parser):
         raise ValueError(f"--config {path}: {getattr(exc, 'strerror', None) or exc}") from None
     argv, seen = ["sweep"], set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

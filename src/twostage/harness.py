@@ -23,18 +23,6 @@ from .channel import SystemConfig, generate_channel
 from .numkit import RngState, as_integer
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
 
-__all__ = [
-    "CSV_HEADER",
-    "SweepSpec",
-    "SweepRow",
-    "SummaryRow",
-    "noise_var_from_snr_db",
-    "run_sweep",
-    "summarize",
-    "rows_to_csv",
-    "write_rows",
-]
-
 def noise_var_from_snr_db(snr_db):
     """Noise variance for the given SNR in dB under unit transmit power.
 
@@ -180,8 +168,8 @@ def run_sweep(spec):
     """Run every (snr, m, trial) task and return rows sorted canonically.
 
     The keys are dealt into ``min(workers, len(keys))`` strided slices, one
-    per forked child; a single slice runs in this process. Each child pickles
-    its rows, or its exception and traceback, to its own pipe and exits.
+    per forked child; a lone slice runs in this process. Each child writes every
+    byte of its pickled rows, or exception and traceback, to its pipe and exits.
     """
     keys = [(si, mi, trial)
             for si in range(len(spec.snr_db_list))
@@ -201,9 +189,12 @@ def run_sweep(spec):
             with open(write_fd, "wb"):
                 if (pid := os.fork()) == 0:  # the child reports its slice, then os._exit
                     try:
-                        os.write(write_fd, pickle.dumps((_trial_rows_star(args), None)))
-                    except Exception as exc:
-                        os.write(write_fd, pickle.dumps((exc, traceback.format_exc())))
+                        try:
+                            report = pickle.dumps((_trial_rows_star(args), None))
+                        except Exception as exc:
+                            report = pickle.dumps((exc, traceback.format_exc()))
+                        while report:  # a signal can cut a pipe write short
+                            report = report[os.write(write_fd, report):]
                     finally:
                         os._exit(0)
             children.append(pid)

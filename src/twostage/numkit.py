@@ -16,13 +16,6 @@ import numbers
 
 import numpy as np
 
-__all__ = [
-    "RngState",
-    "as_complex_matrix",
-    "as_integer",
-    "sample_complex_gaussian",
-]
-
 
 def as_complex_matrix(a, name="matrix"):
     """Coerce to a 2-D complex128 array; empty input is a ValueError, non-finite a LinAlgError."""

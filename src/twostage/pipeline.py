@@ -12,14 +12,6 @@ from .sounding import observe
 from .stage2 import build_dictionary, design_sounder_omp, recover_block
 from .subspace import estimate_stage1, subspace_distance
 
-__all__ = [
-    "RECOVERY_MODES",
-    "EstimateReport",
-    "nmse",
-    "two_stage_estimate",
-    "full_observation_baseline",
-]
-
 RECOVERY_MODES = ("pseudo-inverse", "paper-literal", "ideal")
 
 

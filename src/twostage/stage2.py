@@ -21,13 +21,6 @@ import numpy as np
 from .channel import ula_response
 from .numkit import as_integer
 
-__all__ = [
-    "HybridSounder",
-    "build_dictionary",
-    "design_sounder_omp",
-    "recover_block",
-]
-
 # combiners whose Gram matrix has a condition number beyond this are rank deficient
 MAX_GRAM_COND = 1e12
 

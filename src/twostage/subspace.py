@@ -9,12 +9,6 @@ import numpy as np
 
 from .numkit import as_integer
 
-__all__ = [
-    "SubspaceEstimate",
-    "estimate_stage1",
-    "subspace_distance",
-]
-
 
 @dataclass(frozen=True, eq=False)
 class SubspaceEstimate:

@@ -270,7 +270,7 @@ def test_config_file_and_flags_resolve_to_the_same_spec(tmp_path, monkeypatch):
 
 def test_cli_flags_override_the_config_file_wherever_they_stand(tmp_path, monkeypatch,
                                                                 capsys):
-    out_csv = tmp_path / "rows with spaces.csv"
+    out_csv = tmp_path / "rows with spaces#2.csv"
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("nr = 8\nnt = 16\npaths = 2\nnrf = 2\nm = 4\nsnr-db = 0.25 0.2\n"
                    f"trials = 50\nbaseline = no\nout = {out_csv}\n")
@@ -279,7 +279,7 @@ def test_cli_flags_override_the_config_file_wherever_they_stand(tmp_path, monkey
         assert _captured_spec(monkeypatch, ["sweep", *argv]).trials == 2
     assert _captured_spec(monkeypatch, ["sweep", "--config", str(cfg)]).trials == 50
     monkeypatch.undo()
-    # a single-valued key keeps its whole value, spaces included
+    # a single-valued key keeps its whole value, spaces and a '#' after none included
     assert main(["sweep", "--trials", "2", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == f"wrote 4 rows to {out_csv}"

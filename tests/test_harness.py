@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import signal
 import sys
 import time
@@ -342,6 +343,18 @@ def test_an_interrupted_sweep_kills_and_reaps_its_children(monkeypatch):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 30
+    _assert_no_child_left()
+
+
+def test_a_child_report_that_a_write_cuts_short_arrives_whole(monkeypatch):
+    # write(2) on a pipe returns a short count when a handled signal lands
+    # mid-write; this os.write takes at most 4,096 bytes a call
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:4096]))
+    spec = _small_spec(trials=12, modes=pipeline.RECOVERY_MODES)
+    serial = run_sweep(spec)
+    assert len(pickle.dumps((serial[::2], None))) > 4096  # each child needs several writes
+    assert rows_to_csv(run_sweep(replace(spec, workers=2))) == rows_to_csv(serial)
     _assert_no_child_left()
 
 
