@@ -28,7 +28,7 @@ from .harness import (
     summarize,
     write_rows,
 )
-from .numkit import RngState, sample_complex_gaussian
+from .numkit import sample_complex_gaussian
 from .pipeline import (
     RECOVERY_MODES,
     EstimateReport,

@@ -134,9 +134,8 @@ def generate_channel(cfg, rng):
     Draw order is AoA set, AoD set, then gains, so a stream state fixes the
     realization.
     """
-    gen = rng.generator
-    aoa = _draw_distinct_angles(gen, cfg.paths)
-    aod = _draw_distinct_angles(gen, cfg.paths)
+    aoa = _draw_distinct_angles(rng, cfg.paths)
+    aod = _draw_distinct_angles(rng, cfg.paths)
     gains = sample_complex_gaussian(rng, cfg.paths, 1, 1.0)[:, 0]
     a_rx = ula_response(np.sin(aoa), cfg.n_rx)
     a_tx = ula_response(np.sin(aod), cfg.n_tx)

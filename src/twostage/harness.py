@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import SystemConfig, generate_channel
-from .numkit import RngState, as_integer
+from .numkit import as_integer, stream
 from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estimate
 
 def noise_var_from_snr_db(snr_db):
@@ -29,8 +29,8 @@ def noise_var_from_snr_db(snr_db):
     Raises ValueError for an SNR with no finite variance: NaN, -inf, or one
     low enough (below about -3080 dB) that the power overflows.
     """
-    try:
-        sigma2 = 10.0 ** (-snr_db / 10.0)
+    try:  # as a numpy scalar, the power would overflow with a RuntimeWarning instead
+        sigma2 = 10.0 ** (float(-snr_db) / 10.0)
     except OverflowError:
         sigma2 = math.inf
     if not math.isfinite(sigma2):
@@ -126,21 +126,23 @@ class SummaryRow:
 
 
 def _trial_estimates(spec, si, mi, trial):
-    """Trial ``trial`` of ``spec`` at (si, mi): its root's ``state_id``, its row labels,
-    and the function that returns one label's EstimateReport. The root is ``RngState(seed,
-    (si, mi, trial))``; the channel draws on its key 0, a mode on 1 plus its index in
-    ``RECOVERY_MODES`` and the floor on 999, whatever else ``spec`` lists."""
+    """Trial ``trial`` of ``spec`` at (si, mi): its seed, its row labels, and the function
+    that returns one label's EstimateReport. The trial is keyed (si, mi, trial) under the
+    scenario seed, its seed is that ``SeedSequence``'s first 32-bit word, and each draw
+    appends one key: the channel 0, a mode 1 plus its index in ``RECOVERY_MODES`` and
+    the floor 999, whatever else ``spec`` lists."""
     cfg, m = spec.scenario, spec.m_list[mi]
     sigma2 = noise_var_from_snr_db(spec.snr_db_list[si])
-    root = RngState(cfg.seed, (si, mi, trial))
-    real = generate_channel(cfg, root.split(0))
+    key = (si, mi, trial)
+    real = generate_channel(cfg, stream(cfg.seed, *key, 0))
     def estimate(label):
         if label == "full-observation":
-            return full_observation_baseline(real, sigma2, root.split(999))
-        rng = root.split(1 + RECOVERY_MODES.index(label))
+            return full_observation_baseline(real, sigma2, stream(cfg.seed, *key, 999))
+        rng = stream(cfg.seed, *key, 1 + RECOVERY_MODES.index(label))
         return two_stage_estimate(real, cfg, m, sigma2, rng, mode=label)
     labels = spec.modes + (("full-observation",) if spec.baseline else ())
-    return root.state_id(), labels, estimate
+    seq = np.random.SeedSequence(cfg.seed, spawn_key=key)
+    return int(seq.generate_state(1, dtype=np.uint32)[0]), labels, estimate
 
 
 def _trial_rows(spec, si, mi, trial):

@@ -3,14 +3,14 @@
 All matrices are plain numpy complex128 arrays. ``as_complex_matrix`` checks
 a matrix once, where it enters an estimator (the channel, and both arrays of
 ``nmse``); the stage functions that the estimators call take finite 2-D
-complex arrays and do not check them. The only stateful object is RngState,
-a seeded counter-based stream (Philox) with keyed sub-streams, so Monte Carlo
-trials stay reproducible and independent of execution order.
+complex arrays and do not check them. Every function that draws takes a plain
+``numpy.random.Generator``; ``stream`` builds the seeded, keyed one that the
+sweep gives each estimator, so Monte Carlo trials stay reproducible and
+independent of execution order.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 
@@ -39,37 +39,11 @@ def as_integer(value, name):
     return int(value)
 
 
-class RngState:
-    """Seeded random stream with keyed, independent sub-streams.
-
-    Backed by numpy's counter-based Philox generator through a SeedSequence,
-    so a given (seed, key) pair always yields the same sample sequence,
-    bit for bit. ``split`` derives a child stream without consuming from
-    the parent, which keeps parallel Monte Carlo trials schedule-independent.
-    """
-
-    def __init__(self, seed, key=()):
-        seed = as_integer(seed, "seed")
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        key = tuple(as_integer(k, "stream key") for k in key)
-        if any(k < 0 for k in key):
-            raise ValueError("stream keys must be non-negative integers")
-        self.seed = seed
-        self.key = key
-        self._sequence = np.random.SeedSequence(seed, spawn_key=key)
-
-    @functools.cached_property  # a stream that only splits and names costs a hash
-    def generator(self):
-        return np.random.Generator(np.random.Philox(self._sequence))
-
-    def split(self, *key):
-        """Child stream keyed by extra integers, independent of the parent position."""
-        return RngState(self.seed, self.key + key)
-
-    def state_id(self):
-        """Stable 32-bit identifier of this stream, used for report bookkeeping."""
-        return int(self._sequence.generate_state(1, dtype=np.uint32)[0])
+def stream(seed, *key):
+    """The random stream of ``seed`` keyed by ``key``: numpy's counter-based Philox
+    generator on ``SeedSequence(seed, spawn_key=key)``, so a given (seed, key)
+    always yields the same draws, bit for bit, whatever other streams drew."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def sample_complex_gaussian(rng, rows, cols, variance):
@@ -86,6 +60,6 @@ def sample_complex_gaussian(rng, rows, cols, variance):
         raise ValueError(
             f"noise variance must be finite and non-negative, got {variance}")
     scale = math.sqrt(variance / 2.0)
-    re = rng.generator.standard_normal((rows, cols))
-    im = rng.generator.standard_normal((rows, cols))
+    re = rng.standard_normal((rows, cols))
+    im = rng.standard_normal((rows, cols))
     return scale * (re + 1j * im)

@@ -33,7 +33,7 @@ def observe(block, sigma2, rng, n_rf, w=None):
         raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     if w.shape[0] != rows:
         raise ValueError("combiner rows must match the array size")
-    draws = rng.generator.standard_normal((cols, 2 * rows))
+    draws = rng.standard_normal((cols, 2 * rows))
     # row j, [Re n_j, Im n_j], against [conj W; i conj W] as reals is n_j^T conj W as complex
     wh = w.conj().T
     mix = math.sqrt(sigma2 / 2.0) * np.vstack([wh.T, 1j * wh.T]).view(np.float64)

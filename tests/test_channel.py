@@ -11,7 +11,7 @@ from twostage.channel import (
     generate_channel,
     ula_response,
 )
-from twostage.numkit import RngState
+from twostage.numkit import stream
 from twostage.subspace import estimate_stage1, subspace_distance
 
 
@@ -97,7 +97,7 @@ def test_steering_entries_have_constant_modulus(theta, n):
 def test_channel_matches_path_sum_oracle():
     # independent reconstruction: sum of scaled rank-one path contributions
     cfg = _small_cfg()
-    real = generate_channel(cfg, RngState(3))
+    real = generate_channel(cfg, stream(3))
     scale = math.sqrt(cfg.n_rx * cfg.n_tx / cfg.paths)
     acc = np.zeros((cfg.n_rx, cfg.n_tx), dtype=complex)
     for l in range(cfg.paths):
@@ -110,7 +110,7 @@ def test_channel_matches_path_sum_oracle():
 def test_steering_factors_are_the_steering_vectors_bit_for_bit():
     cfg = _small_cfg(n_rx=16, n_tx=32, paths=4, n_rf=4)
     for i in range(20):
-        real = generate_channel(cfg, RngState(5, (i,)))
+        real = generate_channel(cfg, stream(5, i))
         for l in range(cfg.paths):
             np.testing.assert_array_equal(
                 real.a_rx[:, l], _steering(real.aoa_angles[l], cfg.n_rx))
@@ -119,8 +119,8 @@ def test_steering_factors_are_the_steering_vectors_bit_for_bit():
 
 
 def test_channel_has_numerical_rank_at_most_paths():
-    for cfg, streams in ((_small_cfg(paths=3, n_rf=3), [RngState(0).split(i) for i in range(20)]),
-                         (_small_cfg(paths=1), [RngState(8)])):
+    for cfg, streams in ((_small_cfg(paths=3, n_rf=3), [stream(0, i) for i in range(20)]),
+                         (_small_cfg(paths=1), [stream(8)])):
         for rng in streams:
             s = np.linalg.svd(generate_channel(cfg, rng).h, compute_uv=False)
             assert s[cfg.paths] <= 1e-8 * s[0]
@@ -129,7 +129,7 @@ def test_channel_has_numerical_rank_at_most_paths():
 def test_angle_sines_respect_the_separation_floor():
     cfg = _small_cfg(paths=4, n_rf=4, n_rx=16)
     for i in range(100):
-        real = generate_channel(cfg, RngState(1).split(i))
+        real = generate_channel(cfg, stream(1, i))
         for angles in (real.aoa_angles, real.aod_angles):
             s = np.sort(np.sin(angles))
             assert np.min(np.diff(s)) >= MIN_SIN_GAP
@@ -138,11 +138,10 @@ def test_angle_sines_respect_the_separation_floor():
 def test_channel_energy_scaling_law():
     # E||H||_F^2 = n_rx * n_tx under unit-variance path gains
     cfg = _small_cfg()
-    rng = RngState(5)
     total = 0.0
     trials = 10_000
     for i in range(trials):
-        total += np.linalg.norm(generate_channel(cfg, rng.split(i)).h) ** 2
+        total += np.linalg.norm(generate_channel(cfg, stream(5, i)).h) ** 2
     assert total / trials == pytest.approx(cfg.n_rx * cfg.n_tx, rel=0.03)
 
 
@@ -154,7 +153,7 @@ def test_channel_energy_scaling_law():
 def test_steering_basis_spans_the_channel_column_space(n_rx, n_tx, paths, n_rf):
     cfg = SystemConfig(n_rx=n_rx, n_tx=n_tx, paths=paths, n_rf=n_rf)
     for i in range(50):
-        real = generate_channel(cfg, RngState(12).split(i))
+        real = generate_channel(cfg, stream(12, i))
         u = real.basis
         assert real.basis is u and not u.flags.writeable  # computed once, shared
         assert u.shape == (n_rx, paths)
@@ -167,7 +166,7 @@ def test_sampled_columns_expose_the_receive_subspace():
     cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     for i in range(150):
         m = (4, 5, 8)[i % 3]
-        real = generate_channel(cfg, RngState(300).split(i))
+        real = generate_channel(cfg, stream(300, i))
         sampled = estimate_stage1(real.h[:, :m], cfg.paths).basis
         assert subspace_distance(real.basis, sampled) <= 1e-10, (i, m)
 

@@ -16,7 +16,7 @@ from twostage import cli, harness
 from twostage.channel import SystemConfig, generate_channel
 from twostage.cli import build_parser, main
 from twostage.harness import CSV_HEADER, SweepSpec, run_sweep
-from twostage.numkit import RngState
+from twostage.numkit import stream
 from twostage.pipeline import RECOVERY_MODES, two_stage_estimate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -193,9 +193,9 @@ def _captured_spec(monkeypatch, argv):
 def test_cli_estimate_defaults_are_the_library_defaults(capsys):
     assert main(["estimate"]) == 0
     cfg = SystemConfig()
-    rng = RngState(cfg.seed, (0, 0, 0))  # trial 0 of the one-point sweep
-    rep = two_stage_estimate(generate_channel(cfg, rng.split(0)), cfg, 8, 0.1,
-                             rng.split(1))
+    # trial 0 of the one-point sweep
+    rep = two_stage_estimate(generate_channel(cfg, stream(cfg.seed, 0, 0, 0, 0)), cfg, 8, 0.1,
+                             stream(cfg.seed, 0, 0, 0, 1))
     expected = io.StringIO()
     cli._print_report("pseudo-inverse", rep, cfg, expected)
     assert capsys.readouterr().out == expected.getvalue()

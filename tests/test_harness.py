@@ -23,7 +23,7 @@ from twostage.harness import (
     summarize,
     write_rows,
 )
-from twostage.numkit import RngState
+from twostage.numkit import stream
 from twostage.pipeline import full_observation_baseline, two_stage_estimate
 
 
@@ -46,7 +46,8 @@ def test_noise_variance_from_snr():
     np.testing.assert_allclose(noise_var_from_snr_db(10.0), 0.1, rtol=1e-15)
     np.testing.assert_allclose(noise_var_from_snr_db(-10.0), 10.0, rtol=1e-15)
     assert noise_var_from_snr_db(math.inf) == 0.0
-    for bad in (math.nan, -math.inf, -4000.0):  # -4000 dB overflows a float
+    # -4000 dB overflows a float; a numpy scalar overflows the same way, not with a warning
+    for bad in (math.nan, -math.inf, -4000.0, np.float64(-4000.0)):
         with pytest.raises(ValueError, match=f"SNR {bad} dB gives no finite"):
             noise_var_from_snr_db(bad)
 
@@ -131,6 +132,11 @@ def test_sweep_emits_one_row_per_trial_mode_and_baseline():
     assert all(np.isfinite(r.nmse) for r in rows)
 
 
+def _trial_seed(seed, key):
+    """A trial's CSV seed: the first 32-bit word of its SeedSequence."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint32)[0])
+
+
 # the stream key of each estimator, fixed by its name
 _STREAM_KEYS = {"pseudo-inverse": 1, "paper-literal": 2, "ideal": 3, "full-observation": 999}
 
@@ -138,20 +144,19 @@ _STREAM_KEYS = {"pseudo-inverse": 1, "paper-literal": 2, "ideal": 3, "full-obser
 def _replayed(spec, row):
     """The seed, nmse and subspace_dist of ``row``, rebuilt by the README recipe."""
     cfg = spec.scenario
-    root = RngState(cfg.seed, (spec.snr_db_list.index(row.snr_db),
-                               spec.m_list.index(row.m), row.trial))
-    real = generate_channel(cfg, root.split(0))
+    key = (spec.snr_db_list.index(row.snr_db), spec.m_list.index(row.m), row.trial)
+    real = generate_channel(cfg, stream(cfg.seed, *key, 0))
     sigma2 = noise_var_from_snr_db(row.snr_db)
-    rng = root.split(_STREAM_KEYS[row.mode])
+    rng = stream(cfg.seed, *key, _STREAM_KEYS[row.mode])
     if row.mode == "full-observation":
         rep = full_observation_baseline(real, sigma2, rng)
     else:
         rep = two_stage_estimate(real, cfg, row.m, sigma2, rng, mode=row.mode)
-    return root.state_id(), rep.nmse, rep.subspace_dist
+    return _trial_seed(cfg.seed, key), rep.nmse, rep.subspace_dist
 
 
 def test_every_row_replays_from_its_grid_indices_and_the_stream_keys():
-    # root RngState(seed, (snr index, m index, trial)), channel on key 0, each
+    # trial key (snr index, m index, trial) under the seed, channel on key 0, each
     # estimator on its name's key: one seed per trial, distinct across trials
     spec = _small_spec(scenario=replace(_small_scenario(), seed=4),
                        modes=("ideal", "pseudo-inverse"))
@@ -175,7 +180,7 @@ def test_a_mode_draws_the_same_rows_whatever_else_the_spec_lists():
 
 def test_a_trial_builds_one_generator_per_drawing_stream_and_none_for_the_root(
         monkeypatch):
-    # the root stream only names the trial and splits; each child draws
+    # the trial key only names the trial, by its seed; each drawing key builds one
     made, philox = [], np.random.Philox
 
     def counting_philox(sequence):
@@ -190,13 +195,12 @@ def test_a_trial_builds_one_generator_per_drawing_stream_and_none_for_the_root(
     assert made == [(1, 0, 2, key) for key in children]
     assert len(made) == 2 + len(spec.modes)
     assert {row.seed for row in rows} == {1994087735}  # the CSV seed column, pinned
-    assert RngState(4, (1, 0, 2)).state_id() == 1994087735
+    assert _trial_seed(4, (1, 0, 2)) == 1994087735
     monkeypatch.setattr(np.random, "Philox", philox)
-    root = RngState(4, (1, 0, 2))
     for key in children:
         direct = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(4, spawn_key=(1, 0, 2, key))))
-        np.testing.assert_array_equal(root.split(key).generator.standard_normal(16),
+        np.testing.assert_array_equal(stream(4, 1, 0, 2, key).standard_normal(16),
                                       direct.standard_normal(16))
 
 

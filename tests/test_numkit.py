@@ -1,14 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from twostage.channel import SystemConfig, generate_channel, ula_response
-from twostage.numkit import (
-    RngState,
-    as_complex_matrix,
-    sample_complex_gaussian,
-)
+from twostage.numkit import as_complex_matrix, sample_complex_gaussian, stream
 from twostage.pipeline import two_stage_estimate
 from twostage.sounding import observe
 from twostage.stage2 import build_dictionary, design_sounder_omp
@@ -48,38 +48,26 @@ def test_as_complex_matrix_rejects_empty():
 # ------------------------------------------------------------ random streams
 
 
-def test_split_streams_ignore_parent_consumption():
-    # a child replays after its parent drew, and a fresh root of the same seed
-    # replays both the parent's draws and the child's
-    parent = RngState(5)
-    drawn = sample_complex_gaussian(parent, 5, 7, 2.0)
-    child = sample_complex_gaussian(parent.split(3), 4, 4, 1.0)
-    parent.generator.standard_normal(100)
-    fresh = RngState(5)
-    for stream, shape, expected in ((parent.split(3), (4, 4, 1.0), child),
-                                    (fresh, (5, 7, 2.0), drawn),
-                                    (fresh.split(3), (4, 4, 1.0), child)):
-        np.testing.assert_array_equal(sample_complex_gaussian(stream, *shape), expected)
-
-
-def test_distinct_keys_give_distinct_streams():
-    z1 = sample_complex_gaussian(RngState(5).split(0), 4, 4, 1.0)
-    z2 = sample_complex_gaussian(RngState(5).split(1), 4, 4, 1.0)
-    assert np.max(np.abs(z1 - z2)) > 1e-3
-
-
-def test_state_id_is_stable():
-    assert RngState(5, (1, 2)).state_id() == RngState(5, (1, 2)).state_id()
-    assert RngState(5, (1, 2)).state_id() != RngState(5, (1, 3)).state_id()
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # numpy loads numpy.random on first use; a stream that builds its generator
+    # only when called keeps that import out of every run's set-up time
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, twostage.cli; print(sorted(n for n in sys.modules if 'numpy.random' in n))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_zero_variance_gives_exact_zeros():
-    z = sample_complex_gaussian(RngState(1), 3, 3, 0.0)
+    z = sample_complex_gaussian(stream(1), 3, 3, 0.0)
     np.testing.assert_array_equal(z, np.zeros((3, 3), dtype=complex))
 
 
 def test_gaussian_moments():
-    z = sample_complex_gaussian(RngState(0), 100, 1000, 1.0)
+    z = sample_complex_gaussian(stream(0), 100, 1000, 1.0)
     assert 0.98 <= np.mean(np.abs(z) ** 2) <= 1.02
     assert abs(np.mean(z)) <= 0.01
     assert 0.47 <= np.var(z.real) <= 0.53
@@ -87,41 +75,37 @@ def test_gaussian_moments():
 
 
 def test_rng_rejects_bad_seed_and_keys():
-    with pytest.raises(ValueError):
-        RngState(-1)
-    with pytest.raises(ValueError):
-        RngState(1).split(-2)
-    # a float would be truncated onto another stream: RngState(1.5) is not RngState(1)
+    # numpy's SeedSequence rejects a negative seed or key and a float seed or
+    # key, so a float cannot be truncated onto another stream
+    for seed, key in ((-1, ()), (1, (-2,))):
+        with pytest.raises(ValueError):
+            stream(seed, *key)
     for seed, key in ((1.5, ()), (1.0, ()), (0, (2.7,)), (0, (2.0,))):
-        with pytest.raises(ValueError, match="must be an integer"):
-            RngState(seed, key)
-    with pytest.raises(ValueError, match="must be an integer"):
-        RngState(0).split(2.7)
-    numpy_ints = RngState(np.int64(3), (np.int32(2),))
-    assert numpy_ints.state_id() == RngState(3, (2,)).state_id()
+        with pytest.raises(TypeError):
+            stream(seed, *key)
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and non-negative"):
-            sample_complex_gaussian(RngState(1), 3, 3, bad)
+            sample_complex_gaussian(stream(1), 3, 3, bad)
     with pytest.raises(ValueError, match="matrix dimensions must be positive"):
-        sample_complex_gaussian(RngState(1), 0, 3, 1.0)
+        sample_complex_gaussian(stream(1), 0, 3, 1.0)
 
 
 _CFG = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-_BLOCK = sample_complex_gaussian(RngState(5), 8, 4, 1.0)
+_BLOCK = sample_complex_gaussian(stream(5), 8, 4, 1.0)
 
 
 @pytest.mark.parametrize("call", [
     lambda: build_dictionary(32, 64.5),
     lambda: build_dictionary(32.0, 64),
     lambda: ula_response([0.1, 0.2], 4.0),
-    lambda: two_stage_estimate(generate_channel(_CFG, RngState(0)), _CFG, 8.0, 0.1,
-                               RngState(1)),
+    lambda: two_stage_estimate(generate_channel(_CFG, stream(0)), _CFG, 8.0, 0.1,
+                               stream(1)),
     lambda: design_sounder_omp(_BLOCK[:, :1], build_dictionary(8, 16), 6.0),
-    lambda: sample_complex_gaussian(RngState(0), 2.5, 3, 1.0),
-    lambda: sample_complex_gaussian(RngState(0), 2, 3.0, 1.0),
-    lambda: observe(_BLOCK, 0.1, RngState(0), 2.5),
-    lambda: RngState(True),  # a bool is an Integral, but not a count: not seed 1
-    lambda: observe(_BLOCK, 0.1, RngState(0), True),
+    lambda: sample_complex_gaussian(stream(0), 2.5, 3, 1.0),
+    lambda: sample_complex_gaussian(stream(0), 2, 3.0, 1.0),
+    lambda: observe(_BLOCK, 0.1, stream(0), 2.5),
+    lambda: SystemConfig(seed=True),  # a bool is an Integral, but not a count: not seed 1
+    lambda: observe(_BLOCK, 0.1, stream(0), True),
 ], ids=["dictionary-grid", "dictionary-array", "ula", "two-stage-m", "omp-n_rf",
         "gaussian-rows", "gaussian-cols", "observe-n_rf", "seed-true", "observe-n_rf-true"])
 def test_primitives_reject_non_integer_counts(call):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twostage.channel import SystemConfig, generate_channel
-from twostage.numkit import RngState, sample_complex_gaussian
+from twostage.numkit import sample_complex_gaussian, stream
 
 from oracles import dft_combiner, sound_and_invert_block
 
@@ -30,9 +30,9 @@ def test_inversion_solves_the_combined_signal_plus_combined_noise():
     # bitwise oracle for every bank, the DFT bank included:
     # solve(M^H, M^H (H + N)); the unitary DFT bank also matches M (M^H (H + N))
     cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=3)
-    h_s = generate_channel(cfg, RngState(3)).h[:, :4]
-    noise = sample_complex_gaussian(RngState(3).split(1), 8, 4, 0.1)
-    gaussian = sample_complex_gaussian(RngState(3).split(2), 8, 8, 1.0)
+    h_s = generate_channel(cfg, stream(3)).h[:, :4]
+    noise = sample_complex_gaussian(stream(3, 1), 8, 4, 0.1)
+    gaussian = sample_complex_gaussian(stream(3, 2), 8, 8, 1.0)
     dft = dft_combiner(8)
     for bank in (dft, gaussian):
         mh = bank.conj().T

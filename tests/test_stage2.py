@@ -6,7 +6,7 @@ import pytest
 
 from twostage import stage2
 from twostage.channel import SystemConfig, generate_channel, ula_response
-from twostage.numkit import RngState, sample_complex_gaussian
+from twostage.numkit import sample_complex_gaussian, stream
 from twostage.pipeline import two_stage_estimate
 from twostage.sounding import observe
 from twostage.stage2 import (
@@ -81,7 +81,7 @@ def test_an_orthonormalized_atom_pair_is_recovered():
 
 
 def test_analog_part_is_phase_only():
-    rng = RngState(20)
+    rng = stream(20)
     target = estimate_stage1(sample_complex_gaussian(rng, 16, 3, 1.0), 3).basis
     s = design_sounder_omp(target, build_dictionary(16, 32), 4)
     np.testing.assert_allclose(np.abs(s.analog), 1 / 4.0, atol=1e-12)
@@ -90,10 +90,9 @@ def test_analog_part_is_phase_only():
 
 
 def test_residual_path_never_increases_and_atoms_are_not_reused():
-    rng = RngState(21)
     for trial in range(10):
         target = estimate_stage1(
-            sample_complex_gaussian(rng.split(trial), 16, 2, 1.0), 2).basis
+            sample_complex_gaussian(stream(21, trial), 16, 2, 1.0), 2).basis
         s = design_sounder_omp(target, build_dictionary(16, 32), 6)
         path = np.asarray(s.residual_path)
         assert len(path) == 6
@@ -115,9 +114,8 @@ def test_design_rejects_impossible_requests():
 def test_doubling_the_grid_never_hurts_a_single_steering_target():
     # the doubled grid contains the critical one, and with one chain the
     # greedy step picks the globally best atom, so refinement only helps
-    rng = RngState(3)
     for trial in range(50):
-        theta = rng.split(trial).generator.uniform(0, 2 * np.pi)
+        theta = stream(3, trial).uniform(0, 2 * np.pi)
         t = ula_response(math.sin(theta), 16)
         coarse = design_sounder_omp(t, build_dictionary(16, 32), 1).residual_path[-1]
         fine = design_sounder_omp(t, build_dictionary(16, 64), 1).residual_path[-1]
@@ -130,7 +128,7 @@ def test_doubling_the_grid_usually_helps_a_two_path_subspace_target():
     not_worse = 0
     for trial in range(50):
         cfg = SystemConfig(n_rx=16, n_tx=32, paths=2, n_rf=2, seed=11)
-        real = generate_channel(cfg, RngState(11, (trial,)))
+        real = generate_channel(cfg, stream(11, trial))
         target = real.basis
         coarse = design_sounder_omp(target, build_dictionary(16, 32), 2).residual_path[-1]
         fine = design_sounder_omp(target, build_dictionary(16, 64), 2).residual_path[-1]
@@ -162,10 +160,9 @@ def test_projection_updated_design_matches_the_refit_every_step_loop():
     for m in (4, 8, 16, 32):
         for snr_db in (-10, 5, 20):
             for trial in range(17):
-                rng = RngState(60, (m, snr_db + 10, trial))
-                real = generate_channel(cfg, rng.split(0))
-                noise = sample_complex_gaussian(rng.split(1), cfg.n_rx, m,
-                                                10.0 ** (-snr_db / 10.0))
+                real = generate_channel(cfg, stream(60, m, snr_db + 10, trial, 0))
+                noise = sample_complex_gaussian(stream(60, m, snr_db + 10, trial, 1),
+                                                cfg.n_rx, m, 10.0 ** (-snr_db / 10.0))
                 basis = estimate_stage1(real.h[:, :m] + noise, cfg.paths).basis
                 s = design_sounder_omp(basis, atoms, cfg.n_rf)
                 selected, product, path = _omp_refit_every_step(basis, atoms, cfg.n_rf)
@@ -179,7 +176,7 @@ def test_atoms_past_the_array_size_add_nothing_to_the_span():
     # drops to rounding level, where the later picks of the two loops may
     # differ; every later atom adds nothing and the product stays the target
     atoms = build_dictionary(4, 16)
-    target = estimate_stage1(sample_complex_gaussian(RngState(61), 4, 3, 1.0), 2).basis
+    target = estimate_stage1(sample_complex_gaussian(stream(61), 4, 3, 1.0), 2).basis
     s = design_sounder_omp(target, atoms, 7)
     _, product, path = _omp_refit_every_step(target, atoms, 7)
     assert len(set(s.selected)) == 7
@@ -201,12 +198,11 @@ def test_nearly_dependent_and_zero_atoms_keep_the_residual_exact():
     # their span vectors far from orthogonal and put the residual path 1e-3
     # off a Householder-QR projection; the second pass keeps it within 1e-8.
     # The zero atom, scored 0 and picked last, adds nothing to the span.
-    rng = RngState(62)
-    base = sample_complex_gaussian(rng.split(0), 8, 3, 1.0)
-    near = base + 1e-6 * sample_complex_gaussian(rng.split(1), 8, 3, 1.0)
+    base = sample_complex_gaussian(stream(62, 0), 8, 3, 1.0)
+    near = base + 1e-6 * sample_complex_gaussian(stream(62, 1), 8, 3, 1.0)
     atoms = np.column_stack([base, near])
     atoms = np.column_stack([atoms / np.linalg.norm(atoms, axis=0), np.zeros(8)])
-    target = np.linalg.qr(sample_complex_gaussian(rng.split(2), 8, 2, 1.0))[0]
+    target = np.linalg.qr(sample_complex_gaussian(stream(62, 2), 8, 2, 1.0))[0]
     s = design_sounder_omp(target, atoms, 7)
     assert s.selected[-1] == 6
     for k in range(1, 7):
@@ -220,9 +216,8 @@ def test_nearly_dependent_and_zero_atoms_keep_the_residual_exact():
 
 
 def _column_setup(seed, n=8, cols=4):
-    rng = RngState(seed)
-    h = sample_complex_gaussian(rng.split(0), n, cols, 1.0)
-    w = estimate_stage1(sample_complex_gaussian(rng.split(1), n, 3, 1.0), 2).basis
+    h = sample_complex_gaussian(stream(seed, 0), n, cols, 1.0)
+    w = estimate_stage1(sample_complex_gaussian(stream(seed, 1), n, 3, 1.0), 2).basis
     return h, w
 
 
@@ -241,10 +236,10 @@ def _per_column_reference(h, w, sigma2, rng, mode):
 
 def test_recovery_matches_an_independent_projector_computation():
     h, _ = _column_setup(30)
-    w = sample_complex_gaussian(RngState(30).split(2), 8, 2, 1.0)  # not orthonormal
-    y, _ = observe(h[:, 1:2], 0.3, RngState(31), 2, w)
+    w = sample_complex_gaussian(stream(30, 2), 8, 2, 1.0)  # not orthonormal
+    y, _ = observe(h[:, 1:2], 0.3, stream(31), 2, w)
     est = recover_block(y, w)
-    noise = sample_complex_gaussian(RngState(31), 8, 1, 0.3)[:, 0]
+    noise = sample_complex_gaussian(stream(31), 8, 1, 0.3)[:, 0]
     oracle = (w @ np.linalg.pinv(w)) @ (h[:, 1] + noise)
     assert est.shape == (8, 1)
     np.testing.assert_allclose(est[:, 0], oracle, atol=1e-9)
@@ -252,7 +247,7 @@ def test_recovery_matches_an_independent_projector_computation():
 
 def test_in_span_columns_are_exact_without_noise():
     _, w = _column_setup(32)
-    coeffs = sample_complex_gaussian(RngState(33), 2, 3, 1.0)
+    coeffs = sample_complex_gaussian(stream(33), 2, 3, 1.0)
     h = w @ coeffs
     y = w.conj().T @ h
     for est in (recover_block(y, w), w @ y):  # the least-squares fit and W y
@@ -270,7 +265,7 @@ def test_columns_orthogonal_to_the_combiner_recover_as_zero():
 def test_modes_agree_only_for_orthonormal_combiners():
     # the least-squares fit is W y, paper-literal's fit, only for orthonormal W
     h, w = _column_setup(34)
-    y, _ = observe(h, 0.1, RngState(35), 2, w)
+    y, _ = observe(h, 0.1, stream(35), 2, w)
     np.testing.assert_allclose(recover_block(y, w), w @ y, atol=1e-10)
     skewed = w @ np.diag([2.0, 1.0])
     y = skewed.conj().T @ h
@@ -312,16 +307,15 @@ def test_mean_recovery_error_matches_the_conditional_identity(fit, mode):
     # mean squared error must sit within 4 standard errors of the exact mean
     cfg = SystemConfig(n_rx=16, n_tx=48, paths=2, n_rf=3)
     m, sigma2, draws = 4, 0.1, 2000
-    rng = RngState(47)
-    real = generate_channel(cfg, rng.split(0))
-    y, _ = observe(real.h[:, :m], sigma2, rng.split(1), cfg.n_rf)
+    real = generate_channel(cfg, stream(47, 0))
+    y, _ = observe(real.h[:, :m], sigma2, stream(47, 1), cfg.n_rf)
     basis = estimate_stage1(y, cfg.paths).basis
     w = design_sounder_omp(basis, build_dictionary(cfg.n_rx, cfg.grid_size), cfg.n_rf).product
     h_rest = real.h[:, m:]
-    stream = rng.split(2)
+    rng = stream(47, 2)
     errors = np.empty(draws)
     for k in range(draws):
-        y, _ = observe(h_rest, sigma2, stream, cfg.n_rf, w)
+        y, _ = observe(h_rest, sigma2, rng, cfg.n_rf, w)
         miss = h_rest - fit(y, w)
         errors[k] = np.vdot(miss, miss).real
     predicted = stage2_conditional_mse(h_rest, w, sigma2, mode)
@@ -335,10 +329,10 @@ def test_mean_recovery_error_matches_the_conditional_identity(fit, mode):
 @pytest.mark.parametrize("mode", ["pseudo-inverse", "paper-literal", "ideal"])
 def test_remaining_columns_match_a_per_column_loop(mode):
     cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
-    real = generate_channel(cfg, RngState(47))
-    rep = two_stage_estimate(real, cfg, 8, 0.1, RngState(48), mode=mode)
+    real = generate_channel(cfg, stream(47))
+    rep = two_stage_estimate(real, cfg, 8, 0.1, stream(48), mode=mode)
     # replay stage 1 on the same stream, then sound column by column
-    rng = RngState(48)
+    rng = stream(48)
     basis = estimate_stage1(observe(real.h[:, :8], 0.1, rng, 6)[0], 4).basis
     if mode == "ideal":
         # ideal recovers by W y; for its orthonormal basis that is W (W^H W)^-1 y
