@@ -26,9 +26,11 @@ from .pipeline import RECOVERY_MODES, full_observation_baseline, two_stage_estim
 def noise_var_from_snr_db(snr_db):
     """Noise variance for the given SNR in dB under unit transmit power.
 
-    Raises ValueError for an SNR with no finite variance: NaN, -inf, or one
-    low enough (below about -3080 dB) that the power overflows.
+    Raises ValueError unless the SNR is a Python or numpy real (float() also reads a bool,
+    str or bytes) with a finite variance: not NaN, -inf or below about -3080 dB (overflow).
     """
+    if isinstance(snr_db, bool) or not isinstance(snr_db, (int, float, np.integer, np.floating)):
+        raise ValueError(f"SNR must be a real number, got {snr_db!r}")
     try:  # as a numpy scalar, the power would overflow with a RuntimeWarning instead
         sigma2 = 10.0 ** (float(-snr_db) / 10.0)
     except OverflowError:
@@ -56,17 +58,14 @@ class SweepSpec:
         for name in ("snr_db_list", "m_list", "modes"):  # a string is one value per character
             if isinstance(value := getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not the string {value!r}")
-        for s in (snrs := tuple(self.snr_db_list)):  # float() also takes True, "7" and b"3"
-            if isinstance(s, bool) or not isinstance(s, (int, float, np.integer, np.floating)):
-                raise ValueError(f"snr_db_list entry must be a real number, got {s!r}")
+        for snr_db in (snrs := tuple(self.snr_db_list)):  # each raw entry, before float()
+            noise_var_from_snr_db(snr_db)
         object.__setattr__(self, "snr_db_list", tuple(float(s) for s in snrs))
         object.__setattr__(self, "m_list",
                            tuple(as_integer(m, "m_list entry") for m in self.m_list))
         object.__setattr__(self, "modes", tuple(self.modes))
         if not self.snr_db_list:
             raise ValueError("need at least one SNR point")
-        for snr_db in self.snr_db_list:
-            noise_var_from_snr_db(snr_db)
         if not self.m_list:
             raise ValueError("need at least one sampled-column count")
         paths, n_tx = self.scenario.paths, self.scenario.n_tx
@@ -161,7 +160,8 @@ def _trial_rows(spec, si, mi, trial):
 
 
 def _trial_rows_star(args):
-    """All rows for one ``(spec, keys)`` slice of ``(si, mi, trial)`` keys."""
+    """All rows for one ``(spec, keys)`` slice of ``(si, mi, trial)`` keys. bench/sweeptrace.py
+    patches this name to collect the forked children's spans: keep it and its one argument."""
     spec, keys = args
     return [row for si, mi, trial in keys for row in _trial_rows(spec, si, mi, trial)]
 

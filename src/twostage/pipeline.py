@@ -93,8 +93,8 @@ def full_observation_baseline(real, sigma2, rng):
 def _report(real, h_hat, basis, uses_stage1, uses_stage2):
     """Score an estimate and its column basis against the realization.
 
-    Both bases come orthonormal from a QR, an ``eigh`` or an SVD, as the
-    distance requires; ``nmse`` still rejects a non-finite estimate.
+    Both bases come orthonormal (QR, ``eigh`` or SVD), as the distance requires. ``nmse`` rejects
+    a non-finite estimate and is called by name: bench/test_bench.py patches ``pipeline.nmse``.
     """
     return EstimateReport(
         h_hat=h_hat,

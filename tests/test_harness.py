@@ -50,6 +50,11 @@ def test_noise_variance_from_snr():
     for bad in (math.nan, -math.inf, -4000.0, np.float64(-4000.0)):
         with pytest.raises(ValueError, match=f"SNR {bad} dB gives no finite"):
             noise_var_from_snr_db(bad)
+    # float() would read True as 1 dB and parse "7"; a numpy float is a real number
+    for bad in (True, np.True_, "7", b"3"):
+        with pytest.raises(ValueError, match="SNR must be a real number"):
+            noise_var_from_snr_db(bad)
+    np.testing.assert_allclose(noise_var_from_snr_db(np.float32(10)), 0.1, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------- spec
@@ -67,7 +72,7 @@ def test_spec_coerces_sequences_and_validates():
             _small_spec(snr_db_list=(0.0, bad))
     assert _small_spec(snr_db_list=(math.inf,)).snr_db_list == (math.inf,)
     for bad in ((True,), (np.True_,), ("7",), (b"3",)):
-        with pytest.raises(ValueError, match="snr_db_list entry must be a real number"):
+        with pytest.raises(ValueError, match="must be a real number"):
             _small_spec(snr_db_list=bad)
     with pytest.raises(ValueError, match="sampled-column"):
         _small_spec(m_list=())
