@@ -34,8 +34,8 @@ class SystemConfig:
 
     ``grid_size`` is the steering-dictionary resolution used by the
     second-stage sounder design (defaults to twice the receive array size).
-    The operating point (columns sounded in stage 1, noise variance) is an
-    argument of each estimate, not part of the scenario.
+    The operating point (columns sounded in stage 1, noise variance) is an argument
+    of each estimate and the seed is the sweep's: neither is part of the scenario.
     """
 
     n_rx: int = 32
@@ -43,12 +43,11 @@ class SystemConfig:
     paths: int = 4
     n_rf: int = 6
     grid_size: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_size is None:
             object.__setattr__(self, "grid_size", 2 * self.n_rx)
-        for name in ("n_rx", "n_tx", "paths", "n_rf", "grid_size", "seed"):
+        for name in ("n_rx", "n_tx", "paths", "n_rf", "grid_size"):
             as_integer(getattr(self, name), name)
         if self.n_rx < 1 or self.n_tx < 1:
             raise ValueError("array sizes must be positive")
@@ -62,8 +61,6 @@ class SystemConfig:
             )
         if self.n_rf < self.paths:
             raise ValueError("single-use recovery needs n_rf >= paths")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if self.grid_size < self.n_rf:
             raise ValueError(
                 f"dictionary must offer at least n_rf={self.n_rf} atoms, "

@@ -77,7 +77,7 @@ def build_parser():
     scenario.add_argument("--nt", type=int, dest="n_tx", help="transmit antennas")
     scenario.add_argument("--paths", type=int, help="propagation paths")
     scenario.add_argument("--nrf", type=int, dest="n_rf", help="RF chains")
-    scenario.add_argument("--seed", type=int)
+    scenario.add_argument("--seed", type=int, help="root of every random stream")
     scenario.add_argument("--grid-size", type=int,
                           help="sounder dictionary size (default 2 * nr)")
 
@@ -106,14 +106,14 @@ def build_parser():
     return parser
 
 
-def _print_report(label, rep, cfg, out):
+def _print_report(label, rep, spec, out):
     out.write(f"mode:            {label}\n")
     out.write(f"nmse:            {rep.nmse:.6e}\n")
     out.write(f"subspace_dist:   {rep.subspace_dist:.6e}\n")
     out.write(f"channel_uses:    stage1={rep.channel_uses_stage1} "
               f"stage2={rep.channel_uses_stage2} total={rep.channel_uses_total}\n")
-    out.write(f"dof:             {cfg.dof}\n")
-    out.write(f"seed:            {cfg.seed}\n")
+    out.write(f"dof:             {spec.scenario.dof}\n")
+    out.write(f"seed:            {spec.seed}\n")
 
 
 def _resolve(args, parser):
@@ -143,7 +143,7 @@ def _cmd_estimate(spec, out):
     _, labels, estimate = _trial_estimates(spec, 0, 0, 0)
     for i, label in enumerate(labels):
         out.write("\n" if i else "")
-        _print_report(label, estimate(label), spec.scenario, out)
+        _print_report(label, estimate(label), spec, out)
     return 0
 
 

@@ -42,7 +42,7 @@ def noise_var_from_snr_db(snr_db):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One Monte Carlo experiment: an SNR x m grid, repeated trials per point."""
+    """One Monte Carlo experiment: an SNR x m grid, repeated trials per point from ``seed``."""
 
     scenario: SystemConfig
     snr_db_list: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
@@ -51,6 +51,7 @@ class SweepSpec:
     modes: tuple = ("pseudo-inverse",)
     baseline: bool = True
     workers: int = 1
+    seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.baseline, (bool, np.bool_)):  # "no" is truthy
@@ -81,6 +82,8 @@ class SweepSpec:
                 raise ValueError(f"unknown recovery mode {mode!r}")
         if as_integer(self.workers, "workers") < 1:
             raise ValueError("worker count must be positive")
+        if as_integer(self.seed, "seed") < 0:
+            raise ValueError("seed must be non-negative")
         # a repeated grid value would put two cells under one CSV key
         for name in ("snr_db_list", "m_list", "modes"):
             values = getattr(self, name)
@@ -127,20 +130,20 @@ class SummaryRow:
 def _trial_estimates(spec, si, mi, trial):
     """Trial ``trial`` of ``spec`` at (si, mi): its seed, its row labels, and the function
     that returns one label's EstimateReport. The trial is keyed (si, mi, trial) under the
-    scenario seed, its seed is that ``SeedSequence``'s first 32-bit word, and each draw
+    spec's seed, its seed is that ``SeedSequence``'s first 32-bit word, and each draw
     appends one key: the channel 0, a mode 1 plus its index in ``RECOVERY_MODES`` and
     the floor 999, whatever else ``spec`` lists."""
-    cfg, m = spec.scenario, spec.m_list[mi]
+    cfg, m, seed = spec.scenario, spec.m_list[mi], spec.seed
     sigma2 = noise_var_from_snr_db(spec.snr_db_list[si])
     key = (si, mi, trial)
-    real = generate_channel(cfg, stream(cfg.seed, *key, 0))
+    real = generate_channel(cfg, stream(seed, *key, 0))
     def estimate(label):
         if label == "full-observation":
-            return full_observation_baseline(real, sigma2, stream(cfg.seed, *key, 999))
-        rng = stream(cfg.seed, *key, 1 + RECOVERY_MODES.index(label))
+            return full_observation_baseline(real, sigma2, stream(seed, *key, 999))
+        rng = stream(seed, *key, 1 + RECOVERY_MODES.index(label))
         return two_stage_estimate(real, cfg, m, sigma2, rng, mode=label)
     labels = spec.modes + (("full-observation",) if spec.baseline else ())
-    seq = np.random.SeedSequence(cfg.seed, spawn_key=key)
+    seq = np.random.SeedSequence(seed, spawn_key=key)
     return int(seq.generate_state(1, dtype=np.uint32)[0]), labels, estimate
 
 

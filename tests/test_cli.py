@@ -192,12 +192,13 @@ def _captured_spec(monkeypatch, argv):
 
 def test_cli_estimate_defaults_are_the_library_defaults(capsys):
     assert main(["estimate"]) == 0
-    cfg = SystemConfig()
+    spec = SweepSpec(SystemConfig())
+    cfg, seed = spec.scenario, spec.seed
     # trial 0 of the one-point sweep
-    rep = two_stage_estimate(generate_channel(cfg, stream(cfg.seed, 0, 0, 0, 0)), cfg, 8, 0.1,
-                             stream(cfg.seed, 0, 0, 0, 1))
+    rep = two_stage_estimate(generate_channel(cfg, stream(seed, 0, 0, 0, 0)), cfg, 8, 0.1,
+                             stream(seed, 0, 0, 0, 1))
     expected = io.StringIO()
-    cli._print_report("pseudo-inverse", rep, cfg, expected)
+    cli._print_report("pseudo-inverse", rep, spec, expected)
     assert capsys.readouterr().out == expected.getvalue()
 
 
@@ -208,7 +209,8 @@ def test_cli_estimate_floor_draws_on_the_sweep_baseline_key(capsys):
         assert main(["estimate", "--baseline", "--seed", "3", "--mode", mode]) == 0
         out = capsys.readouterr().out
         rows = {row.mode: row for row in run_sweep(SweepSpec(
-            SystemConfig(seed=3), snr_db_list=(10.0,), m_list=(8,), trials=1, modes=(mode,)))}
+            SystemConfig(), snr_db_list=(10.0,), m_list=(8,), trials=1, modes=(mode,),
+            seed=3))}
         printed = [line.split()[1] for line in out.splitlines()
                    if line.startswith(("nmse", "subspace"))]
         assert printed == [f"{value:.6e}" for label in (mode, "full-observation")
@@ -262,9 +264,9 @@ def test_config_file_and_flags_resolve_to_the_same_spec(tmp_path, monkeypatch):
     flags = [tok for key, value in _EVERY_SETTING for tok in [f"--{key}", *value.split()]]
     from_flags = _captured_spec(monkeypatch, ["sweep", *flags, "--no-baseline"])
     assert from_flags == SweepSpec(
-        scenario=SystemConfig(n_rx=16, n_tx=40, paths=3, n_rf=5, seed=7, grid_size=48),
+        scenario=SystemConfig(n_rx=16, n_tx=40, paths=3, n_rf=5, grid_size=48),
         m_list=(3, 6, 12), snr_db_list=(-3.5, 12.0), trials=9,
-        modes=("ideal", "paper-literal"), baseline=False, workers=2)
+        modes=("ideal", "paper-literal"), baseline=False, workers=2, seed=7)
     assert _captured_spec(monkeypatch, ["sweep", "--config", str(cfg)]) == from_flags
 
 

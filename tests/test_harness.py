@@ -28,7 +28,7 @@ from twostage.pipeline import full_observation_baseline, two_stage_estimate
 
 
 def _small_scenario():
-    return SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=0)
+    return SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
 
 
 def _small_spec(**kw):
@@ -94,9 +94,12 @@ def test_spec_coerces_sequences_and_validates():
         _small_spec(workers=0)
     # a non-integral count is rejected, not truncated or kept as a float
     for field, value in (("m_list", (4.5,)), ("trials", 1.5), ("workers", 2.0),
-                         ("m_list", (True,)), ("trials", True), ("workers", True)):
+                         ("seed", 1.5), ("m_list", (True,)), ("trials", True),
+                         ("workers", True), ("seed", True)):  # True is not seed 1
         with pytest.raises(ValueError, match="must be an integer"):
             _small_spec(**{field: value})
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        _small_spec(seed=-3)
     numpy_ints = _small_spec(m_list=(np.int64(4),), trials=np.int32(2))
     assert numpy_ints.m_list == (4,) and type(numpy_ints.m_list[0]) is int
     # a repeated grid value would give two cells one CSV key; -0.0 repeats 0.0
@@ -148,23 +151,22 @@ _STREAM_KEYS = {"pseudo-inverse": 1, "paper-literal": 2, "ideal": 3, "full-obser
 
 def _replayed(spec, row):
     """The seed, nmse and subspace_dist of ``row``, rebuilt by the README recipe."""
-    cfg = spec.scenario
+    cfg, seed = spec.scenario, spec.seed
     key = (spec.snr_db_list.index(row.snr_db), spec.m_list.index(row.m), row.trial)
-    real = generate_channel(cfg, stream(cfg.seed, *key, 0))
+    real = generate_channel(cfg, stream(seed, *key, 0))
     sigma2 = noise_var_from_snr_db(row.snr_db)
-    rng = stream(cfg.seed, *key, _STREAM_KEYS[row.mode])
+    rng = stream(seed, *key, _STREAM_KEYS[row.mode])
     if row.mode == "full-observation":
         rep = full_observation_baseline(real, sigma2, rng)
     else:
         rep = two_stage_estimate(real, cfg, row.m, sigma2, rng, mode=row.mode)
-    return _trial_seed(cfg.seed, key), rep.nmse, rep.subspace_dist
+    return _trial_seed(seed, key), rep.nmse, rep.subspace_dist
 
 
 def test_every_row_replays_from_its_grid_indices_and_the_stream_keys():
     # trial key (snr index, m index, trial) under the seed, channel on key 0, each
     # estimator on its name's key: one seed per trial, distinct across trials
-    spec = _small_spec(scenario=replace(_small_scenario(), seed=4),
-                       modes=("ideal", "pseudo-inverse"))
+    spec = _small_spec(seed=4, modes=("ideal", "pseudo-inverse"))
     rows = run_sweep(spec)
     for row in rows:
         assert _replayed(spec, row) == (row.seed, row.nmse, row.subspace_dist)
@@ -193,8 +195,7 @@ def test_a_trial_builds_one_generator_per_drawing_stream_and_none_for_the_root(
         return philox(sequence)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
-    spec = _small_spec(scenario=replace(_small_scenario(), seed=4), trials=3,
-                       modes=pipeline.RECOVERY_MODES)
+    spec = _small_spec(seed=4, trials=3, modes=pipeline.RECOVERY_MODES)
     rows = harness._trial_rows(spec, 1, 0, 2)
     children = [0, 1, 2, 3, 999]  # channel, one per mode, baseline
     assert made == [(1, 0, 2, key) for key in children]

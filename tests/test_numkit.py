@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from twostage.channel import SystemConfig, generate_channel, ula_response
+from twostage.harness import SweepSpec
 from twostage.numkit import as_complex_matrix, sample_complex_gaussian, stream
 from twostage.pipeline import two_stage_estimate
 from twostage.sounding import observe
@@ -23,7 +24,7 @@ def test_as_complex_matrix_counts_nan_and_inf_entries():
                                         ((2, 3), complex(1.0, np.inf), ("block",),
                                          "block contains 2 non-finite entries")):
         bad[entry] = value
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(np.linalg.LinAlgError, match=message):
             as_complex_matrix(bad, *name)
 
 
@@ -41,7 +42,7 @@ def test_as_complex_matrix_rejects_wrong_ndim():
 
 
 def test_as_complex_matrix_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one row and one column"):
         as_complex_matrix(np.ones((0, 3)))
 
 
@@ -78,7 +79,7 @@ def test_rng_rejects_bad_seed_and_keys():
     # numpy's SeedSequence rejects a negative seed or key and a float seed or
     # key, so a float cannot be truncated onto another stream
     for seed, key in ((-1, ()), (1, (-2,))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
             stream(seed, *key)
     for seed, key in ((1.5, ()), (1.0, ()), (0, (2.7,)), (0, (2.0,))):
         with pytest.raises(TypeError):
@@ -104,7 +105,9 @@ _BLOCK = sample_complex_gaussian(stream(5), 8, 4, 1.0)
     lambda: sample_complex_gaussian(stream(0), 2.5, 3, 1.0),
     lambda: sample_complex_gaussian(stream(0), 2, 3.0, 1.0),
     lambda: observe(_BLOCK, 0.1, stream(0), 2.5),
-    lambda: SystemConfig(seed=True),  # a bool is an Integral, but not a count: not seed 1
+    # a bool is an Integral, but not a count: not seed 1
+    lambda: SweepSpec(scenario=SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2),
+                      m_list=(4,), seed=True),
     lambda: observe(_BLOCK, 0.1, stream(0), True),
 ], ids=["dictionary-grid", "dictionary-array", "ula", "two-stage-m", "omp-n_rf",
         "gaussian-rows", "gaussian-cols", "observe-n_rf", "seed-true", "observe-n_rf-true"])

@@ -29,7 +29,7 @@ def test_dft_combiner_is_unitary_with_constant_modulus(n):
 def test_inversion_solves_the_combined_signal_plus_combined_noise():
     # bitwise oracle for every bank, the DFT bank included:
     # solve(M^H, M^H (H + N)); the unitary DFT bank also matches M (M^H (H + N))
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=3)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     h_s = generate_channel(cfg, stream(3)).h[:, :4]
     noise = sample_complex_gaussian(stream(3, 1), 8, 4, 0.1)
     gaussian = sample_complex_gaussian(stream(3, 2), 8, 8, 1.0)

@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(seed):
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2, seed=seed)
+    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
     real = generate_channel(cfg, stream(seed))
     return cfg, real, two_stage_estimate(real, cfg, 4, 0.1, stream(seed, 1))
 
@@ -57,7 +57,7 @@ def test_nmse_examples():
         nmse(h, np.eye(4, dtype=complex))
     bad = h.copy()
     bad[1, 2] = np.nan
-    with pytest.raises(ValueError, match="true channel contains 1 non-finite"):
+    with pytest.raises(np.linalg.LinAlgError, match="true channel contains 1 non-finite"):
         nmse(bad, h)
 
 
@@ -99,7 +99,7 @@ def test_noiseless_recovery_is_exact_at_scale():
 def test_stage1_equals_sounding_and_inverting_through_any_bank(m):
     # the estimate forms H_S + N directly; sounding the same noise through
     # the DFT bank or a Gaussian bank and inverting gives the same stage 1
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, seed=6)
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
     real = generate_channel(cfg, stream(6))
     report = two_stage_estimate(real, cfg, m, 0.1, stream(6, 1))
     noise = sample_complex_gaussian(stream(6, 1), 32, m, 0.1)  # replayed
@@ -116,7 +116,7 @@ def test_ideal_mode_is_no_upper_bound_at_low_snr():
     # exact-PCA sounder of ``ideal`` does worse than the designed hybrid sounder
     gaps = []
     for seed in range(60):
-        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6, seed=seed)
+        cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
         real = generate_channel(cfg, stream(seed))
         ideal, pinv = (two_stage_estimate(real, cfg, 8, 1.0, stream(seed, 1), mode)
                        for mode in ("ideal", "pseudo-inverse"))
