@@ -13,9 +13,10 @@ import os
 import pickle
 import signal
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,9 +93,8 @@ class SweepSpec:
                     raise ValueError(f"{name} repeats {value!r}")
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One (grid point, trial, mode) outcome."""
+class SweepRow(NamedTuple):
+    """One (grid point, trial, mode) outcome, its fields in CSV column order."""
 
     snr_db: float
     m: int
@@ -106,15 +106,12 @@ class SweepRow:
     seed: int
 
 
-CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
-# a row's values in CSV column order
-_ROW_VALUES = attrgetter(*(f.name for f in fields(SweepRow)))
+CSV_HEADER = ",".join(SweepRow._fields)
 # the canonical row order, shared by the sweep and the CSV
 _ROW_ORDER = attrgetter("snr_db", "m", "trial", "mode")
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
     """Per (snr, m, mode) mean and standard error of both metrics."""
 
     snr_db: float
@@ -251,7 +248,7 @@ def _fmt(value):
 def rows_to_csv(rows):
     lines = [CSV_HEADER]
     for r in sorted(rows, key=_ROW_ORDER):
-        lines.append(",".join(map(_fmt, _ROW_VALUES(r))))
+        lines.append(",".join(map(_fmt, r)))
     return "\n".join(lines) + "\n"
 
 

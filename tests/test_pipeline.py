@@ -216,7 +216,7 @@ def test_the_readme_table_prints_the_reference_sweep(reference_rows, reference_c
     # three significant digits resolve a 1% shift of any one cell mean
     for key, cell in reference_cells.items():
         for name in ("nmse_mean", "subspace_dist_mean"):
-            shifted = dataclasses.replace(cell, **{name: getattr(cell, name) * 1.01})
+            shifted = cell._replace(**{name: getattr(cell, name) * 1.01})
             assert _table_rows({**reference_cells, key: shifted}, uses) != table, key
 
 
@@ -447,6 +447,22 @@ def test_a_two_stage_estimate_of_every_column_is_the_baseline(snr_db):
         assert every.h_hat.tobytes() == floor.h_hat.tobytes()
         assert (every.nmse, every.subspace_dist) == (floor.nmse, floor.subspace_dist)
         assert (every.channel_uses_total, floor.channel_uses_total) == (768, 4096)
+
+
+def test_the_baseline_sits_at_the_parameter_count_floor_at_high_snr():
+    # to first order in the noise, a rank-L truncation of H + N keeps sigma^2 per
+    # parameter of the rank-L channel: NMSE ~ sigma^2 dof / ||H||^2, paired per channel;
+    # at 40 dB the second-order excess is well inside a standard error (at 30 dB it is
+    # about two, which three standard errors would barely hold)
+    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
+    sigma2 = noise_var_from_snr_db(40.0)
+    diffs = []
+    for trial in range(400):
+        real = generate_channel(cfg, stream(0, trial, 0))
+        floor = full_observation_baseline(real, sigma2, stream(0, trial, 999))
+        diffs.append(floor.nmse - sigma2 * cfg.dof / np.linalg.norm(real.h) ** 2)
+    stderr = np.std(diffs, ddof=1) / math.sqrt(len(diffs))
+    assert abs(np.mean(diffs)) <= 3 * stderr, (np.mean(diffs), stderr)
 
 
 # -------------------------------------------------------------- corner configs
