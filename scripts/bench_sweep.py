@@ -12,12 +12,14 @@ The file merges three things, each as its command prints it, all at seed 0:
 - the wall time and summary line of the tier-1 suite, ``python3 -m pytest -q``
   (``tier1``).
 
-It only reads bench/run.py's output. Exits 1 if a benchmark run fails its gate or
-the suite fails.
+It only reads bench/run.py's output. Exits 1 if a benchmark run fails its gate,
+the suite fails, or the written file lacks a finite value of an end-to-end metric
+that BENCHMARK.json declares, for any workload it declares.
 """
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -44,6 +46,20 @@ def _bench(seconds, trace):
     _, lines = _run(sys.executable, "bench/run.py", "--workload", "all", "--seed", "0",
                     "--seconds", str(seconds), "--trace", str(trace))
     return lines
+
+
+def _unwritten(path):
+    """BENCHMARK.json's workload/metric pairs with no finite end-to-end value in ``path``."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = json.loads(path.read_text())["workloads"]
+    missing = []
+    for workload in declared["workloads"]:
+        written = workloads.get(workload["name"], {}).get("end_to_end", {})
+        for metric in declared["end_to_end"]:
+            value = written.get(metric["name"], {}).get("value")
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                missing.append(f"{workload['name']}/{metric['name']}")
+    return missing
 
 
 def main(argv=None):
@@ -75,8 +91,11 @@ def main(argv=None):
         status, out = _run(sys.executable, "-m", "pytest", "-q")
         report["tier1"] = {"wall_s": time.perf_counter() - start, "summary": out[-1]}
         passed = passed and status == 0
-    (ROOT / "BENCH_sweep.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    return 0 if passed else 1
+    path = ROOT / "BENCH_sweep.json"
+    path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    if missing := _unwritten(path):
+        sys.stderr.write(f"bench_sweep: no finite value for {', '.join(missing)}\n")
+    return 0 if passed and not missing else 1
 
 
 if __name__ == "__main__":

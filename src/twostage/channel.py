@@ -48,7 +48,7 @@ class SystemConfig:
         if self.grid_size is None:
             object.__setattr__(self, "grid_size", 2 * self.n_rx)
         for name in ("n_rx", "n_tx", "paths", "n_rf", "grid_size"):
-            as_integer(getattr(self, name), name)
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.n_rx < 1 or self.n_tx < 1:
             raise ValueError("array sizes must be positive")
         if self.n_rf < 2:

@@ -74,17 +74,17 @@ class SweepSpec:
         for m in self.m_list:
             if not paths <= m <= n_tx:
                 raise ValueError(f"m={m} must satisfy {paths} <= m <= {n_tx}")
-        if as_integer(self.trials, "trials") < 1:
-            raise ValueError("need at least one trial")
+        for name, least, error in (("trials", 1, "need at least one trial"),
+                                   ("workers", 1, "worker count must be positive"),
+                                   ("seed", 0, "seed must be non-negative")):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+            if getattr(self, name) < least:
+                raise ValueError(error)
         if not self.modes:
             raise ValueError("need at least one recovery mode")
         for mode in self.modes:
             if mode not in RECOVERY_MODES:
                 raise ValueError(f"unknown recovery mode {mode!r}")
-        if as_integer(self.workers, "workers") < 1:
-            raise ValueError("worker count must be positive")
-        if as_integer(self.seed, "seed") < 0:
-            raise ValueError("seed must be non-negative")
         # a repeated grid value would put two cells under one CSV key
         for name in ("snr_db_list", "m_list", "modes"):
             values = getattr(self, name)

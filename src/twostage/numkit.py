@@ -56,7 +56,7 @@ def sample_complex_gaussian(rng, rows, cols, variance):
     rows, cols = as_integer(rows, "rows"), as_integer(cols, "cols")
     if rows < 1 or cols < 1:
         raise ValueError("matrix dimensions must be positive")
-    if not math.isfinite(variance) or variance < 0:
+    if isinstance(variance, (bool, np.bool_)) or not math.isfinite(variance) or variance < 0:
         raise ValueError(
             f"noise variance must be finite and non-negative, got {variance}")
     scale = math.sqrt(variance / 2.0)

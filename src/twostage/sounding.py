@@ -29,7 +29,7 @@ def observe(block, sigma2, rng, n_rf, w=None):
     uses = cols * math.ceil((rows if w is None else w.shape[1]) / n_rf)
     if w is None:  # the sampler checks sigma2 before it draws
         return block + sample_complex_gaussian(rng, rows, cols, sigma2), uses
-    if not math.isfinite(sigma2) or sigma2 < 0:
+    if isinstance(sigma2, (bool, np.bool_)) or not math.isfinite(sigma2) or sigma2 < 0:
         raise ValueError(f"noise variance must be finite and non-negative, got {sigma2}")
     if w.shape[0] != rows:
         raise ValueError("combiner rows must match the array size")

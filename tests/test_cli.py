@@ -58,9 +58,6 @@ _REJECTED = [
                  id="sweep-repeated-snr"),
     pytest.param("sweep --snr-db nan --out {tmp}/rows.csv", None,
                  "SNR nan dB gives no finite noise variance", id="sweep-nan-snr"),
-    pytest.param("sweep --snr-db -4000 --out {tmp}/rows.csv", None,
-                 "SNR -4000.0 dB gives no finite noise variance",
-                 id="sweep-overflowing-snr"),
     pytest.param("sweep --out {tmp}/no/dir/rows.csv", None,
                  "--out {tmp}/no/dir/rows.csv is not a file in an existing directory",
                  id="sweep-out-in-a-missing-directory"),
@@ -74,9 +71,6 @@ _REJECTED = [
                  id="sweep-negative-seed"),
     pytest.param("estimate --snr-db nan", None,
                  "SNR nan dB gives no finite noise variance", id="estimate-nan-snr"),
-    pytest.param("estimate --snr-db -4000", None,
-                 "SNR -4000.0 dB gives no finite noise variance",
-                 id="estimate-overflowing-snr"),
     pytest.param("estimate --paths 4 --m 2", None, "m=2 must satisfy 4 <= m <= 128",
                  id="estimate-fewer-columns-than-paths"),
     pytest.param("estimate --seed -1", None, "seed must be non-negative",

@@ -39,7 +39,7 @@ def test_observation_is_the_combined_channel_plus_the_drawn_noise(rows, cols, ra
 def test_a_bad_noise_variance_is_rejected_before_any_draw(combined):
     block = sample_complex_gaussian(stream(3), 8, 4, 1.0)
     w = block[:, :2] if combined else None
-    for bad in (-0.1, math.nan, math.inf):
+    for bad in (-0.1, math.nan, math.inf, True, np.True_):  # float(True) would be 1.0
         rng = stream(1)
         with pytest.raises(ValueError, match="finite and non-negative"):
             observe(block, bad, rng, 2, w)

@@ -235,31 +235,21 @@ def _per_column_reference(h, w, sigma2, rng, mode):
 
 
 def test_recovery_matches_an_independent_projector_computation():
+    # W W^+ (H + N) through a W that is not orthonormal; without noise, columns
+    # in col(W) come back exactly and columns orthogonal to it as zero
     h, _ = _column_setup(30)
-    w = sample_complex_gaussian(stream(30, 2), 8, 2, 1.0)  # not orthonormal
+    w = sample_complex_gaussian(stream(30, 2), 8, 2, 1.0)
     y, _ = observe(h[:, 1:2], 0.3, stream(31), 2, w)
     est = recover_block(y, w)
     noise = sample_complex_gaussian(stream(31), 8, 1, 0.3)[:, 0]
     oracle = (w @ np.linalg.pinv(w)) @ (h[:, 1] + noise)
     assert est.shape == (8, 1)
     np.testing.assert_allclose(est[:, 0], oracle, atol=1e-9)
-
-
-def test_in_span_columns_are_exact_without_noise():
-    _, w = _column_setup(32)
-    coeffs = sample_complex_gaussian(stream(33), 2, 3, 1.0)
-    h = w @ coeffs
-    y = w.conj().T @ h
-    for est in (recover_block(y, w), w @ y):  # the least-squares fit and W y
-        np.testing.assert_allclose(est, h, atol=1e-10)
-
-
-def test_columns_orthogonal_to_the_combiner_recover_as_zero():
-    _, w = _column_setup(38)
-    full = np.linalg.svd(np.column_stack([w, w]))[0]
-    h = full[:, 2:]  # orthogonal complement of col(w)
-    est = recover_block(w.conj().T @ h, w)
-    np.testing.assert_allclose(est, np.zeros((8, 6)), atol=1e-10)
+    in_span = w @ sample_complex_gaussian(stream(33), 2, 3, 1.0)
+    outside = np.linalg.svd(w)[0][:, 2:]  # an orthonormal basis of col(W)'s complement
+    for block, expected in ((in_span, in_span), (outside, np.zeros((8, 6)))):
+        np.testing.assert_allclose(recover_block(w.conj().T @ block, w), expected,
+                                   atol=1e-10)
 
 
 def test_modes_agree_only_for_orthonormal_combiners():
