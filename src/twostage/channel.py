@@ -10,8 +10,6 @@ uniformly on (0, 2*pi) and path gains are unit-variance complex Gaussians, so
 the expected total channel energy is n_rx * n_tx.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from dataclasses import dataclass, field

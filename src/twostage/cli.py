@@ -1,7 +1,5 @@
 """Command line front end: single-run estimates and Monte Carlo sweeps."""
 
-from __future__ import annotations
-
 import argparse
 import dataclasses
 import os

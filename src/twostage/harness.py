@@ -6,8 +6,6 @@ other modes listed, and a spec's CSV is byte-identical, serial or parallel. A tr
 np.linalg.LinAlgError becomes a tagged row, not a drop; any other exception stops the sweep.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import pickle
@@ -57,6 +55,7 @@ class SweepSpec:
     def __post_init__(self):
         if not isinstance(self.baseline, (bool, np.bool_)):  # "no" is truthy
             raise ValueError(f"baseline must be a bool, got {self.baseline!r}")
+        object.__setattr__(self, "baseline", bool(self.baseline))
         for name in ("snr_db_list", "m_list", "modes"):  # a string is one value per character
             if isinstance(value := getattr(self, name), str):
                 raise ValueError(f"{name} must be a sequence, not the string {value!r}")

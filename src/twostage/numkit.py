@@ -9,8 +9,6 @@ sweep gives each estimator, so Monte Carlo trials stay reproducible and
 independent of execution order.
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 

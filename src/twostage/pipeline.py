@@ -1,7 +1,5 @@
 """End-to-end two-stage estimator, its metrics, and the genie baseline."""
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 

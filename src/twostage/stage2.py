@@ -10,8 +10,6 @@ that product, the target's projection onto the picked atoms, so no digital
 part is ever formed; a caller that wants it fits ``lstsq(analog, product)``.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from dataclasses import dataclass, field

@@ -1,7 +1,5 @@
 """Column-subspace estimation from the sounded block and its diagnostics."""
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass, field
 

@@ -118,7 +118,8 @@ def test_spec_rejects_a_baseline_that_is_not_a_bool(bad):
     # any truthy value would run the baseline, "no" among them
     with pytest.raises(ValueError, match="baseline must be a bool"):
         _small_spec(baseline=bad)
-    assert _small_spec(baseline=np.bool_(False)).baseline == np.False_
+    baseline = _small_spec(baseline=np.bool_(False)).baseline
+    assert type(baseline) is bool and not baseline  # kept as a bool json.dumps can write
 
 
 @pytest.mark.parametrize("field, value", [("snr_db_list", "10"), ("m_list", "48"),
@@ -130,16 +131,6 @@ def test_spec_rejects_a_bare_string_for_a_grid(field, value):
 
 
 # --------------------------------------------------------------------- sweep
-
-
-def test_sweep_emits_one_row_per_trial_mode_and_baseline():
-    rows = run_sweep(_small_spec())
-    assert len(rows) == 2 * 2 * 3 * (2 + 1)
-    keys = [(r.snr_db, r.m, r.trial, r.mode) for r in rows]
-    assert keys == sorted(keys)
-    modes = {r.mode for r in rows}
-    assert modes == {"pseudo-inverse", "ideal", "full-observation"}
-    assert all(np.isfinite(r.nmse) for r in rows)
 
 
 def _trial_seed(seed, key):
@@ -170,6 +161,11 @@ def test_every_row_replays_from_its_grid_indices_and_the_stream_keys():
     # estimator on its name's key: one seed per trial, distinct across trials
     spec = _small_spec(seed=4, modes=("ideal", "pseudo-inverse"))
     rows = run_sweep(spec)
+    # one row per grid point, trial, mode and the floor, in CSV order
+    assert len(rows) == 2 * 2 * 3 * (2 + 1)
+    keys = [(r.snr_db, r.m, r.trial, r.mode) for r in rows]
+    assert keys == sorted(keys)
+    assert {r.mode for r in rows} == {"ideal", "pseudo-inverse", "full-observation"}
     for row in rows:
         assert _replayed(spec, row) == (row.seed, row.nmse, row.subspace_dist)
     seeds = {(row.snr_db, row.m, row.trial): row.seed for row in rows}
@@ -218,51 +214,41 @@ def _raise(exc_type):
     return estimator
 
 
-def test_failed_trials_become_tagged_rows_not_drops(monkeypatch):
-    # a numerical failure inside the estimator must surface as a tagged row
-    monkeypatch.setattr(harness, "two_stage_estimate", _raise(np.linalg.LinAlgError))
-    spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=2,
-                       modes=("pseudo-inverse",), baseline=False)
-    rows = run_sweep(spec)
-    assert len(rows) == 2
-    assert all(r.mode == "pseudo-inverse#error:LinAlgError" for r in rows)
-    assert all(math.isnan(r.nmse) and math.isnan(r.subspace_dist) for r in rows)
-    assert all(r.channel_uses == 0 for r in rows)
-
-
-def test_a_failed_baseline_becomes_a_tagged_row_beside_finite_modes(monkeypatch):
-    # modes and baseline share one error path; the floor's failure leaves the
-    # mode rows of its trial as they are without the floor
-    spec = _small_spec(m_list=(4,), trials=1, modes=pipeline.RECOVERY_MODES)
-    expected = harness._trial_rows(replace(spec, baseline=False), 0, 0, 0)
-    monkeypatch.setattr(harness, "full_observation_baseline",
-                        _raise(np.linalg.LinAlgError))
-    *modes, floor = harness._trial_rows(spec, 0, 0, 0)
-    assert modes == expected
-    assert all(math.isfinite(r.nmse) and math.isfinite(r.subspace_dist) for r in modes)
-    assert floor.mode == "full-observation#error:LinAlgError"
-    assert math.isnan(floor.nmse) and math.isnan(floor.subspace_dist)
-    assert floor.channel_uses == 0
-
-
-def test_a_non_finite_stage_body_output_becomes_a_tagged_row(monkeypatch):
-    # the stage functions run unchecked inside a trial; the estimate's own check
-    # in nmse turns a NaN column into an error row, not an untagged NaN row
-    recover = pipeline.recover_block
-
-    def nan_column(*args, **kwargs):
+def _nan_column(recover):
+    def recover_with_a_nan_column(*args, **kwargs):
         out = recover(*args, **kwargs)
         out[:, 2] = np.nan
         return out
+    return recover_with_a_nan_column
 
-    monkeypatch.setattr(pipeline, "recover_block", nan_column)
+
+@pytest.mark.parametrize("module, name, patch, tagged", [
+    pytest.param(harness, "two_stage_estimate", lambda fn: _raise(np.linalg.LinAlgError),
+                 pipeline.RECOVERY_MODES, id="estimate"),
+    pytest.param(harness, "full_observation_baseline",
+                 lambda fn: _raise(np.linalg.LinAlgError), ("full-observation",),
+                 id="baseline"),
+    # the stage functions run unchecked inside a trial; the estimate's own check
+    # in nmse turns a NaN column into an error row, not an untagged NaN row
+    pytest.param(pipeline, "recover_block", _nan_column, ("pseudo-inverse",),
+                 id="stage-body-output"),
+])
+def test_a_numerical_failure_becomes_a_tagged_row_beside_the_trials_others(
+        monkeypatch, module, name, patch, tagged):
+    # a LinAlgError tags its own row, not a drop; modes and the floor share one
+    # error path, and the trial's other rows stay as they are without it
     spec = _small_spec(snr_db_list=(10.0,), m_list=(4,), trials=1,
-                       modes=("pseudo-inverse",))
-    error, baseline = harness._trial_rows(spec, 0, 0, 0)
-    assert error.mode == "pseudo-inverse#error:LinAlgError"
-    assert math.isnan(error.nmse) and math.isnan(error.subspace_dist)
-    assert error.channel_uses == 0
-    assert baseline.mode == "full-observation" and math.isfinite(baseline.nmse)
+                       modes=pipeline.RECOVERY_MODES)
+    expected = harness._trial_rows(spec, 0, 0, 0)
+    monkeypatch.setattr(module, name, patch(getattr(module, name)))
+    rows = harness._trial_rows(spec, 0, 0, 0)
+    for row, clean in zip(rows, expected, strict=True):
+        if clean.mode in tagged:
+            assert row[:4] == (*clean[:3], f"{clean.mode}#error:LinAlgError")
+            assert math.isnan(row.nmse) and math.isnan(row.subspace_dist)
+            assert (row.channel_uses, row.seed) == (0, clean.seed)
+        else:
+            assert row == clean and math.isfinite(row.nmse)
 
 
 @pytest.mark.parametrize("name, exc_type", [
@@ -440,9 +426,10 @@ def test_summary_mean_and_stderr_are_textbook():
     rows = [SweepRow(0.0, 4, t, "ideal", a, b, 44, t)
             for t, (a, b) in enumerate(zip(nmse, dist))]
     rows.append(SweepRow(0.0, 8, 0, "ideal", 0.4, 0.6, 48, 9))
+    rows += [SweepRow(0.0, 16, t, "ideal", 0.1, 0.3, 56, t) for t in range(2)]
     rows += [SweepRow(0.0, 4, t, "ideal#error:ValueError", math.nan, math.nan, 0, t)
              for t in (5, 6)]
-    five, failed, single = summarize(rows)
+    five, failed, single, same = summarize(rows)
     assert (five.m, five.mode, five.count) == (4, "ideal", 5)
     for mean, stderr, values in ((five.nmse_mean, five.nmse_stderr, nmse),
                                  (five.subspace_dist_mean, five.subspace_dist_stderr,
@@ -452,6 +439,9 @@ def test_summary_mean_and_stderr_are_textbook():
     assert (single.m, single.count) == (8, 1)
     assert (single.nmse_mean, single.subspace_dist_mean) == (0.4, 0.6)
     assert single.nmse_stderr == single.subspace_dist_stderr == 0.0
+    # identical rows have exactly zero spread
+    assert (same.m, same.count, same.nmse_mean) == (16, 2, pytest.approx(0.1))
+    assert same.nmse_stderr == same.subspace_dist_stderr == 0.0
     assert (failed.mode, failed.count) == ("ideal#error:ValueError", 2)
     assert all(math.isnan(v) for v in (failed.nmse_mean, failed.nmse_stderr,
                                        failed.subspace_dist_mean,
@@ -460,17 +450,10 @@ def test_summary_mean_and_stderr_are_textbook():
         summarize([])
 
 
-def test_summary_identical_rows_have_zero_stderr():
-    rows = [SweepRow(0.0, 4, t, "ideal", 0.1, 0.3, 44, 7) for t in range(2)]
-    s, = summarize(rows)
-    assert s.nmse_stderr == 0.0
-    assert s.nmse_mean == pytest.approx(0.1)
-
-
 # ----------------------------------------------------------------------- csv
 
 
-def test_csv_layout_and_float_format():
+def test_csv_layout_and_float_format(tmp_path):
     rows = [SweepRow(10.0, 4, 0, "ideal", 1 / 3, 0.5, 44, 7),
             SweepRow(-10.0, 8, 3, "pseudo-inverse#error:ValueError", math.nan, math.nan,
                      0, 12),
@@ -485,25 +468,5 @@ def test_csv_layout_and_float_format():
         "10,4,0,ideal,0.33333333333333331,0.5,44,7",
     ]
     assert text.endswith("\n")
-
-
-def test_csv_floats_round_trip_exactly():
-    rows = run_sweep(_small_spec(trials=2))
-    lines = rows_to_csv(rows).splitlines()[1:]
-    for row, line in zip(rows, lines):
-        cells = line.split(",")
-        assert float(cells[4]) == row.nmse
-        assert float(cells[5]) == row.subspace_dist
-
-
-def test_csv_is_sorted_no_matter_the_input_order():
-    rows = run_sweep(_small_spec(trials=2))
-    shuffled = list(reversed(rows))
-    assert rows_to_csv(shuffled) == rows_to_csv(rows)
-
-
-def test_written_file_matches_the_rendering(tmp_path):
-    rows = run_sweep(_small_spec(trials=1))
-    path = tmp_path / "rows.csv"
-    write_rows(rows, path)
-    assert path.read_text(encoding="ascii") == rows_to_csv(rows)
+    write_rows(rows, tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_text(encoding="ascii") == text

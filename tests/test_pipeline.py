@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import itertools
 import math
@@ -29,7 +28,6 @@ from twostage.pipeline import (
     nmse,
     two_stage_estimate,
 )
-from twostage.stage2 import recover_block
 from twostage.subspace import estimate_stage1
 
 from oracles import dft_combiner, sound_and_invert_block
@@ -55,26 +53,16 @@ def test_nmse_examples():
         nmse(np.zeros_like(h), h)
     with pytest.raises(ValueError, match="shape"):
         nmse(h, np.eye(4, dtype=complex))
+    # a sweep turns only np.linalg.LinAlgError into an error row
     bad = h.copy()
     bad[1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="true channel contains 1 non-finite"):
         nmse(bad, h)
-
-
-def test_numerical_rejections_are_linalg_errors():
-    # a sweep turns only np.linalg.LinAlgError into an error row
-    h = np.eye(3, dtype=complex)
-    bad = h.copy()
-    bad[1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="estimate contains 1 non-finite"):
         nmse(h, bad)
     # an error energy that overflows float64 comes back inf, with no warning
     with pytest.raises(np.linalg.LinAlgError, match="NMSE is not finite"):
         nmse(np.ones((4, 6)), 1e200 * np.ones((4, 6)))
-    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-        recover_block(np.ones((2, 3)), np.ones((8, 2)))
-    with pytest.raises(np.linalg.LinAlgError, match="subspace distance is not finite"):
-        subspace.subspace_distance(h[:, 1:], bad[:, 1:])
 
 
 # ----------------------------------------------------------- exact regimes
@@ -284,25 +272,6 @@ def test_a_reference_trial_checks_each_array_once(monkeypatch):
 # ------------------------------------------------------------------- budget
 
 
-def test_channel_use_accounting_at_the_reference_scale():
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=8)
-    real = generate_channel(cfg, stream(9))
-    report = two_stage_estimate(real, cfg, 8, 0.0, stream(9, 1), mode="ideal")
-    assert report.channel_uses_stage1 == 32
-    assert report.channel_uses_stage2 == 120
-    assert report.channel_uses_total == 152
-    assert cfg.dof == 624
-    assert report.channel_uses_total < cfg.dof
-
-    # 32 rows in 6-row uses: 6 uses per column, the last one partial
-    cfg = SystemConfig(n_rx=32, n_tx=128, paths=4, n_rf=6)
-    real = generate_channel(cfg, stream(9))
-    report = two_stage_estimate(real, cfg, 8, 0.0, stream(9, 1), mode="ideal")
-    assert report.channel_uses_stage1 == 48
-    assert report.channel_uses_total == 168
-    assert report.channel_uses_total < cfg.dof
-
-
 def _uses(cfg, m):
     # what observe counts for the m sounded columns, then the rest through L columns
     h, rng = np.zeros((cfg.n_rx, cfg.n_tx), dtype=complex), stream(0)
@@ -343,78 +312,65 @@ def test_budget_boundary_cases_are_documented():
 # ------------------------------------------------------------- report fields
 
 
-def test_reports_are_deterministic_and_seed_sensitive():
-    cfg, _, a = _run(11)
-    _, _, b = _run(11)
-    _, _, c = _run(12)
-    assert a.h_hat.shape == (cfg.n_rx, cfg.n_tx)
-    np.testing.assert_array_equal(a.h_hat, b.h_hat)
-    assert a.nmse == b.nmse
-    assert not np.array_equal(a.h_hat, c.h_hat)
-
-
 def test_results_holding_arrays_compare_and_hash_by_identity():
-    # generated value equality would compare the arrays and raise; the
-    # scenario and sweep types hold no arrays and keep value equality
+    # a report is deterministic given its seed and moves with it; generated value
+    # equality would compare the arrays and raise, so reports and realizations
+    # compare by identity, while the scenario and sweep types hold no arrays and
+    # keep value equality
     cfg, real, a = _run(14)
     _, _, b = _run(14)
+    _, _, c = _run(15)
+    assert a.h_hat.shape == (cfg.n_rx, cfg.n_tx)
     np.testing.assert_array_equal(a.h_hat, b.h_hat)
+    assert a.nmse == b.nmse and not np.array_equal(a.h_hat, c.h_hat)
     assert a == a and a != b
     assert len({a, b, real, a}) == 3
     assert cfg == dataclasses.replace(cfg) and hash(cfg) == hash(dataclasses.replace(cfg))
 
 
-def test_an_unknown_mode_is_rejected():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, stream(15))
-    with pytest.raises(ValueError, match="unknown recovery mode"):
-        two_stage_estimate(real, cfg, 4, 0.1, stream(0), mode="oracle")
+_SMALL = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
+_REAL = generate_channel(_SMALL, stream(16))
 
 
-def test_estimate_rejects_bad_sampled_column_counts_and_noise():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, stream(16))
-    with pytest.raises(ValueError, match="m="):
-        two_stage_estimate(real, cfg, 1, 0.1, stream(0))  # below the path count
-    with pytest.raises(ValueError, match="m="):
-        two_stage_estimate(real, cfg, 17, 0.1, stream(0))  # beyond the transmit array
-    for bad in (-0.5, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            two_stage_estimate(real, cfg, 4, bad, stream(0))
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            full_observation_baseline(real, bad, stream(0))
-    for m in (2, 16):  # both ends of the range are admitted
-        assert np.isfinite(two_stage_estimate(real, cfg, m, 0.1, stream(0)).nmse)
+def _two_stage(real=_REAL, m=4, sigma2=0.1, mode="pseudo-inverse"):
+    return lambda rng: two_stage_estimate(real, _SMALL, m, sigma2, rng, mode)
 
 
-def test_estimate_rejects_a_realization_of_another_shape():
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, stream(46))
-    three = generate_channel(dataclasses.replace(cfg, paths=3, n_rf=3), stream(46))
-    for other, match in ((dataclasses.replace(real, h=real.h[:, :3]), "does not match"),
-                         (dataclasses.replace(real, h=real.h[:4]), "does not match"),
-                         (three, "with 3 paths does not match the 8 x 16 scenario with 2")):
-        rng = stream(0)
-        before = copy.deepcopy(rng.bit_generator.state)
-        with pytest.raises(ValueError, match=match):
-            two_stage_estimate(other, cfg, 2, 0.0, rng)
-        np.testing.assert_equal(rng.bit_generator.state, before)  # rejected before any draw
+def _with_h(h):
+    return dataclasses.replace(_REAL, h=h)
 
 
-@pytest.mark.parametrize("column", [3, 12], ids=["sounded", "remaining"])
-def test_a_non_finite_channel_is_rejected_before_any_draw(column):
-    cfg = SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2)
-    real = generate_channel(cfg, stream(47))
-    h = real.h.copy()
+def _nan_in_column(column):
+    h = _REAL.h.copy()
     h[5, column] = np.nan
-    real = dataclasses.replace(real, h=h)
-    for estimate in (lambda rng: two_stage_estimate(real, cfg, 4, 0.1, rng),
-                     lambda rng: full_observation_baseline(real, 0.1, rng)):
-        rng = stream(0)
-        before = copy.deepcopy(rng.bit_generator.state)
-        with pytest.raises(ValueError, match="channel contains 1 non-finite"):
-            estimate(rng)
-        np.testing.assert_equal(rng.bit_generator.state, before)
+    return _with_h(h)
+
+
+@pytest.mark.parametrize("estimate, match", [
+    (_two_stage(mode="oracle"), "unknown recovery mode"),
+    # both ends of the range are admitted: m = L in the noiseless recovery test,
+    # m = N_t in the test of a two-stage estimate of every column
+    (_two_stage(m=1), "m=1 must satisfy"),
+    (_two_stage(m=17), "m=17 must satisfy"),
+    # one noise variance each; test_sounding tabulates the rejected values
+    (_two_stage(sigma2=math.nan), "finite and non-negative"),
+    (lambda rng: full_observation_baseline(_REAL, -0.5, rng), "finite and non-negative"),
+    (_two_stage(_with_h(_REAL.h[:, :3])), "does not match"),
+    (_two_stage(_with_h(_REAL.h[:4])), "does not match"),
+    (_two_stage(generate_channel(dataclasses.replace(_SMALL, paths=3, n_rf=3), stream(46))),
+     "with 3 paths does not match the 8 x 16 scenario with 2"),
+    (_two_stage(_nan_in_column(3)), "channel contains 1 non-finite"),
+    (_two_stage(_nan_in_column(12)), "channel contains 1 non-finite"),
+    (lambda rng: full_observation_baseline(_nan_in_column(12), 0.1, rng),
+     "channel contains 1 non-finite"),
+], ids=["unknown-mode", "m-below-the-path-count", "m-beyond-the-transmit-array",
+        "estimate-noise", "baseline-noise", "fewer-columns", "fewer-rows", "more-paths",
+        "estimate-nan-sounded", "estimate-nan-remaining", "baseline-nan"])
+def test_a_rejected_estimate_raises_before_any_draw(estimate, match):
+    rng = stream(0)
+    with pytest.raises(ValueError, match=match):
+        estimate(rng)
+    np.testing.assert_equal(rng.bit_generator.state, stream(0).bit_generator.state)
 
 
 # ----------------------------------------------------------------- baseline

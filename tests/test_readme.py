@@ -35,7 +35,7 @@ def test_readme_layout_states_the_source_line_count():
     lines = sum(len(path.read_text().splitlines())
                 for path in (ROOT / "src" / "twostage").glob("*.py"))
     assert int(stated.group(1).replace(",", "")) == lines
-    assert lines <= 1052  # the line budget in ROADMAP.md
+    assert lines <= 1039  # the line budget in ROADMAP.md
 
 
 def test_each_test_module_is_named_for_the_module_it_tests():

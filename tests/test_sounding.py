@@ -68,7 +68,9 @@ def test_uses_count_the_chains_each_column_needs():
     h = generate_channel(cfg, stream(9)).h
     w = h[:, :4]
     for n_rf, stage1 in ((6, 48), (8, 32)):
-        assert observe(h[:, :8], 0.1, stream(1), n_rf)[1] == stage1
-        assert observe(h[:, 8:], 0.1, stream(1), n_rf, w)[1] == 120
+        uses = (observe(h[:, :8], 0.1, stream(1), n_rf)[1],
+                observe(h[:, 8:], 0.1, stream(1), n_rf, w)[1])
+        assert uses == (stage1, 120)
+        assert sum(uses) < cfg.dof  # 168 and 152 uses for 624 parameters
     assert observe(h, 0.1, stream(1), 1)[1] == 32 * 128
     assert observe(h[:, 8:], 0.1, stream(1), 3, w)[1] == 2 * 120
