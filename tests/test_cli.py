@@ -228,15 +228,18 @@ def test_cli_estimate_floor_draws_on_the_sweep_baseline_key(capsys):
 _DEFAULT_SPEC = SweepSpec(scenario=SystemConfig())
 
 
+def test_cli_sweep_defaults_are_the_dataclass_defaults(monkeypatch):
+    assert _captured_spec(monkeypatch, ["sweep"]) == _DEFAULT_SPEC
+
+
 def test_reference_sweep_config_resolves_to_the_default_spec(tmp_path, monkeypatch):
-    # a bare `twostage sweep` sweeps the dataclass defaults; bench/ sweeps this
-    # file, which spells out every default. A copy saved with a UTF-8
-    # byte-order mark, as some editors write one, reads the same
+    # bench/ sweeps this file; it spells out every default. A copy saved with a
+    # UTF-8 byte-order mark, as some editors write one, reads the same
     path = ROOT / "scripts" / "reference_sweep.cfg"
     bom = tmp_path / "bom.cfg"
     bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-    for argv in ([], ["--config", str(path)], ["--config", str(bom)]):
-        assert _captured_spec(monkeypatch, ["sweep", *argv]) == _DEFAULT_SPEC, argv
+    for cfg in (path, bom):
+        assert _captured_spec(monkeypatch, ["sweep", "--config", str(cfg)]) == _DEFAULT_SPEC
 
 
 # every sweep setting off its default, once as flags and once as config lines

@@ -133,6 +133,16 @@ def test_spec_rejects_a_bare_string_for_a_grid(field, value):
 # --------------------------------------------------------------------- sweep
 
 
+def test_sweep_emits_one_row_per_trial_mode_and_baseline():
+    rows = run_sweep(_small_spec())
+    assert len(rows) == 2 * 2 * 3 * (2 + 1)
+    keys = [(r.snr_db, r.m, r.trial, r.mode) for r in rows]
+    assert keys == sorted(keys)
+    modes = {r.mode for r in rows}
+    assert modes == {"pseudo-inverse", "ideal", "full-observation"}
+    assert all(np.isfinite(r.nmse) for r in rows)
+
+
 def _trial_seed(seed, key):
     """A trial's CSV seed: the first 32-bit word of its SeedSequence."""
     return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, dtype=np.uint32)[0])
@@ -161,11 +171,6 @@ def test_every_row_replays_from_its_grid_indices_and_the_stream_keys():
     # estimator on its name's key: one seed per trial, distinct across trials
     spec = _small_spec(seed=4, modes=("ideal", "pseudo-inverse"))
     rows = run_sweep(spec)
-    # one row per grid point, trial, mode and the floor, in CSV order
-    assert len(rows) == 2 * 2 * 3 * (2 + 1)
-    keys = [(r.snr_db, r.m, r.trial, r.mode) for r in rows]
-    assert keys == sorted(keys)
-    assert {r.mode for r in rows} == {"ideal", "pseudo-inverse", "full-observation"}
     for row in rows:
         assert _replayed(spec, row) == (row.seed, row.nmse, row.subspace_dist)
     seeds = {(row.snr_db, row.m, row.trial): row.seed for row in rows}
@@ -426,10 +431,9 @@ def test_summary_mean_and_stderr_are_textbook():
     rows = [SweepRow(0.0, 4, t, "ideal", a, b, 44, t)
             for t, (a, b) in enumerate(zip(nmse, dist))]
     rows.append(SweepRow(0.0, 8, 0, "ideal", 0.4, 0.6, 48, 9))
-    rows += [SweepRow(0.0, 16, t, "ideal", 0.1, 0.3, 56, t) for t in range(2)]
     rows += [SweepRow(0.0, 4, t, "ideal#error:ValueError", math.nan, math.nan, 0, t)
              for t in (5, 6)]
-    five, failed, single, same = summarize(rows)
+    five, failed, single = summarize(rows)
     assert (five.m, five.mode, five.count) == (4, "ideal", 5)
     for mean, stderr, values in ((five.nmse_mean, five.nmse_stderr, nmse),
                                  (five.subspace_dist_mean, five.subspace_dist_stderr,
@@ -439,9 +443,6 @@ def test_summary_mean_and_stderr_are_textbook():
     assert (single.m, single.count) == (8, 1)
     assert (single.nmse_mean, single.subspace_dist_mean) == (0.4, 0.6)
     assert single.nmse_stderr == single.subspace_dist_stderr == 0.0
-    # identical rows have exactly zero spread
-    assert (same.m, same.count, same.nmse_mean) == (16, 2, pytest.approx(0.1))
-    assert same.nmse_stderr == same.subspace_dist_stderr == 0.0
     assert (failed.mode, failed.count) == ("ideal#error:ValueError", 2)
     assert all(math.isnan(v) for v in (failed.nmse_mean, failed.nmse_stderr,
                                        failed.subspace_dist_mean,
@@ -450,10 +451,17 @@ def test_summary_mean_and_stderr_are_textbook():
         summarize([])
 
 
+def test_summary_identical_rows_have_zero_stderr():
+    rows = [SweepRow(0.0, 4, t, "ideal", 0.1, 0.3, 44, 7) for t in range(2)]
+    s, = summarize(rows)
+    assert s.nmse_stderr == 0.0
+    assert s.nmse_mean == pytest.approx(0.1)
+
+
 # ----------------------------------------------------------------------- csv
 
 
-def test_csv_layout_and_float_format(tmp_path):
+def test_csv_layout_and_float_format():
     rows = [SweepRow(10.0, 4, 0, "ideal", 1 / 3, 0.5, 44, 7),
             SweepRow(-10.0, 8, 3, "pseudo-inverse#error:ValueError", math.nan, math.nan,
                      0, 12),
@@ -468,5 +476,10 @@ def test_csv_layout_and_float_format(tmp_path):
         "10,4,0,ideal,0.33333333333333331,0.5,44,7",
     ]
     assert text.endswith("\n")
-    write_rows(rows, tmp_path / "rows.csv")
-    assert (tmp_path / "rows.csv").read_text(encoding="ascii") == text
+
+
+def test_written_file_matches_the_rendering(tmp_path):
+    rows = run_sweep(_small_spec(trials=1))
+    path = tmp_path / "rows.csv"
+    write_rows(rows, path)
+    assert path.read_text(encoding="ascii") == rows_to_csv(rows)

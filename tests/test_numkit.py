@@ -18,17 +18,14 @@ from twostage.stage2 import build_dictionary, design_sounder_omp
 # ---------------------------------------------------------------- validation
 
 
-def test_as_complex_matrix_rejects_bad_shapes_and_counts_non_finite_entries():
-    nan, nan_inf = np.ones((3, 4), dtype=complex), np.ones((3, 4), dtype=complex)
-    nan[0, 1] = nan_inf[0, 1] = np.nan
-    nan_inf[2, 3] = complex(1.0, np.inf)
-    for array, name, error, message in (
-            (np.ones(3), (), ValueError, "2-D"),
-            (np.ones((0, 3)), (), ValueError, "at least one row and one column"),
-            (nan, (), np.linalg.LinAlgError, "matrix contains 1 non-finite"),
-            (nan_inf, ("block",), np.linalg.LinAlgError, "block contains 2 non-finite entries")):
-        with pytest.raises(error, match=message):
-            as_complex_matrix(array, *name)
+def test_as_complex_matrix_counts_nan_and_inf_entries():
+    bad = np.ones((3, 4), dtype=complex)
+    for entry, value, name, message in (((0, 1), np.nan, (), "matrix contains 1 non-finite"),
+                                        ((2, 3), complex(1.0, np.inf), ("block",),
+                                         "block contains 2 non-finite entries")):
+        bad[entry] = value
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            as_complex_matrix(bad, *name)
 
 
 def test_as_complex_matrix_passes_finite_entries_whose_energy_overflows():
@@ -37,6 +34,16 @@ def test_as_complex_matrix_passes_finite_entries_whose_energy_overflows():
     big = np.full((2, 2), 1e200 + 1e200j)
     assert not math.isfinite(np.vdot(big, big).real)
     np.testing.assert_array_equal(as_complex_matrix(big), big)
+
+
+def test_as_complex_matrix_rejects_wrong_ndim():
+    with pytest.raises(ValueError, match="2-D"):
+        as_complex_matrix(np.ones(3))
+
+
+def test_as_complex_matrix_rejects_empty():
+    with pytest.raises(ValueError, match="at least one row and one column"):
+        as_complex_matrix(np.ones((0, 3)))
 
 
 # ------------------------------------------------------------ random streams

@@ -28,6 +28,7 @@ from twostage.pipeline import (
     nmse,
     two_stage_estimate,
 )
+from twostage.stage2 import recover_block
 from twostage.subspace import estimate_stage1
 
 from oracles import dft_combiner, sound_and_invert_block
@@ -53,16 +54,26 @@ def test_nmse_examples():
         nmse(np.zeros_like(h), h)
     with pytest.raises(ValueError, match="shape"):
         nmse(h, np.eye(4, dtype=complex))
-    # a sweep turns only np.linalg.LinAlgError into an error row
     bad = h.copy()
     bad[1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="true channel contains 1 non-finite"):
         nmse(bad, h)
+
+
+def test_numerical_rejections_are_linalg_errors():
+    # a sweep turns only np.linalg.LinAlgError into an error row
+    h = np.eye(3, dtype=complex)
+    bad = h.copy()
+    bad[1, 2] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match="estimate contains 1 non-finite"):
         nmse(h, bad)
     # an error energy that overflows float64 comes back inf, with no warning
     with pytest.raises(np.linalg.LinAlgError, match="NMSE is not finite"):
         nmse(np.ones((4, 6)), 1e200 * np.ones((4, 6)))
+    with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
+        recover_block(np.ones((2, 3)), np.ones((8, 2)))
+    with pytest.raises(np.linalg.LinAlgError, match="subspace distance is not finite"):
+        subspace.subspace_distance(h[:, 1:], bad[:, 1:])
 
 
 # ----------------------------------------------------------- exact regimes
@@ -312,17 +323,22 @@ def test_budget_boundary_cases_are_documented():
 # ------------------------------------------------------------- report fields
 
 
-def test_results_holding_arrays_compare_and_hash_by_identity():
-    # a report is deterministic given its seed and moves with it; generated value
-    # equality would compare the arrays and raise, so reports and realizations
-    # compare by identity, while the scenario and sweep types hold no arrays and
-    # keep value equality
-    cfg, real, a = _run(14)
-    _, _, b = _run(14)
-    _, _, c = _run(15)
+def test_reports_are_deterministic_and_seed_sensitive():
+    cfg, _, a = _run(11)
+    _, _, b = _run(11)
+    _, _, c = _run(12)
     assert a.h_hat.shape == (cfg.n_rx, cfg.n_tx)
     np.testing.assert_array_equal(a.h_hat, b.h_hat)
-    assert a.nmse == b.nmse and not np.array_equal(a.h_hat, c.h_hat)
+    assert a.nmse == b.nmse
+    assert not np.array_equal(a.h_hat, c.h_hat)
+
+
+def test_results_holding_arrays_compare_and_hash_by_identity():
+    # generated value equality would compare the arrays and raise; the
+    # scenario and sweep types hold no arrays and keep value equality
+    cfg, real, a = _run(14)
+    _, _, b = _run(14)
+    np.testing.assert_array_equal(a.h_hat, b.h_hat)
     assert a == a and a != b
     assert len({a, b, real, a}) == 3
     assert cfg == dataclasses.replace(cfg) and hash(cfg) == hash(dataclasses.replace(cfg))

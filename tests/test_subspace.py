@@ -232,8 +232,3 @@ def test_distance_rejects_bad_bases():
     e1 = np.eye(3, dtype=complex)[:, :1]
     with pytest.raises(ValueError, match="shapes"):
         subspace_distance(e1, np.eye(3, dtype=complex)[:, :2])
-    # a NaN would clamp to distance 0; a sweep turns only LinAlgError into an error row
-    bad = np.eye(3, dtype=complex)[:, 1:]
-    bad[1, 1] = np.nan
-    with pytest.raises(np.linalg.LinAlgError, match="subspace distance is not finite"):
-        subspace_distance(np.eye(3, dtype=complex)[:, 1:], bad)
