@@ -75,8 +75,6 @@ def main(argv=None):
     report = {
         "command": f"python3 scripts/bench_sweep.py --seconds {args.seconds:g}"
                    + " --no-tier1" * args.no_tier1,
-        "tree": subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                               capture_output=True, text=True).stdout.strip() or None,
         "env": env,
         "workloads": {name: {
             "correct": result["correct"] and traced[name]["correct"],

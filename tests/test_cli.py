@@ -73,8 +73,6 @@ _REJECTED = [
                  "SNR nan dB gives no finite noise variance", id="estimate-nan-snr"),
     pytest.param("estimate --paths 4 --m 2", None, "m=2 must satisfy 4 <= m <= 128",
                  id="estimate-fewer-columns-than-paths"),
-    pytest.param("estimate --seed -1", None, "seed must be non-negative",
-                 id="estimate-negative-seed"),
 ]
 
 

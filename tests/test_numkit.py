@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from twostage.channel import SystemConfig, generate_channel, ula_response
-from twostage.harness import SweepSpec
 from twostage.numkit import as_complex_matrix, sample_complex_gaussian, stream
 from twostage.pipeline import two_stage_estimate
 from twostage.sounding import observe
@@ -96,13 +95,10 @@ _BLOCK = sample_complex_gaussian(stream(5), 8, 4, 1.0)
     lambda: design_sounder_omp(_BLOCK[:, :1], build_dictionary(8, 16), 6.0),
     lambda: sample_complex_gaussian(stream(0), 2.5, 3, 1.0),
     lambda: sample_complex_gaussian(stream(0), 2, 3.0, 1.0),
-    lambda: observe(_BLOCK, 0.1, stream(0), 2.5),
-    # a bool is an Integral, but not a count: not seed 1
-    lambda: SweepSpec(scenario=SystemConfig(n_rx=8, n_tx=16, paths=2, n_rf=2),
-                      m_list=(4,), seed=True),
+    # a bool is an Integral, but not a count: not one chain
     lambda: observe(_BLOCK, 0.1, stream(0), True),
 ], ids=["dictionary-grid", "dictionary-array", "ula", "two-stage-m", "omp-n_rf",
-        "gaussian-rows", "gaussian-cols", "observe-n_rf", "seed-true", "observe-n_rf-true"])
+        "gaussian-rows", "gaussian-cols", "observe-n_rf-true"])
 def test_primitives_reject_non_integer_counts(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call()

@@ -103,7 +103,9 @@ def test_stage1_equals_sounding_and_inverting_through_any_bank(m):
     report = two_stage_estimate(real, cfg, m, 0.1, stream(6, 1))
     noise = sample_complex_gaussian(stream(6, 1), 32, m, 0.1)  # replayed
     gaussian = sample_complex_gaussian(stream(6, 2), 32, 32, 1.0)
-    for bank in (dft_combiner(32), gaussian):
+    dft = dft_combiner(32)
+    np.testing.assert_allclose(np.abs(dft), 1 / math.sqrt(32), atol=1e-12)  # phase-only
+    for bank in (dft, gaussian):
         block = sound_and_invert_block(real.h[:, :m], bank, noise)
         expected = estimate_stage1(block, cfg.paths).denoised
         error = np.linalg.norm(report.h_hat[:, :m] - expected)

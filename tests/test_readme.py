@@ -40,10 +40,10 @@ def test_readme_layout_states_the_source_line_count():
 
 def test_each_test_module_is_named_for_the_module_it_tests():
     # the Layout's rule: test_<module>.py for each src/twostage module, plus the
-    # README's claims, the oracles' tests and the BLAS pin; no second test layer
+    # README's claims and the BLAS pin; no second test layer
     modules = {path.stem for path in (ROOT / "src" / "twostage").glob("*.py")}
     tested = {path.stem.removeprefix("test_") for path in (ROOT / "tests").glob("test_*.py")}
-    assert tested == modules - {"__init__"} | {"readme", "oracles", "blas_pin"}
+    assert tested == modules - {"__init__"} | {"readme", "blas_pin"}
 
 
 def test_readme_names_only_tests_that_exist():

@@ -62,22 +62,16 @@ def test_dictionary_rejects_bad_sizes():
 # -------------------------------------------------------------- greedy design
 
 
-def test_a_single_atom_target_is_matched_exactly():
+@pytest.mark.parametrize("picks, tol", [((9,), 1e-10), ((5, 20), 1e-8)],
+                         ids=["one-atom", "atom-pair"])
+def test_an_in_dictionary_target_is_matched(picks, tol):
+    # the picked atoms orthonormalized, as a PCA basis would be
     atoms = build_dictionary(16, 32)
-    s = design_sounder_omp(atoms[:, 9:10], atoms, 1)
-    assert s.selected == (9,)
-    assert s.residual_path[-1] <= 1e-10
-    digital = np.linalg.lstsq(s.analog, s.product, rcond=None)[0]
-    assert digital.shape == (1, 1)
-    np.testing.assert_allclose(abs(digital[0, 0]), 1.0, atol=1e-10)
-
-
-def test_an_orthonormalized_atom_pair_is_recovered():
-    atoms = build_dictionary(16, 32)
-    target = np.linalg.qr(atoms[:, [5, 20]])[0]
-    s = design_sounder_omp(target, atoms, 2)
-    assert sorted(s.selected) == [5, 20]
-    assert s.residual_path[-1] <= 1e-8
+    target = np.linalg.qr(atoms[:, list(picks)])[0]
+    s = design_sounder_omp(target, atoms, len(picks))
+    assert sorted(s.selected) == list(picks)
+    assert s.residual_path[-1] <= tol
+    np.testing.assert_allclose(s.product, target, atol=tol)
 
 
 def test_analog_part_is_phase_only():

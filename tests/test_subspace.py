@@ -199,33 +199,23 @@ def test_distance_ignores_basis_rotation_and_is_symmetric():
                                rtol=1e-12)
 
 
-def test_distance_matches_the_projector_form():
-    # the n x n projector difference the sine form replaces, on random pairs
-    # and on pairs whose spans are 1e-6 apart
+@pytest.mark.parametrize("key, form, tol", [
+    (17, lambda u, v: np.linalg.norm(_projector(u) - _projector(v), 2) ** 2, 1e-12),
+    (18, lambda u, v: min(1.0, np.linalg.norm(v - u @ (u.conj().T @ v), 2) ** 2), 1e-14),
+], ids=["projector", "svd-norm"])
+def test_distance_matches_an_exact_form(key, form, tol):
+    # the k x k Gram eigenvalue replaces the n x n projector difference and the
+    # SVD 2-norm of the n x k part outside span(U); random pairs, pairs whose
+    # spans are 1e-6 apart and equal pairs
     for trial in range(20):
         for n, k in ((32, 4), (8, 3), (8, 1), (6, 3), (6, 1)):
-            u = np.linalg.qr(sample_complex_gaussian(stream(17, trial, n, k, 0),
+            u = np.linalg.qr(sample_complex_gaussian(stream(key, trial, n, k, 0),
                                                      n, k, 1.0))[0]
-            kick = sample_complex_gaussian(stream(17, trial, n, k, 1), n, k, 1.0)
-            for v in (np.linalg.qr(kick)[0], np.linalg.qr(u + 1e-6 * kick)[0]):
-                gap = np.linalg.norm(u @ u.conj().T - v @ v.conj().T, 2)
-                assert abs(subspace_distance(u, v) - gap**2) <= 1e-12
-
-
-def test_distance_matches_the_svd_norm_form():
-    # the SVD 2-norm of the n x k part outside span(U) that the k x k Gram
-    # eigenvalue replaces, on random pairs, pairs 1e-6 apart and equal pairs,
-    # where the eigenvalue can round below zero
-    for trial in range(20):
-        for n, k in ((32, 4), (8, 3), (6, 1)):
-            u = np.linalg.qr(sample_complex_gaussian(stream(18, trial, n, k, 0),
-                                                     n, k, 1.0))[0]
-            kick = sample_complex_gaussian(stream(18, trial, n, k, 1), n, k, 1.0)
+            kick = sample_complex_gaussian(stream(key, trial, n, k, 1), n, k, 1.0)
             for v in (np.linalg.qr(kick)[0], np.linalg.qr(u + 1e-6 * kick)[0], u):
-                sine = np.linalg.norm(v - u @ (u.conj().T @ v), 2)
                 dist = subspace_distance(u, v)
                 assert dist >= 0.0
-                assert abs(dist - min(1.0, sine**2)) <= 1e-14
+                assert abs(dist - form(u, v)) <= tol
 
 
 def test_distance_rejects_bad_bases():
